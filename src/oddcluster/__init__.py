@@ -6,100 +6,19 @@ vertices, or produce an odd K_t-expansion certificate. Both outputs come
 with independent verifiers.
 """
 
-from .graph import (
-    Graph,
-    GraphError,
-    InvariantViolation,
-    OddClosedWalk,
-    TreeSubgraph,
-    bipartition_or_odd_cycle,
-    connected_components,
-    induced_edge_count,
-    is_connected,
-    spanning_tree,
-)
-from .spanner import (
-    MoveEvent,
-    SpannerRequest,
-    Triple,
-    bounded_bipartition,
-    build_spanner,
-    minimum_connector,
-    refine_triple,
-    triple_violation,
-)
-from .decompose import (
-    Decomposition,
-    DecomposeOutcome,
-    Part,
-    StuckState,
-    decompose,
-    decomposition_violation,
-    maximal_bipartite_part,
-    pick_component,
-)
-from .certificate import (
-    OddExpansionCertificate,
-    certificate_from_json,
-    certificate_to_json,
-    extract_certificate,
-    verify_certificate,
-)
-from .coloring import (
-    ClusteredColoring,
-    ColoringRejection,
-    ColoringReport,
-    build_auxiliary,
-    color_parts,
-    product_coloring,
-    verify_coloring,
-)
-from .oracle import BudgetExceeded, OracleBudget, has_odd_expansion, min_connector_bruteforce
+from .graph import Graph, GraphError, InvariantViolation
+from .certificate import certificate_from_json, verify_certificate
+from .coloring import coloring_from_json, verify_coloring
 from .cli import PipelineResult, run_color
 
 __all__ = [
     "Graph",
     "GraphError",
     "InvariantViolation",
-    "OddClosedWalk",
-    "TreeSubgraph",
-    "bipartition_or_odd_cycle",
-    "connected_components",
-    "induced_edge_count",
-    "is_connected",
-    "spanning_tree",
-    "MoveEvent",
-    "SpannerRequest",
-    "Triple",
-    "bounded_bipartition",
-    "build_spanner",
-    "minimum_connector",
-    "refine_triple",
-    "triple_violation",
-    "Decomposition",
-    "DecomposeOutcome",
-    "Part",
-    "StuckState",
-    "decompose",
-    "decomposition_violation",
-    "maximal_bipartite_part",
-    "pick_component",
-    "OddExpansionCertificate",
     "certificate_from_json",
-    "certificate_to_json",
-    "extract_certificate",
     "verify_certificate",
-    "ClusteredColoring",
-    "ColoringRejection",
-    "ColoringReport",
-    "build_auxiliary",
-    "color_parts",
-    "product_coloring",
+    "coloring_from_json",
     "verify_coloring",
-    "BudgetExceeded",
-    "OracleBudget",
-    "has_odd_expansion",
-    "min_connector_bruteforce",
     "PipelineResult",
     "run_color",
 ]

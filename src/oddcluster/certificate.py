@@ -15,7 +15,8 @@ from collections import deque
 from dataclasses import dataclass
 
 from .graph import Graph, GraphError, InvariantViolation, TreeSubgraph, spanning_tree
-from .decompose import StuckState
+from .graph_io import json_int, json_pair
+from .decompose import StuckState, parts_adjacent
 
 
 @dataclass(frozen=True)
@@ -47,7 +48,7 @@ def extract_certificate(g: Graph, t: int, stuck: StuckState) -> OddExpansionCert
         if not any(g.adj(v) & p.vertices for v in comp):
             raise GraphError(f"part {p.index} is not adjacent to the component")
         for q in parts[i + 1 :]:
-            if not any(g.adj(v) & q.vertices for v in p.vertices):
+            if not parts_adjacent(g, p, q):
                 raise GraphError(f"parts {p.index} and {q.index} are not adjacent")
 
     trees: list[TreeSubgraph] = []
@@ -198,22 +199,27 @@ def certificate_to_json(cert: OddExpansionCertificate) -> dict:
 
 
 def certificate_from_json(obj: dict) -> OddExpansionCertificate:
+    """Parse the certificate format; every vertex, color, index and t must be
+    a JSON integer and every edge or pair exactly two of them, anything else
+    raises GraphError."""
     try:
         trees = tuple(
             TreeSubgraph(
-                frozenset(int(v) for v in entry["vertices"]),
-                frozenset((int(e[0]), int(e[1])) for e in entry["edges"]),
+                frozenset(json_int(v, "tree vertex") for v in entry["vertices"]),
+                frozenset(json_pair(e, "tree edge") for e in entry["edges"]),
             )
             for entry in obj["trees"]
         )
-        coloring = {int(v): int(c) for v, c in obj["coloring"].items()}
+        coloring = {}
+        for key, c in obj["coloring"].items():
+            v = int(key)
+            if str(v) != key:
+                raise GraphError(f"coloring key {key!r} is not a vertex id")
+            coloring[v] = json_int(c, "vertex color")
         joins = {
-            (int(entry["pair"][0]), int(entry["pair"][1])): (
-                int(entry["edge"][0]),
-                int(entry["edge"][1]),
-            )
+            json_pair(entry["pair"], "join pair"): json_pair(entry["edge"], "join edge")
             for entry in obj["joins"]
         }
-        return OddExpansionCertificate(int(obj["t"]), trees, coloring, joins)
-    except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
+        return OddExpansionCertificate(json_int(obj["t"], "t"), trees, coloring, joins)
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise GraphError(f"malformed certificate JSON: {exc}") from exc

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -65,16 +64,10 @@ class PipelineResult:
     certificate: OddExpansionCertificate | None = None
 
 
-def _decompose_component(args: tuple[Graph, int, frozenset[int]]):
-    g, t, comp = args
-    return decompose(g, t, within=comp)
-
-
 def run_color(
     g: Graph,
     t: int,
     on_move: OnMove | None = None,
-    parallel: bool = False,
     verbose: bool = False,
 ) -> PipelineResult:
     """Decompose every connected component; emit a verified coloring, or a
@@ -83,12 +76,7 @@ def run_color(
     Hues are assigned per component, which is safe: no edges cross
     components, so color reuse cannot merge monochromatic pieces.
     """
-    comps = connected_components(g)
-    if parallel and len(comps) > 1 and on_move is None:
-        with ProcessPoolExecutor() as pool:
-            outcomes = list(pool.map(_decompose_component, [(g, t, c) for c in comps]))
-    else:
-        outcomes = [decompose(g, t, within=c, on_move=on_move) for c in comps]
+    outcomes = [decompose(g, t, within=c, on_move=on_move) for c in connected_components(g)]
 
     completed: list[Decomposition] = []
     for outcome in outcomes:
@@ -155,7 +143,7 @@ def cmd_color(args: argparse.Namespace) -> int:
     if args.t < 3:
         raise _UsageError("--t must be at least 3")
     g = load_graph(args.input, args.format)
-    result = run_color(g, args.t, parallel=args.parallel, verbose=args.verbose)
+    result = run_color(g, args.t, verbose=args.verbose)
     _emit(result.payload)
     _write_artifact(result, args.output)
     return result.exit_code
@@ -303,7 +291,6 @@ def _build_parser() -> _Parser:
     p_color = sub.add_parser("color", help="color the graph or emit an odd-minor certificate")
     add_io(p_color)
     p_color.add_argument("--t", type=int, required=True, help="clique parameter, at least 3")
-    p_color.add_argument("--parallel", action="store_true", help="decompose components in parallel")
     p_color.add_argument("--verbose", "-v", action="store_true", help="include decompositions in output")
     p_color.set_defaults(func=cmd_color)
 

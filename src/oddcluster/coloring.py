@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .graph import Graph, GraphError, InvariantViolation, norm_edge
+from .graph_io import json_int, json_pair
 from .decompose import Decomposition
 
 
@@ -162,12 +163,12 @@ def coloring_to_json(coloring: ClusteredColoring, n: int) -> dict:
 
 
 def coloring_from_json(obj: dict) -> ClusteredColoring:
+    """Parse the coloring format; every number must be a JSON integer and
+    every row a [hue, side] pair, anything else raises GraphError."""
     try:
-        colors = {
-            v: (int(pair[0]), int(pair[1])) for v, pair in enumerate(obj["colors"])
-        }
-        return ClusteredColoring(int(obj["t"]), colors)
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        colors = {v: json_pair(row, f"color of vertex {v}") for v, row in enumerate(obj["colors"])}
+        return ClusteredColoring(json_int(obj["t"], "t"), colors)
+    except (KeyError, TypeError, ValueError) as exc:
         raise GraphError(f"malformed coloring JSON: {exc}") from exc
 
 

@@ -39,9 +39,6 @@ class Decomposition:
     t: int
     parts: tuple[Part, ...]
 
-    def vertex_to_part(self) -> dict[int, int]:
-        return {v: p.index for p in self.parts for v in p.vertices}
-
 
 @dataclass(frozen=True)
 class StuckState:
@@ -114,14 +111,15 @@ def decompose(
     t: int,
     within: Iterable[int] | None = None,
     on_move: OnMove | None = None,
-    recheck: bool = True,
 ) -> DecomposeOutcome:
     """Build parts until the region is covered, or halt with a StuckState
     when a component sees t-1 earlier parts.
 
     The region must induce a connected subgraph (callers split disconnected
     graphs beforehand). Every picked component's adjacent parts must be
-    pairwise adjacent; a miss is a bug, not an input problem.
+    pairwise adjacent; a miss is a bug, not an input problem. A completed
+    run is rechecked from scratch by decomposition_violation before it is
+    returned.
     """
     if t < 3:
         raise GraphError("t must be >= 3")
@@ -154,10 +152,9 @@ def decompose(
         covered |= triple.h_vertices
 
     result = Decomposition(t, tuple(parts))
-    if recheck:
-        reason = decomposition_violation(g, result, pool)
-        if reason is not None:
-            raise InvariantViolation(f"completed decomposition failed recheck: {reason}")
+    reason = decomposition_violation(g, result, pool)
+    if reason is not None:
+        raise InvariantViolation(f"completed decomposition failed recheck: {reason}")
     return result
 
 
@@ -229,19 +226,3 @@ def decomposition_to_json(d: Decomposition) -> dict:
             for p in d.parts
         ],
     }
-
-
-def decomposition_from_json(obj: dict) -> Decomposition:
-    try:
-        parts = tuple(
-            Part(
-                int(entry["index"]),
-                frozenset(entry["H"]),
-                frozenset(entry["A"]),
-                frozenset(entry["B"]),
-            )
-            for entry in obj["parts"]
-        )
-        return Decomposition(int(obj["t"]), parts)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise GraphError(f"malformed decomposition JSON: {exc}") from exc

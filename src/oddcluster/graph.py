@@ -79,9 +79,6 @@ class Graph:
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
 
-    def __reduce__(self):
-        return (Graph, (self.n, tuple(self.edges())))
-
 
 @dataclass(frozen=True)
 class TreeSubgraph:
@@ -89,17 +86,6 @@ class TreeSubgraph:
 
     vertices: frozenset[int]
     edges: frozenset[Edge]
-
-
-@dataclass(frozen=True)
-class OddClosedWalk:
-    """Closed walk of odd edge count; first and last entries coincide."""
-
-    vertices: tuple[int, ...]
-
-    @property
-    def length(self) -> int:
-        return len(self.vertices) - 1
 
 
 def _checked_set(g: Graph, within: Iterable[int]) -> frozenset[int]:
@@ -110,8 +96,13 @@ def _checked_set(g: Graph, within: Iterable[int]) -> frozenset[int]:
     return ws
 
 
-def connected_components(g: Graph, within: Iterable[int] | None = None) -> list[frozenset[int]]:
-    """Maximal connected pieces of the (restricted) vertex set.
+def connected_components(
+    g: Graph,
+    within: Iterable[int] | None = None,
+    allowed: Callable[[int, int], bool] | None = None,
+) -> list[frozenset[int]]:
+    """Maximal connected pieces of the (restricted) vertex set, optionally
+    using only the edges (x, y) the `allowed` predicate accepts.
 
     Pieces are ordered by their minimum contained vertex.
     """
@@ -127,7 +118,7 @@ def connected_components(g: Graph, within: Iterable[int] | None = None) -> list[
         while queue:
             x = queue.popleft()
             for y in g.neighbors(x):
-                if y in unseen:
+                if y in unseen and (allowed is None or allowed(x, y)):
                     unseen.discard(y)
                     comp.add(y)
                     queue.append(y)
@@ -142,61 +133,6 @@ def is_connected(g: Graph, within: Iterable[int] | None = None) -> bool:
 def induced_edge_count(g: Graph, vertices: Iterable[int]) -> int:
     vs = frozenset(vertices)
     return sum(len(g.adj(v) & vs) for v in vs) // 2
-
-
-def bipartition_or_odd_cycle(
-    g: Graph, within: Iterable[int]
-) -> tuple[frozenset[int], frozenset[int]] | OddClosedWalk:
-    """Two-color the connected induced subgraph on `within`, or witness failure.
-
-    On success returns (side_a, side_b) with side_a holding the minimum
-    vertex and every induced edge crossing sides. On failure returns a
-    simple cycle of odd length as an OddClosedWalk.
-    """
-    ws = _checked_set(g, within)
-    if not ws:
-        raise GraphError("within must be nonempty")
-    if not is_connected(g, ws):
-        raise GraphError("within does not induce a connected subgraph")
-    root = min(ws)
-    parent = {root: root}
-    depth = {root: 0}
-    queue = deque([root])
-    while queue:
-        x = queue.popleft()
-        for y in g.neighbors(x):
-            if y not in ws:
-                continue
-            if y in depth:
-                if depth[y] % 2 == depth[x] % 2:
-                    return _odd_cycle(parent, depth, x, y)
-            else:
-                parent[y] = x
-                depth[y] = depth[x] + 1
-                queue.append(y)
-    side_a = frozenset(v for v in ws if depth[v] % 2 == 0)
-    return side_a, ws - side_a
-
-
-def _odd_cycle(parent: dict[int, int], depth: dict[int, int], x: int, y: int) -> OddClosedWalk:
-    # Climb both endpoints to their lowest common ancestor; the two tree
-    # paths plus the violating edge form a simple odd cycle.
-    px, py = [x], [y]
-    a, b = x, y
-    while depth[a] > depth[b]:
-        a = parent[a]
-        px.append(a)
-    while depth[b] > depth[a]:
-        b = parent[b]
-        py.append(b)
-    while a != b:
-        a = parent[a]
-        px.append(a)
-        b = parent[b]
-        py.append(b)
-    walk = px + list(reversed(py))[1:]
-    walk.append(x)
-    return OddClosedWalk(tuple(walk))
 
 
 def spanning_tree(

@@ -1,4 +1,4 @@
-"""Read and write graphs: edge-list text, DIMACS, and JSON."""
+"""Read and write graphs (edge-list text, DIMACS) and read JSON artifacts."""
 
 from __future__ import annotations
 
@@ -81,25 +81,6 @@ def format_dimacs(g: Graph) -> str:
     return "\n".join(out) + "\n"
 
 
-def graph_to_json(g: Graph) -> dict[str, Any]:
-    return {"n": g.n, "edges": [[u, v] for u, v in g.edges()]}
-
-
-def graph_from_json(obj: Any) -> Graph:
-    if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
-        raise GraphError("graph JSON must carry 'n' and 'edges'")
-    n = obj["n"]
-    edges = obj["edges"]
-    if not isinstance(n, int) or not isinstance(edges, list):
-        raise GraphError("malformed graph JSON")
-    pairs = []
-    for e in edges:
-        if not (isinstance(e, (list, tuple)) and len(e) == 2):
-            raise GraphError(f"malformed edge entry {e!r}")
-        pairs.append((e[0], e[1]))
-    return Graph(n, pairs)
-
-
 def load_graph(path: str | Path, fmt: str = "edgelist") -> Graph:
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -112,16 +93,6 @@ def load_graph(path: str | Path, fmt: str = "edgelist") -> Graph:
     raise GraphError(f"unknown format {fmt!r}")
 
 
-def save_graph(g: Graph, path: str | Path, fmt: str = "edgelist") -> None:
-    if fmt == "edgelist":
-        text = format_edgelist(g)
-    elif fmt == "dimacs":
-        text = format_dimacs(g)
-    else:
-        raise GraphError(f"unknown format {fmt!r}")
-    Path(path).write_text(text, encoding="utf-8")
-
-
 def load_json(path: str | Path) -> Any:
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -131,3 +102,17 @@ def load_json(path: str | Path) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise GraphError(f"invalid JSON in {path}: {exc}") from exc
+
+
+def json_int(value: Any, what: str) -> int:
+    """`value` if it is a JSON integer; anything else, bool included, raises."""
+    if type(value) is not int:
+        raise GraphError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def json_pair(value: Any, what: str) -> tuple[int, int]:
+    """A two-entry list of JSON integers as a tuple; anything else raises."""
+    if not (isinstance(value, (list, tuple)) and len(value) == 2):
+        raise GraphError(f"{what} must be a pair of integers, got {value!r}")
+    return json_int(value[0], what), json_int(value[1], what)

@@ -15,6 +15,7 @@ from typing import Iterable
 from .graph import Graph, GraphError, is_connected
 
 BRUTE_N_CAP = 12
+SEARCH_NODE_LIMIT = 5_000_000  # branch-set search nodes per has_odd_expansion call
 
 
 class BudgetExceeded(RuntimeError):
@@ -25,7 +26,6 @@ class BudgetExceeded(RuntimeError):
 class OracleBudget:
     max_n: int = 9
     max_t: int = 4
-    node_limit: int = 5_000_000
 
 
 def has_odd_expansion(g: Graph, t: int, budget: OracleBudget | None = None) -> bool:
@@ -84,7 +84,7 @@ def has_odd_expansion(g: Graph, t: int, budget: OracleBudget | None = None) -> b
                     m ^= b
                     r |= same[b.bit_length() - 1]
                 reaches.append(r)
-        if _pick_branch_sets(candidates, reaches, t, nodes, budget.node_limit):
+        if _pick_branch_sets(candidates, reaches, t, nodes):
             return True
     return False
 
@@ -107,14 +107,14 @@ def _bit_connected(mask: int, adj: list[int]) -> bool:
 
 
 def _pick_branch_sets(
-    candidates: list[int], reaches: list[int], t: int, nodes: list[int], limit: int
+    candidates: list[int], reaches: list[int], t: int, nodes: list[int]
 ) -> bool:
     chosen: list[tuple[int, int]] = []  # (mask, monochromatic reach)
 
     def rec(start: int) -> bool:
         nodes[0] += 1
-        if nodes[0] > limit:
-            raise BudgetExceeded(f"search node limit {limit} hit")
+        if nodes[0] > SEARCH_NODE_LIMIT:
+            raise BudgetExceeded(f"search node limit {SEARCH_NODE_LIMIT} hit")
         if len(chosen) == t:
             return True
         for idx in range(start, len(candidates)):

@@ -53,11 +53,6 @@ class SpannerRequest:
     terminals: frozenset[int]
     bound: int
 
-    @classmethod
-    def from_terminals(cls, host: Graph, component: Iterable[int], terminals: Iterable[int]) -> "SpannerRequest":
-        terms = frozenset(terminals)
-        return cls(host, frozenset(component), terms, (len(terms) + 1) // 2)
-
 
 @dataclass(frozen=True)
 class MoveEvent:
@@ -218,27 +213,9 @@ def cross_components(
     host: Graph, h_vertices: Iterable[int], side_a: Iterable[int], side_b: Iterable[int]
 ) -> list[frozenset[int]]:
     """Components of the crossing subgraph: vertices of H, side-crossing edges only."""
-    hs = frozenset(h_vertices)
     sa = frozenset(side_a)
     sb = frozenset(side_b)
-    comps = []
-    unseen = set(hs)
-    for s in sorted(hs):
-        if s not in unseen:
-            continue
-        unseen.discard(s)
-        comp = {s}
-        stack = [s]
-        while stack:
-            x = stack.pop()
-            opposite = sb if x in sa else sa
-            for y in host.neighbors(x):
-                if y in opposite and y in unseen:
-                    unseen.discard(y)
-                    comp.add(y)
-                    stack.append(y)
-        comps.append(frozenset(comp))
-    return comps
+    return connected_components(host, h_vertices, lambda x, y: y in (sb if x in sa else sa))
 
 
 def max_side_component(host: Graph, side: Iterable[int]) -> int:
@@ -348,11 +325,3 @@ def build_spanner(req: SpannerRequest, on_move: OnMove | None = None) -> Triple:
     if reason is not None:
         raise InvariantViolation(f"spanner postcondition failed: {reason}")
     return result
-
-
-def triple_to_json(triple: Triple) -> dict:
-    return {
-        "H": sorted(triple.h_vertices),
-        "A": sorted(triple.side_a),
-        "B": sorted(triple.side_b),
-    }

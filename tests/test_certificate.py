@@ -9,9 +9,10 @@ from oddcluster.certificate import (
     verify_certificate,
 )
 from oddcluster.decompose import StuckState, decompose
-from oddcluster.graph import GraphError, OddClosedWalk, TreeSubgraph, bipartition_or_odd_cycle
+from oddcluster.graph import GraphError, TreeSubgraph
 
 from conftest import connected_graphs
+from helpers import OddClosedWalk, bipartition_or_odd_cycle
 
 
 @pytest.fixture

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from oddcluster.cli import main, run_color
 from oddcluster.graph_io import format_edgelist, load_graph
 from oddcluster import generators as gen
@@ -72,15 +74,6 @@ class TestColor:
         assert code == 0
         assert payload["decompositions"][0]["parts"][0]["H"] == [0, 1]
 
-    def test_parallel_matches_sequential(self, tmp_path, capsys):
-        from oddcluster.graph import Graph
-
-        g = Graph(12, [(0, 1), (1, 2), (3, 4), (4, 5), (6, 7), (8, 9), (9, 10), (10, 8)])
-        seq = run_color(g, 3)
-        par = run_color(g, 3, parallel=True)
-        assert seq.exit_code == par.exit_code
-        assert seq.payload == par.payload
-
 
 class TestVerify:
     def test_certificate_accept_and_tamper(self, tmp_path, capsys, k5):
@@ -122,6 +115,32 @@ class TestVerify:
         art_path.write_text(json.dumps({"t": 3, "colors": [[1, 1]] * 4}))
         code, out, _ = run_cli(capsys, "verify", "-i", graph_path, "--artifact", str(art_path))
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "graph, path, entry",
+        [
+            ("k4", ("colors", 1), [1.9, 2.7]),
+            ("k4", ("colors", 0), [True, "1"]),
+            ("k4", ("colors", 3), [2, 2, 7]),
+            ("k5", ("trees", 0, "edges", 0), [0, 1, 99]),
+            ("k5", ("joins", 0, "edge"), [0, 2, "junk"]),
+        ],
+        ids=["float-hue-side", "bool-and-string", "three-entry-row", "three-entry-tree-edge", "junk-join-edge"],
+    )
+    def test_non_integer_or_long_entry_rejected(self, tmp_path, capsys, request, graph, path, entry):
+        g = request.getfixturevalue(graph)
+        artifact = run_color(g, 3).artifact
+        parent = artifact
+        for key in path[:-1]:
+            parent = parent[key]
+        # coercing the entry with int() would give back the valid original
+        assert parent[path[-1]] == [int(x) for x in entry[:2]]
+        parent[path[-1]] = entry
+        art_path = tmp_path / "artifact.json"
+        art_path.write_text(json.dumps(artifact))
+        code, out, err = run_cli(capsys, "verify", "-i", write_graph(tmp_path, g), "--artifact", str(art_path))
+        assert code == 1 and out == ""
+        assert "malformed" in err
 
     def test_unrecognized_artifact(self, tmp_path, capsys, k4):
         graph_path = write_graph(tmp_path, k4)

@@ -6,7 +6,6 @@ from oddcluster.decompose import (
     Part,
     StuckState,
     decompose,
-    decomposition_from_json,
     decomposition_to_json,
     decomposition_violation,
     maximal_bipartite_part,
@@ -17,6 +16,7 @@ from oddcluster.graph import Graph, GraphError
 from oddcluster import generators as gen
 
 from conftest import connected_graphs
+from helpers import OddClosedWalk, bipartition_or_odd_cycle
 
 
 class TestMaximalBipartitePart:
@@ -122,8 +122,6 @@ class TestDecompose:
     @given(connected_graphs(max_n=20))
     @settings(max_examples=40, deadline=None)
     def test_connected_bipartite_always_one_part(self, g):
-        from oddcluster.graph import OddClosedWalk, bipartition_or_odd_cycle
-
         if isinstance(bipartition_or_odd_cycle(g, range(g.n)), OddClosedWalk):
             return
         outcome = decompose(g, 3)
@@ -135,4 +133,3 @@ def test_json_round_trip(k4):
     d = decompose(k4, 3)
     obj = decomposition_to_json(d)
     assert obj["parts"][0]["H"] == [0, 1]
-    assert decomposition_from_json(obj) == d

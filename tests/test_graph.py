@@ -4,8 +4,6 @@ from hypothesis import given, settings
 from oddcluster.graph import (
     Graph,
     GraphError,
-    OddClosedWalk,
-    bipartition_or_odd_cycle,
     connected_components,
     induced_edge_count,
     is_connected,
@@ -13,6 +11,7 @@ from oddcluster.graph import (
 )
 
 from conftest import graphs, connected_graphs
+from helpers import OddClosedWalk, bipartition_or_odd_cycle
 
 
 class TestConstruction:

@@ -6,13 +6,12 @@ from oddcluster.graph import Graph, GraphError, is_connected
 from oddcluster.graph_io import (
     format_dimacs,
     format_edgelist,
-    graph_from_json,
-    graph_to_json,
     read_dimacs,
     read_edgelist,
 )
 
 from conftest import graphs
+from helpers import OddClosedWalk, bipartition_or_odd_cycle
 
 
 class TestEdgelist:
@@ -63,20 +62,6 @@ class TestDimacs:
         assert read_dimacs(format_dimacs(g)) == g
 
 
-class TestJson:
-    def test_round_trip(self):
-        g = Graph(3, [(0, 2)])
-        assert graph_from_json(graph_to_json(g)) == g
-
-    def test_shape(self):
-        assert graph_to_json(Graph(2, [(0, 1)])) == {"n": 2, "edges": [[0, 1]]}
-
-    @pytest.mark.parametrize("obj", [None, {}, {"n": 2}, {"n": "2", "edges": []}, {"n": 2, "edges": [[0]]}])
-    def test_malformed(self, obj):
-        with pytest.raises(GraphError):
-            graph_from_json(obj)
-
-
 class TestGenerators:
     def test_cycle(self):
         g = gen.cycle(5)
@@ -107,8 +92,6 @@ class TestGenerators:
         assert gen.random_bipartite(20, 0.3, seed=3) == gen.random_bipartite(20, 0.3, seed=3)
 
     def test_connected_bipartite(self):
-        from oddcluster.graph import bipartition_or_odd_cycle, OddClosedWalk
-
         for seed in range(5):
             g = gen.connected_bipartite(18, 0.25, seed=seed)
             assert is_connected(g)

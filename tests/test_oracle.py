@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings
 
-from oddcluster.graph import Graph, GraphError, OddClosedWalk, bipartition_or_odd_cycle
+from oddcluster.graph import Graph, GraphError
 from oddcluster.oracle import (
     BudgetExceeded,
     OracleBudget,
@@ -12,6 +12,7 @@ from oddcluster.spanner import minimum_connector
 from oddcluster import generators as gen
 
 from conftest import connected_graphs, graphs, graphs_with_terminals
+from helpers import OddClosedWalk, bipartition_or_odd_cycle
 
 
 class TestHasOddExpansion:

@@ -2,6 +2,7 @@ from itertools import product
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oddcluster.graph import Graph, GraphError, connected_components
 from oddcluster.oracle import min_connector_bruteforce
@@ -10,13 +11,15 @@ from oddcluster.spanner import (
     Triple,
     bounded_bipartition,
     build_spanner,
+    cross_components,
     minimum_connector,
     refine_triple,
     triple_violation,
 )
 from oddcluster import generators as gen
 
-from conftest import graphs_with_terminals
+from conftest import graphs, graphs_with_terminals
+from helpers import cross_components_reference
 
 
 def splits_within_bound(g, vertices, bound):
@@ -31,6 +34,29 @@ def splits_within_bound(g, vertices, bound):
         ):
             out.append((a, b))
     return out
+
+
+@st.composite
+def two_sided_splits(draw):
+    g = draw(graphs(max_n=14))
+    h = sorted(draw(st.sets(st.integers(min_value=0, max_value=g.n - 1))))
+    in_a = draw(st.lists(st.booleans(), min_size=len(h), max_size=len(h)))
+    side_a = frozenset(v for v, bit in zip(h, in_a) if bit)
+    return g, frozenset(h), side_a, frozenset(h) - side_a
+
+
+class TestCrossComponents:
+    def test_c4_alternating_and_same_side(self):
+        g = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+        assert cross_components(g, range(4), {0, 2}, {1, 3}) == [frozenset(range(4))]
+        assert cross_components(g, range(4), {0, 1}, {2, 3}) == [frozenset({0, 3}), frozenset({1, 2})]
+        assert cross_components(g, range(4), {0, 1, 2, 3}, ()) == [frozenset({v}) for v in range(4)]
+
+    @given(two_sided_splits())
+    @settings(max_examples=200)
+    def test_matches_reference_traversal(self, case):
+        g, h, side_a, side_b = case
+        assert cross_components(g, h, side_a, side_b) == cross_components_reference(g, h, side_a, side_b)
 
 
 class TestMinimumConnector:
@@ -136,7 +162,7 @@ class TestRefine:
 
 class TestBuildSpanner:
     def test_c6_two_terminals(self, c6):
-        req = SpannerRequest.from_terminals(c6, range(6), {0, 3})
+        req = SpannerRequest(c6, frozenset(range(6)), frozenset({0, 3}), 1)
         got = build_spanner(req)
         assert got == Triple(
             frozenset(range(6)), frozenset({0, 2, 4}), frozenset({1, 3, 5}), 6
@@ -145,7 +171,7 @@ class TestBuildSpanner:
 
     def test_single_vertex_component(self):
         g = Graph(1, [])
-        req = SpannerRequest.from_terminals(g, {0}, {0})
+        req = SpannerRequest(g, frozenset({0}), frozenset({0}), 1)
         assert build_spanner(req) == Triple(frozenset({0}), frozenset({0}), frozenset(), 0)
 
     def test_k5_leftover_component(self, k5):
@@ -157,21 +183,11 @@ class TestBuildSpanner:
             frozenset({3}),
         )
 
-    def test_json_shape(self, c6):
-        from oddcluster.spanner import triple_to_json
-
-        req = SpannerRequest.from_terminals(c6, range(6), {0, 3})
-        assert triple_to_json(build_spanner(req)) == {
-            "H": [0, 1, 2, 3, 4, 5],
-            "A": [0, 2, 4],
-            "B": [1, 3, 5],
-        }
-
     @given(graphs_with_terminals(max_n=11, max_terminals=4))
     @settings(max_examples=120, deadline=None)
     def test_guarantees_and_move_accounting(self, case):
         g, terms = case
-        req = SpannerRequest.from_terminals(g, range(g.n), terms)
+        req = SpannerRequest(g, frozenset(range(g.n)), terms, (len(terms) + 1) // 2)
         events = []
         got = build_spanner(req, on_move=events.append)
         assert triple_violation(req, got) is None
