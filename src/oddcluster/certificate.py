@@ -200,13 +200,14 @@ def certificate_to_json(cert: OddExpansionCertificate) -> dict:
 
 def certificate_from_json(obj: dict) -> OddExpansionCertificate:
     """Parse the certificate format; every vertex, color, index and t must be
-    a JSON integer and every edge or pair exactly two of them, anything else
-    raises GraphError."""
+    a JSON integer and every edge or pair exactly two of them, and no tree
+    vertex, tree edge or join pair may be listed twice; anything else raises
+    GraphError."""
     try:
         trees = tuple(
             TreeSubgraph(
-                frozenset(json_int(v, "tree vertex") for v in entry["vertices"]),
-                frozenset(json_pair(e, "tree edge") for e in entry["edges"]),
+                _distinct([json_int(v, "tree vertex") for v in entry["vertices"]], "tree vertex"),
+                _distinct([json_pair(e, "tree edge") for e in entry["edges"]], "tree edge"),
             )
             for entry in obj["trees"]
         )
@@ -216,10 +217,20 @@ def certificate_from_json(obj: dict) -> OddExpansionCertificate:
             if str(v) != key:
                 raise GraphError(f"coloring key {key!r} is not a vertex id")
             coloring[v] = json_int(c, "vertex color")
-        joins = {
-            json_pair(entry["pair"], "join pair"): json_pair(entry["edge"], "join edge")
-            for entry in obj["joins"]
-        }
+        joins = {}
+        for entry in obj["joins"]:
+            pair = json_pair(entry["pair"], "join pair")
+            if pair in joins:
+                raise GraphError(f"join pair {list(pair)} is listed twice")
+            joins[pair] = json_pair(entry["edge"], "join edge")
         return OddExpansionCertificate(json_int(obj["t"], "t"), trees, coloring, joins)
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise GraphError(f"malformed certificate JSON: {exc}") from exc
+
+
+def _distinct(items: list, what: str) -> frozenset:
+    # a repeated entry would otherwise collapse in the set unseen
+    found = frozenset(items)
+    if len(found) != len(items):
+        raise GraphError(f"a {what} is listed twice")
+    return found

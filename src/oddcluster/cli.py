@@ -2,7 +2,10 @@
 render DOT, and query the toy oracle.
 
 Exit codes: 0 colored/accepted, 1 usage or parse error, 2 verification
-rejected, 3 odd-minor certificate emitted.
+rejected, 3 odd-minor certificate emitted, 4 internal error: a self-check,
+an internal invariant or the interpreter failed, which is a bug rather than
+bad input. An internal error prints one "internal error: ..." line on stderr
+and {"status": "error", ...} on stdout.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_REJECT = 2
 EXIT_CERT = 3
+EXIT_INTERNAL = 4
 
 
 @dataclass
@@ -85,7 +89,7 @@ def run_color(
             reason = verify_certificate(g, cert)
             if reason is not None:
                 payload = {"status": "error", "error": f"certificate self-check failed: {reason}"}
-                return PipelineResult(EXIT_REJECT, payload, certificate=cert)
+                return PipelineResult(EXIT_INTERNAL, payload, certificate=cert)
             artifact = certificate_to_json(cert)
             payload = {"status": "certificate", "t": t, "certificate": artifact}
             return PipelineResult(EXIT_CERT, payload, artifact, completed, certificate=cert)
@@ -100,7 +104,7 @@ def run_color(
     checked = verify_coloring(g, merged, t)
     if isinstance(checked, ColoringRejection):
         payload = {"status": "error", "error": f"coloring self-check failed: {checked.reason}"}
-        return PipelineResult(EXIT_REJECT, payload, decompositions=completed, coloring=merged)
+        return PipelineResult(EXIT_INTERNAL, payload, decompositions=completed, coloring=merged)
     artifact = coloring_to_json(merged, g.n)
     payload = {
         "status": "colored",
@@ -145,6 +149,8 @@ def cmd_color(args: argparse.Namespace) -> int:
     g = load_graph(args.input, args.format)
     result = run_color(g, args.t, verbose=args.verbose)
     _emit(result.payload)
+    if result.exit_code == EXIT_INTERNAL:
+        print(f"internal error: {result.payload['error']}", file=sys.stderr)
     _write_artifact(result, args.output)
     return result.exit_code
 
@@ -331,6 +337,13 @@ def main(argv: list[str] | None = None) -> int:
     except (GraphError, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        # InvariantViolation, RecursionError or anything else unexpected is a
+        # bug: report it in one line with its type instead of a traceback
+        message = " ".join(f"{type(exc).__name__}: {exc}".split())
+        print(f"internal error: {message}", file=sys.stderr)
+        _emit({"status": "error", "error": message})
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ is exactly what certificate extraction needs.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Iterable, Union
 
@@ -61,28 +62,37 @@ def maximal_bipartite_part(g: Graph, within: Iterable[int] | None = None) -> Par
     """Grow a connected bipartite induced set from the minimum vertex until no
     adjacent vertex can join without creating an odd cycle.
 
-    Candidates are scanned in ascending order each round. Since the induced
-    set stays connected and bipartite, its parity classes never change, so a
-    once-rejected vertex stays rejected. Side A holds the root.
+    Each step adds the smallest eligible vertex: uncolored, in the region,
+    with colored neighbors all in one class; it takes the other class. The
+    frontier is a min-heap that every region neighbor enters once, when its
+    first neighbor gets colored. A popped vertex whose colored neighbors
+    show both classes is dropped for good: the induced set stays connected
+    and bipartite, so its parity classes never change and that vertex stays
+    rejected. Each step costs O(deg v log n). Side A holds the root.
     """
     pool = frozenset(range(g.n)) if within is None else frozenset(within)
     if not pool:
         raise GraphError("empty region")
     root = min(pool)
+    if root < 0 or max(pool) >= g.n:
+        raise GraphError(f"region vertex out of range for n={g.n}")
     color = {root: 0}
-    while True:
-        grown = False
-        for v in sorted(pool - color.keys()):
-            colored_nbrs = g.adj(v) & color.keys()
-            if not colored_nbrs:
-                continue
-            classes = {color[u] for u in colored_nbrs}
-            if len(classes) == 1:
-                color[v] = 1 - classes.pop()
-                grown = True
-                break
-        if not grown:
-            break
+    queued = {root}
+    frontier: list[int] = []
+
+    def enqueue_neighbors(x: int) -> None:
+        for y in g.neighbors(x):
+            if y in pool and y not in queued:
+                queued.add(y)
+                heapq.heappush(frontier, y)
+
+    enqueue_neighbors(root)
+    while frontier:
+        v = heapq.heappop(frontier)
+        classes = {color[u] for u in g.neighbors(v) if u in color}
+        if len(classes) == 1:
+            color[v] = 1 - classes.pop()
+            enqueue_neighbors(v)
     verts = frozenset(color)
     side_a = frozenset(v for v in verts if color[v] == 0)
     return Part(1, verts, side_a, verts - side_a)
@@ -92,18 +102,31 @@ def pick_component(
     g: Graph, parts: Iterable[Part], within: Iterable[int] | None = None
 ) -> tuple[frozenset[int], list[Part]]:
     """Uncovered component holding the minimum uncovered vertex, plus every
-    part adjacent to it in ascending index order."""
+    part adjacent to it in ascending index order.
+
+    One traversal walks that component alone and collects the neighbors
+    outside it; a part is adjacent when it holds one of them.
+    """
     pool = frozenset(range(g.n)) if within is None else frozenset(within)
     parts = list(parts)
-    covered: set[int] = set()
-    for p in parts:
-        covered |= p.vertices
-    uncovered = pool - covered
+    uncovered = pool.difference(*(p.vertices for p in parts))
     if not uncovered:
         raise GraphError("nothing left to pick: parts cover the region")
-    comp = connected_components(g, uncovered)[0]
-    adjacent = [p for p in parts if any(g.adj(v) & p.vertices for v in comp)]
-    return comp, adjacent
+    start = min(uncovered)
+    if start < 0 or max(uncovered) >= g.n:
+        raise GraphError(f"region vertex out of range for n={g.n}")
+    comp = {start}
+    boundary: set[int] = set()
+    stack = [start]
+    while stack:
+        x = stack.pop()
+        for y in g.neighbors(x):
+            if y not in uncovered:
+                boundary.add(y)
+            elif y not in comp:
+                comp.add(y)
+                stack.append(y)
+    return frozenset(comp), [p for p in parts if not boundary.isdisjoint(p.vertices)]
 
 
 def decompose(

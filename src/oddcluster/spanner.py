@@ -147,8 +147,9 @@ def bounded_bipartition(host: Graph, h_vertices: Iterable[int], bound: int) -> t
     """Split `h_vertices` into sides whose same-side components stay within `bound`.
 
     Backtracking over a BFS order from the minimum vertex, trying the
-    depth-parity side first. Minimum connectors always admit such a split,
-    so exhaustion means the input was not one (or a bug upstream).
+    depth-parity side first, on an explicit stack, so no Python recursion
+    depth grows with the input. Minimum connectors always admit such a
+    split, so exhaustion means the input was not one (or a bug upstream).
     """
     hs = frozenset(h_vertices)
     if bound < 1:
@@ -184,19 +185,25 @@ def bounded_bipartition(host: Graph, h_vertices: Iterable[int], bound: int) -> t
                     stack.append(y)
         return len(seen)
 
-    def assign(i: int) -> bool:
-        if i == len(order):
-            return True
+    # Depth-first search over side choices with an explicit stack: tried[i]
+    # counts the sides tried for order[i], preferred (depth parity) first.
+    tried = [0] * len(order)
+    i = 0
+    while 0 <= i < len(order):
         v = order[i]
-        preferred = depth[v] % 2
-        for s in (preferred, 1 - preferred):
-            side[v] = s
-            if component_size(v) <= bound and assign(i + 1):
-                return True
+        if tried[i] == 2:
+            tried[i] = 0
+            i -= 1
+            if i >= 0:
+                del side[order[i]]
+            continue
+        side[v] = (depth[v] + tried[i]) % 2
+        tried[i] += 1
+        if component_size(v) <= bound:
+            i += 1
+        else:
             del side[v]
-        return False
-
-    if not assign(0):
+    if i < 0:
         raise InvariantViolation(
             "no bounded bipartition exists; h_vertices was not a minimum connector"
         )
@@ -260,6 +267,17 @@ def refine_triple(req: SpannerRequest, start: Triple, on_move: OnMove | None = N
     Both moves strictly increase the crossing-edge count and preserve the
     side-component bound, so the loop ends within the region's induced edge
     count. Violations of either fact raise InvariantViolation.
+
+    Reconnects run first and recount crossing edges and side components
+    from scratch. Extends keep the crossing subgraph connected, so once it
+    is connected only extends fire, and each costs O(deg v log n):
+    candidates come from a min-heap frontier that each outside neighbor of
+    H enters once, and a popped candidate that sees both sides is dropped
+    for good, since H and both sides only grow. An extended vertex v has no
+    neighbor on its new side, so it is a singleton there and the crossing
+    count rises by exactly its number of neighbors on the other side. The
+    per-move checks test these facts in O(deg v): no neighbor on the new
+    side, a gain of at least 1, at most `cap` moves.
     """
     g = req.host
     h = set(start.h_vertices)
@@ -275,43 +293,52 @@ def refine_triple(req: SpannerRequest, start: Triple, on_move: OnMove | None = N
     cap = induced_edge_count(g, req.component)
     cross = count_cross_edges(g, a, b)
     moves = 0
-    while True:
-        kind = None
-        comps = cross_components(g, h, a, b)
-        if len(comps) > 1:
-            top = min(h)
-            x = next(c for c in comps if top in c)
-            y = h - x
-            a, b = (x & a) | (y & b), (x & b) | (y & a)
-            kind = "reconnect"
-        else:
-            for v in sorted(req.component - h):
-                nbrs = g.adj(v)
-                if not nbrs & h:
-                    continue
-                if not nbrs & a:
-                    h.add(v)
-                    a.add(v)
-                    kind = "extend"
-                    break
-                if not nbrs & b:
-                    h.add(v)
-                    b.add(v)
-                    kind = "extend"
-                    break
-        if kind is None:
-            break
+
+    def commit(kind: str, new_cross: int, bound_holds: bool) -> None:
+        nonlocal moves, cross
         moves += 1
-        new_cross = count_cross_edges(g, a, b)
         if new_cross <= cross:
             raise InvariantViolation("move failed to increase crossing edges")
         if moves > cap:
             raise InvariantViolation("move count exceeded the region's edge count")
-        if max_side_component(g, a) > req.bound or max_side_component(g, b) > req.bound:
+        if not bound_holds:
             raise InvariantViolation("move broke the side-component bound")
         if on_move is not None:
             on_move(MoveEvent(kind, cross, new_cross, moves, cap))
         cross = new_cross
+
+    while len(comps := cross_components(g, h, a, b)) > 1:
+        top = min(h)
+        x = next(c for c in comps if top in c)
+        y = h - x
+        a, b = set((x & a) | (y & b)), set((x & b) | (y & a))
+        bound_holds = max(max_side_component(g, a), max_side_component(g, b)) <= req.bound
+        commit("reconnect", count_cross_edges(g, a, b), bound_holds)
+
+    queued = set(h)
+    frontier: list[int] = []
+
+    def enqueue_neighbors(x: int) -> None:
+        for w in g.neighbors(x):
+            if w in req.component and w not in queued:
+                queued.add(w)
+                heapq.heappush(frontier, w)
+
+    for v in h:
+        enqueue_neighbors(v)
+    while frontier:
+        v = heapq.heappop(frontier)
+        nbrs = g.adj(v)
+        if not nbrs & a:
+            side, other = a, b
+        elif not nbrs & b:
+            side, other = b, a
+        else:
+            continue  # sees both sides, and will for good: H only grows
+        h.add(v)
+        side.add(v)
+        commit("extend", cross + len(nbrs & other), not nbrs & side)
+        enqueue_neighbors(v)
     return Triple(frozenset(h), frozenset(a), frozenset(b), cross)
 
 

@@ -4,7 +4,10 @@ import sys
 
 import pytest
 
-from oddcluster.cli import main, run_color
+from oddcluster import cli
+from oddcluster.cli import EXIT_INTERNAL, main, run_color
+from oddcluster.coloring import ColoringRejection
+from oddcluster.graph import InvariantViolation
 from oddcluster.graph_io import format_edgelist, load_graph
 from oddcluster import generators as gen
 
@@ -75,6 +78,38 @@ class TestColor:
         assert payload["decompositions"][0]["parts"][0]["H"] == [0, 1]
 
 
+def set_entry(path, entry):
+    """Artifact edit: replace the entry at `path` with `entry`."""
+
+    def edit(artifact):
+        parent = artifact
+        for key in path[:-1]:
+            parent = parent[key]
+        # coercing the entry with int() would give back the valid original
+        assert parent[path[-1]] == [int(x) for x in entry[:2]]
+        parent[path[-1]] = entry
+
+    return edit
+
+
+# The duplicate edits keep the certificate valid once the repeat is dropped,
+# so a parser that silently collapses or overwrites repeats accepts them.
+def duplicate_first_join(artifact):
+    first = artifact["joins"][0]
+    artifact["joins"].insert(0, {"pair": list(first["pair"]), "edge": [0, 0]})
+
+
+def repeat_tree_vertices(artifact):
+    tree = artifact["trees"][0]
+    assert tree["vertices"] == [0, 1]
+    tree["vertices"] = [0, 1, 0, 1]
+
+
+def repeat_tree_edge(artifact):
+    edges = artifact["trees"][0]["edges"]
+    edges.append(list(edges[0]))
+
+
 class TestVerify:
     def test_certificate_accept_and_tamper(self, tmp_path, capsys, k5):
         graph_path = write_graph(tmp_path, k5)
@@ -117,25 +152,32 @@ class TestVerify:
         assert code == 2
 
     @pytest.mark.parametrize(
-        "graph, path, entry",
+        "graph, edit",
         [
-            ("k4", ("colors", 1), [1.9, 2.7]),
-            ("k4", ("colors", 0), [True, "1"]),
-            ("k4", ("colors", 3), [2, 2, 7]),
-            ("k5", ("trees", 0, "edges", 0), [0, 1, 99]),
-            ("k5", ("joins", 0, "edge"), [0, 2, "junk"]),
+            ("k4", set_entry(("colors", 1), [1.9, 2.7])),
+            ("k4", set_entry(("colors", 0), [True, "1"])),
+            ("k4", set_entry(("colors", 3), [2, 2, 7])),
+            ("k5", set_entry(("trees", 0, "edges", 0), [0, 1, 99])),
+            ("k5", set_entry(("joins", 0, "edge"), [0, 2, "junk"])),
+            ("k6", duplicate_first_join),
+            ("k6", repeat_tree_vertices),
+            ("k6", repeat_tree_edge),
         ],
-        ids=["float-hue-side", "bool-and-string", "three-entry-row", "three-entry-tree-edge", "junk-join-edge"],
+        ids=[
+            "float-hue-side",
+            "bool-and-string",
+            "three-entry-row",
+            "three-entry-tree-edge",
+            "junk-join-edge",
+            "duplicate-join-pair",
+            "duplicate-tree-vertex",
+            "duplicate-tree-edge",
+        ],
     )
-    def test_non_integer_or_long_entry_rejected(self, tmp_path, capsys, request, graph, path, entry):
-        g = request.getfixturevalue(graph)
+    def test_non_integer_or_long_entry_rejected(self, tmp_path, capsys, request, graph, edit):
+        g = gen.complete(6) if graph == "k6" else request.getfixturevalue(graph)
         artifact = run_color(g, 3).artifact
-        parent = artifact
-        for key in path[:-1]:
-            parent = parent[key]
-        # coercing the entry with int() would give back the valid original
-        assert parent[path[-1]] == [int(x) for x in entry[:2]]
-        parent[path[-1]] = entry
+        edit(artifact)
         art_path = tmp_path / "artifact.json"
         art_path.write_text(json.dumps(artifact))
         code, out, err = run_cli(capsys, "verify", "-i", write_graph(tmp_path, g), "--artifact", str(art_path))
@@ -238,6 +280,45 @@ class TestOracle:
         code, out, _ = run_cli(capsys, "oracle", "-i", graph_path, "--t", "3", "--budget-n", "10")
         assert code == 0
         assert json.loads(out)["odd_minor"] is True
+
+
+class TestInternalErrors:
+    """Exit code 4: one stderr line, an error payload on stdout, no traceback."""
+
+    def assert_internal(self, code, out, err, fragment):
+        assert code == EXIT_INTERNAL
+        assert json.loads(out)["status"] == "error"
+        assert err.startswith("internal error:") and err.count("\n") == 1
+        assert fragment in err
+
+    def test_certificate_self_check_failure(self, tmp_path, capsys, monkeypatch, k5):
+        monkeypatch.setattr(cli, "verify_certificate", lambda g, cert: "forced rejection")
+        assert run_color(k5, 3).exit_code == EXIT_INTERNAL
+        code, out, err = run_cli(capsys, "color", "-i", write_graph(tmp_path, k5), "--t", "3")
+        self.assert_internal(code, out, err, "certificate self-check failed: forced rejection")
+
+    def test_coloring_self_check_failure(self, tmp_path, capsys, monkeypatch, c6):
+        monkeypatch.setattr(cli, "verify_coloring", lambda g, c, t: ColoringRejection("forced rejection"))
+        assert run_color(c6, 3).exit_code == EXIT_INTERNAL
+        code, out, err = run_cli(capsys, "color", "-i", write_graph(tmp_path, c6), "--t", "3")
+        self.assert_internal(code, out, err, "coloring self-check failed: forced rejection")
+
+    @pytest.mark.parametrize(
+        "exc",
+        [
+            InvariantViolation("forced invariant"),
+            RecursionError("maximum recursion depth exceeded"),
+            KeyError("forced key"),
+        ],
+        ids=["invariant", "recursion", "unexpected"],
+    )
+    def test_exception_in_main(self, tmp_path, capsys, monkeypatch, c6, exc):
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "decompose", fail)
+        code, out, err = run_cli(capsys, "color", "-i", write_graph(tmp_path, c6), "--t", "3")
+        self.assert_internal(code, out, err, type(exc).__name__)
 
 
 class TestSubprocess:

@@ -1,5 +1,8 @@
+import random
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oddcluster.decompose import (
     Decomposition,
@@ -15,8 +18,41 @@ from oddcluster.decompose import (
 from oddcluster.graph import Graph, GraphError
 from oddcluster import generators as gen
 
-from conftest import connected_graphs
-from helpers import OddClosedWalk, bipartition_or_odd_cycle
+from conftest import connected_graphs, graphs
+from helpers import (
+    OddClosedWalk,
+    bipartition_or_odd_cycle,
+    maximal_bipartite_part_reference,
+    pick_component_reference,
+)
+
+
+def outcome(fn, *args):
+    """What a call returns, or the GraphError it raises, for differential tests."""
+    try:
+        return fn(*args)
+    except GraphError as exc:
+        return GraphError, str(exc)
+
+
+@st.composite
+def graphs_with_pools(draw):
+    g = draw(graphs(min_n=1, max_n=14))
+    pool = draw(st.one_of(st.none(), st.sets(st.integers(min_value=0, max_value=g.n - 1))))
+    return g, pool
+
+
+@st.composite
+def graphs_with_parts(draw):
+    """A graph, up to four disjoint parts from random vertex labels, and a pool."""
+    g, pool = draw(graphs_with_pools())
+    labels = draw(st.lists(st.integers(min_value=-1, max_value=3), min_size=g.n, max_size=g.n))
+    parts = []
+    for k in range(4):
+        vs = frozenset(v for v in range(g.n) if labels[v] == k)
+        if vs:
+            parts.append(Part(len(parts) + 1, vs, vs, frozenset()))
+    return g, parts, pool
 
 
 class TestMaximalBipartitePart:
@@ -48,6 +84,19 @@ class TestMaximalBipartitePart:
             if touched:
                 assert {color[u] for u in touched} == {0, 1}
 
+    @given(graphs_with_pools())
+    @settings(max_examples=300)
+    def test_matches_reference(self, case):
+        g, pool = case
+        assert outcome(maximal_bipartite_part, g, pool) == outcome(maximal_bipartite_part_reference, g, pool)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_reference_on_larger_graphs(self, seed):
+        rng = random.Random(seed)
+        g = gen.connected_gnp(300, rng.uniform(0.005, 0.03), seed)
+        for pool in (None, frozenset(v for v in range(g.n) if rng.random() < 0.7)):
+            assert maximal_bipartite_part(g, pool) == maximal_bipartite_part_reference(g, pool)
+
 
 class TestPickComponent:
     def test_k5_after_first_part(self, k5):
@@ -67,6 +116,36 @@ class TestPickComponent:
         part = maximal_bipartite_part(c6)
         with pytest.raises(GraphError, match="cover"):
             pick_component(c6, [part])
+
+    @given(graphs_with_parts())
+    @settings(max_examples=300)
+    def test_matches_reference_on_random_parts(self, case):
+        g, parts, pool = case
+        assert outcome(pick_component, g, parts, pool) == outcome(pick_component_reference, g, parts, pool)
+
+    @pytest.mark.parametrize("t", [3, 4, 5])
+    @given(g=connected_graphs(max_n=20))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference_on_decomposition_prefixes(self, t, g):
+        parts = decompose(g, t).parts
+        for k in range(1, len(parts) + 1):
+            prefix = parts[:k]
+            assert outcome(pick_component, g, prefix) == outcome(pick_component_reference, g, prefix)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g: maximal_bipartite_part(g, {-1, 0}),
+        lambda g: maximal_bipartite_part(g, {0, 6}),
+        lambda g: pick_component(g, [], {-1, 0}),
+        lambda g: pick_component(g, [], {0, 6}),
+    ],
+    ids=["first-part-negative", "first-part-too-large", "pick-negative", "pick-too-large"],
+)
+def test_out_of_range_region_rejected(c6, call):
+    with pytest.raises(GraphError, match="out of range"):
+        call(c6)
 
 
 class TestDecompose:

@@ -1,10 +1,11 @@
+import random
 from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oddcluster.graph import Graph, GraphError, connected_components
+from oddcluster.graph import Graph, GraphError, InvariantViolation, connected_components
 from oddcluster.oracle import min_connector_bruteforce
 from oddcluster.spanner import (
     SpannerRequest,
@@ -19,7 +20,28 @@ from oddcluster.spanner import (
 from oddcluster import generators as gen
 
 from conftest import graphs, graphs_with_terminals
-from helpers import cross_components_reference
+from helpers import (
+    bounded_bipartition_reference,
+    cross_components_reference,
+    refine_triple_reference,
+)
+
+
+def outcome(fn, *args, **kwargs):
+    """What a call returns, or the error it raises, for differential tests."""
+    try:
+        return fn(*args, **kwargs)
+    except (GraphError, InvariantViolation) as exc:
+        return type(exc), str(exc)
+
+
+def refine_both(req, start):
+    """refine_triple and its from-scratch reference on one start: outcomes and move events."""
+    runs = []
+    for fn in (refine_triple, refine_triple_reference):
+        events = []
+        runs.append((outcome(fn, req, start, on_move=events.append), events))
+    return runs
 
 
 def splits_within_bound(g, vertices, bound):
@@ -124,6 +146,26 @@ class TestBoundedBipartition:
         for side in (side_a, side_b):
             assert all(len(c) <= bound for c in connected_components(g, side))
 
+    def test_matches_recursive_reference(self):
+        # dense enough that many splits need backtracking and many fail
+        rng = random.Random(0)
+        found = {"split": 0, "none": 0}
+        for _ in range(1500):
+            n = rng.randint(3, 12)
+            g = gen.connected_gnp(n, rng.uniform(0.2, 0.7), rng.randrange(10**6))
+            bound = rng.randint(1, 3)
+            want = outcome(bounded_bipartition_reference, g, range(n), bound)
+            assert outcome(bounded_bipartition, g, range(n), bound) == want
+            found["none" if want[0] is InvariantViolation else "split"] += 1
+        assert min(found.values()) > 0, found
+
+    def test_long_path_needs_no_recursion(self):
+        n = 3000
+        g = Graph(n, [(i, i + 1) for i in range(n - 1)])
+        side_a, side_b = bounded_bipartition(g, range(n), 1)
+        assert side_a == frozenset(range(0, n, 2))
+        assert side_b == frozenset(range(1, n, 2))
+
 
 class TestRefine:
     def test_extend_twice_on_path(self):
@@ -147,11 +189,56 @@ class TestRefine:
         assert got == Triple(frozenset(range(4)), frozenset({0, 2}), frozenset({1, 3}), 4)
         assert [e.kind for e in events] == ["reconnect"]
 
+    def test_extend_after_reconnect(self):
+        # the reconnect swaps the piece {1, 2}; vertex 3 then joins side B
+        g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+        req = SpannerRequest(g, frozenset(range(4)), frozenset({0}), 2)
+        start = Triple(frozenset({0, 1, 2}), frozenset({0, 1}), frozenset({2}), 1)
+        events = []
+        got = refine_triple(req, start, on_move=events.append)
+        assert got == Triple(frozenset(range(4)), frozenset({0, 2}), frozenset({1, 3}), 3)
+        assert [(e.kind, e.cross_after) for e in events] == [("reconnect", 2), ("extend", 3)]
+
     def test_single_vertex_fixpoint(self):
         g = Graph(1, [])
         req = SpannerRequest(g, frozenset({0}), frozenset({0}), 1)
         start = Triple(frozenset({0}), frozenset({0}), frozenset(), 0)
         assert refine_triple(req, start) == start
+
+    @given(graphs_with_terminals(max_n=12, max_terminals=4))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_from_bounded_bipartition(self, case):
+        g, terms = case
+        bound = (len(terms) + 1) // 2
+        connector = minimum_connector(g, range(g.n), terms)
+        side_a, side_b = bounded_bipartition(g, connector, bound)
+        req = SpannerRequest(g, frozenset(range(g.n)), terms, bound)
+        start = Triple(connector, side_a, side_b, 0)
+        new, ref = refine_both(req, start)
+        assert new == ref
+
+    def test_matches_reference_from_arbitrary_starts(self):
+        # random splits of random vertex sets: many need reconnect moves,
+        # and some fail a move check, which must fail the same way
+        rng = random.Random(0)
+        kinds = {"reconnect": 0, "extend": 0, "error": 0}
+        for _ in range(400):
+            n = rng.randint(2, 14)
+            g = gen.connected_gnp(n, rng.uniform(0.15, 0.6), rng.randrange(10**6))
+            h = frozenset(v for v in range(n) if rng.random() < 0.6) or frozenset({0})
+            side_a = frozenset(v for v in h if rng.random() < 0.5)
+            side_b = h - side_a
+            pieces = connected_components(g, side_a) + connected_components(g, side_b)
+            bound = max([1] + [len(c) for c in pieces])
+            terms = frozenset(v for v in h if rng.random() < 0.3)
+            req = SpannerRequest(g, frozenset(range(n)), terms, bound)
+            new, ref = refine_both(req, Triple(h, side_a, side_b, 0))
+            assert new == ref
+            result, events = new
+            for e in events:
+                kinds[e.kind] += 1
+            kinds["error"] += isinstance(result, tuple)
+        assert min(kinds.values()) > 0, kinds
 
     def test_bad_start_rejected(self):
         g = Graph(3, [(0, 1), (1, 2)])
