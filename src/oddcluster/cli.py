@@ -74,16 +74,16 @@ def run_color(
     on_move: OnMove | None = None,
     verbose: bool = False,
 ) -> PipelineResult:
-    """Decompose every connected component; emit a verified coloring, or a
-    verified certificate from the first component that gets stuck.
+    """Decompose the connected components in order; emit a verified
+    certificate from the first component that gets stuck, without
+    decomposing the rest, or else a verified coloring.
 
     Hues are assigned per component, which is safe: no edges cross
     components, so color reuse cannot merge monochromatic pieces.
     """
-    outcomes = [decompose(g, t, within=c, on_move=on_move) for c in connected_components(g)]
-
     completed: list[Decomposition] = []
-    for outcome in outcomes:
+    for c in connected_components(g):
+        outcome = decompose(g, t, within=c, on_move=on_move)
         if isinstance(outcome, StuckState):
             cert = extract_certificate(g, t, outcome)
             reason = verify_certificate(g, cert)

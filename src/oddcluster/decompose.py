@@ -9,17 +9,18 @@ is exactly what certificate extraction needs.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import AbstractSet, Iterable, Union
 
 from .graph import Graph, GraphError, InvariantViolation, connected_components, is_connected
 from .spanner import (
     OnMove,
     SpannerRequest,
+    Triple,
     build_spanner,
     cross_components,
     max_side_component,
+    refine_triple,
 )
 
 
@@ -62,13 +63,10 @@ def maximal_bipartite_part(g: Graph, within: Iterable[int] | None = None) -> Par
     """Grow a connected bipartite induced set from the minimum vertex until no
     adjacent vertex can join without creating an odd cycle.
 
-    Each step adds the smallest eligible vertex: uncolored, in the region,
-    with colored neighbors all in one class; it takes the other class. The
-    frontier is a min-heap that every region neighbor enters once, when its
-    first neighbor gets colored. A popped vertex whose colored neighbors
-    show both classes is dropped for good: the induced set stays connected
-    and bipartite, so its parity classes never change and that vertex stays
-    rejected. Each step costs O(deg v log n). Side A holds the root.
+    This is refine_triple's extend search for the one terminal r = min(region)
+    and bound 1, from H = A = {r}: a candidate whose neighbors in H all lie on
+    one side joins the other, so H stays bipartite, and the per-move checks
+    apply. With one vertex in H no reconnect fires. Side A holds the root.
     """
     pool = frozenset(range(g.n)) if within is None else frozenset(within)
     if not pool:
@@ -76,40 +74,21 @@ def maximal_bipartite_part(g: Graph, within: Iterable[int] | None = None) -> Par
     root = min(pool)
     if root < 0 or max(pool) >= g.n:
         raise GraphError(f"region vertex out of range for n={g.n}")
-    color = {root: 0}
-    queued = {root}
-    frontier: list[int] = []
-
-    def enqueue_neighbors(x: int) -> None:
-        for y in g.neighbors(x):
-            if y in pool and y not in queued:
-                queued.add(y)
-                heapq.heappush(frontier, y)
-
-    enqueue_neighbors(root)
-    while frontier:
-        v = heapq.heappop(frontier)
-        classes = {color[u] for u in g.neighbors(v) if u in color}
-        if len(classes) == 1:
-            color[v] = 1 - classes.pop()
-            enqueue_neighbors(v)
-    verts = frozenset(color)
-    side_a = frozenset(v for v in verts if color[v] == 0)
-    return Part(1, verts, side_a, verts - side_a)
+    seed = frozenset((root,))
+    grown = refine_triple(SpannerRequest(g, pool, seed, 1), Triple(seed, seed, frozenset(), 0))
+    return Part(1, grown.h_vertices, grown.side_a, grown.side_b)
 
 
 def pick_component(
-    g: Graph, parts: Iterable[Part], within: Iterable[int] | None = None
+    g: Graph, uncovered: AbstractSet[int], parts: Iterable[Part]
 ) -> tuple[frozenset[int], list[Part]]:
-    """Uncovered component holding the minimum uncovered vertex, plus every
-    part adjacent to it in ascending index order.
+    """Component of `uncovered` holding its minimum vertex, plus every part
+    adjacent to it in ascending index order.
 
-    One traversal walks that component alone and collects the neighbors
-    outside it; a part is adjacent when it holds one of them.
+    `uncovered` is the region minus the parts, kept by the caller. One
+    traversal walks that component alone and collects the neighbors outside
+    it; a part is adjacent when it holds one of them.
     """
-    pool = frozenset(range(g.n)) if within is None else frozenset(within)
-    parts = list(parts)
-    uncovered = pool.difference(*(p.vertices for p in parts))
     if not uncovered:
         raise GraphError("nothing left to pick: parts cover the region")
     start = min(uncovered)
@@ -153,9 +132,9 @@ def decompose(
         raise GraphError("region must induce a connected subgraph")
 
     parts = [maximal_bipartite_part(g, pool)]
-    covered = set(parts[0].vertices)
-    while covered != pool:
-        comp, adjacent = pick_component(g, parts, pool)
+    uncovered = set(pool) - parts[0].vertices
+    while uncovered:
+        comp, adjacent = pick_component(g, uncovered, parts)
         if not adjacent:
             raise InvariantViolation("uncovered component with no adjacent part")
         for i, p in enumerate(adjacent):
@@ -172,7 +151,7 @@ def decompose(
         req = SpannerRequest(g, comp, frozenset(terminals), (len(terminals) + 1) // 2)
         triple = build_spanner(req, on_move=on_move)
         parts.append(Part(len(parts) + 1, triple.h_vertices, triple.side_a, triple.side_b))
-        covered |= triple.h_vertices
+        uncovered -= triple.h_vertices
 
     result = Decomposition(t, tuple(parts))
     reason = decomposition_violation(g, result, pool)

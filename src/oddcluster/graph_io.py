@@ -1,4 +1,4 @@
-"""Read and write graphs (edge-list text, DIMACS) and read JSON artifacts."""
+"""Read graphs (edge-list text, DIMACS), write edge lists, and read JSON artifacts."""
 
 from __future__ import annotations
 
@@ -75,12 +75,6 @@ def read_dimacs(text: str) -> Graph:
     return Graph(n, edges)
 
 
-def format_dimacs(g: Graph) -> str:
-    out = [f"p edge {g.n} {g.m}"]
-    out.extend(f"e {u + 1} {v + 1}" for u, v in g.edges())
-    return "\n".join(out) + "\n"
-
-
 def load_graph(path: str | Path, fmt: str = "edgelist") -> Graph:
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -93,13 +87,23 @@ def load_graph(path: str | Path, fmt: str = "edgelist") -> Graph:
     raise GraphError(f"unknown format {fmt!r}")
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    obj: dict[str, Any] = {}
+    for key, value in pairs:
+        if key in obj:
+            raise GraphError(f"repeated JSON object key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def load_json(path: str | Path) -> Any:
+    """Parse a JSON file; an object that repeats a key is an error, not a silent overwrite."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise GraphError(f"cannot read {path}: {exc}") from exc
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise GraphError(f"invalid JSON in {path}: {exc}") from exc
 

@@ -329,15 +329,15 @@ def refine_triple(req: SpannerRequest, start: Triple, on_move: OnMove | None = N
     while frontier:
         v = heapq.heappop(frontier)
         nbrs = g.adj(v)
-        if not nbrs & a:
+        if nbrs.isdisjoint(a):
             side, other = a, b
-        elif not nbrs & b:
+        elif nbrs.isdisjoint(b):
             side, other = b, a
         else:
             continue  # sees both sides, and will for good: H only grows
         h.add(v)
         side.add(v)
-        commit("extend", cross + len(nbrs & other), not nbrs & side)
+        commit("extend", cross + len(nbrs & other), nbrs.isdisjoint(side))
         enqueue_neighbors(v)
     return Triple(frozenset(h), frozenset(a), frozenset(b), cross)
 

@@ -1,9 +1,11 @@
 """Test-only graph checks and reference implementations.
 
 `bipartition_or_odd_cycle` is an independent bipartiteness check with an
-odd-cycle witness; the pipeline never needs one. The `*_reference`
-functions are earlier versions of pipeline functions, kept so differential
-tests can compare the rewrites against them:
+odd-cycle witness; the pipeline never needs one. `format_dimacs` writes
+the DIMACS text that `graph_io.read_dimacs` reads, for round-trip tests;
+the pipeline only reads DIMACS. The `*_reference` functions are earlier
+versions of pipeline functions, kept so differential tests can compare the
+rewrites against them:
 
 * `cross_components_reference`: the stand-alone crossing-subgraph
   traversal that `spanner.cross_components` replaced with a
@@ -50,6 +52,12 @@ class OddClosedWalk:
     @property
     def length(self) -> int:
         return len(self.vertices) - 1
+
+
+def format_dimacs(g: Graph) -> str:
+    out = [f"p edge {g.n} {g.m}"]
+    out.extend(f"e {u + 1} {v + 1}" for u, v in g.edges())
+    return "\n".join(out) + "\n"
 
 
 def bipartition_or_odd_cycle(

@@ -7,9 +7,12 @@ import pytest
 from oddcluster import cli
 from oddcluster.cli import EXIT_INTERNAL, main, run_color
 from oddcluster.coloring import ColoringRejection
-from oddcluster.graph import InvariantViolation
+from oddcluster.decompose import decompose
+from oddcluster.graph import Graph, InvariantViolation
 from oddcluster.graph_io import format_edgelist, load_graph
 from oddcluster import generators as gen
+
+from helpers import format_dimacs
 
 
 def write_graph(tmp_path, g, name="g.txt"):
@@ -47,12 +50,25 @@ class TestColor:
     def test_disconnected_input(self, tmp_path, capsys, k5, c6):
         # one stuck component certifies the whole graph
         edges = k5.edges() + [(u + 5, v + 5) for u, v in c6.edges()]
-        from oddcluster.graph import Graph
-
         g = Graph(11, edges)
         path = write_graph(tmp_path, g)
         code, out, _ = run_cli(capsys, "color", "-i", path, "--t", "3")
         assert code == 3
+
+    def test_stops_at_first_stuck_component(self, monkeypatch, k5):
+        # K5 plus a path: the K5 component gets stuck, so the path is never decomposed
+        g = Graph(8, k5.edges() + [(5, 6), (6, 7)])
+        calls = []
+
+        def counted_decompose(*args, **kwargs):
+            calls.append(kwargs["within"])
+            return decompose(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "decompose", counted_decompose)
+        result = run_color(g, 3)
+        assert calls == [frozenset(range(5))]
+        assert result.exit_code == 3
+        assert result.payload == run_color(k5, 3).payload
 
     def test_malformed_file(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"
@@ -183,6 +199,16 @@ class TestVerify:
         code, out, err = run_cli(capsys, "verify", "-i", write_graph(tmp_path, g), "--artifact", str(art_path))
         assert code == 1 and out == ""
         assert "malformed" in err
+
+    def test_repeated_key_rejected(self, tmp_path, capsys, k5):
+        # with the last key winning, this certificate would verify
+        text = json.dumps(run_color(k5, 3).artifact)
+        assert '"coloring": {"0": 1, ' in text
+        art_path = tmp_path / "cert.json"
+        art_path.write_text(text.replace('"coloring": {"0": 1, ', '"coloring": {"0": 2, "0": 1, '))
+        code, out, err = run_cli(capsys, "verify", "-i", write_graph(tmp_path, k5), "--artifact", str(art_path))
+        assert code == 1 and out == ""
+        assert "repeated JSON object key '0'" in err
 
     def test_unrecognized_artifact(self, tmp_path, capsys, k4):
         graph_path = write_graph(tmp_path, k4)
@@ -348,8 +374,6 @@ class TestSubprocess:
         assert proc.returncode == 0
 
     def test_dimacs_input(self, tmp_path):
-        from oddcluster.graph_io import format_dimacs
-
         path = tmp_path / "c6.col"
         path.write_text(format_dimacs(gen.cycle(6)))
         proc = subprocess.run(

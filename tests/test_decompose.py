@@ -35,6 +35,12 @@ def outcome(fn, *args):
         return GraphError, str(exc)
 
 
+def uncovered_by(g, parts, pool=None):
+    """The region (all of g when pool is None) minus the parts' vertices."""
+    region = frozenset(range(g.n)) if pool is None else frozenset(pool)
+    return region.difference(*(p.vertices for p in parts))
+
+
 @st.composite
 def graphs_with_pools(draw):
     g = draw(graphs(min_n=1, max_n=14))
@@ -101,27 +107,28 @@ class TestMaximalBipartitePart:
 class TestPickComponent:
     def test_k5_after_first_part(self, k5):
         first = maximal_bipartite_part(k5)
-        comp, adjacent = pick_component(k5, [first])
+        comp, adjacent = pick_component(k5, uncovered_by(k5, [first]), [first])
         assert comp == frozenset({2, 3, 4})
         assert adjacent == [first]
 
     def test_lowest_vertex_component_first(self):
         g = Graph(5, [(0, 1), (2, 3)])
         part = Part(1, frozenset({0, 1}), frozenset({0}), frozenset({1}))
-        comp, adjacent = pick_component(g, [part])
+        comp, adjacent = pick_component(g, uncovered_by(g, [part]), [part])
         assert comp == frozenset({2, 3})
         assert adjacent == []
 
     def test_all_covered_rejected(self, c6):
         part = maximal_bipartite_part(c6)
         with pytest.raises(GraphError, match="cover"):
-            pick_component(c6, [part])
+            pick_component(c6, uncovered_by(c6, [part]), [part])
 
     @given(graphs_with_parts())
     @settings(max_examples=300)
     def test_matches_reference_on_random_parts(self, case):
         g, parts, pool = case
-        assert outcome(pick_component, g, parts, pool) == outcome(pick_component_reference, g, parts, pool)
+        uncovered = uncovered_by(g, parts, pool)
+        assert outcome(pick_component, g, uncovered, parts) == outcome(pick_component_reference, g, parts, pool)
 
     @pytest.mark.parametrize("t", [3, 4, 5])
     @given(g=connected_graphs(max_n=20))
@@ -130,7 +137,8 @@ class TestPickComponent:
         parts = decompose(g, t).parts
         for k in range(1, len(parts) + 1):
             prefix = parts[:k]
-            assert outcome(pick_component, g, prefix) == outcome(pick_component_reference, g, prefix)
+            uncovered = uncovered_by(g, prefix)
+            assert outcome(pick_component, g, uncovered, prefix) == outcome(pick_component_reference, g, prefix)
 
 
 @pytest.mark.parametrize(
@@ -138,8 +146,8 @@ class TestPickComponent:
     [
         lambda g: maximal_bipartite_part(g, {-1, 0}),
         lambda g: maximal_bipartite_part(g, {0, 6}),
-        lambda g: pick_component(g, [], {-1, 0}),
-        lambda g: pick_component(g, [], {0, 6}),
+        lambda g: pick_component(g, {-1, 0}, []),
+        lambda g: pick_component(g, {0, 6}, []),
     ],
     ids=["first-part-negative", "first-part-too-large", "pick-negative", "pick-too-large"],
 )

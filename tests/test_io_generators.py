@@ -3,15 +3,10 @@ from hypothesis import given
 
 from oddcluster import generators as gen
 from oddcluster.graph import Graph, GraphError, is_connected
-from oddcluster.graph_io import (
-    format_dimacs,
-    format_edgelist,
-    read_dimacs,
-    read_edgelist,
-)
+from oddcluster.graph_io import format_edgelist, read_dimacs, read_edgelist
 
 from conftest import graphs
-from helpers import OddClosedWalk, bipartition_or_odd_cycle
+from helpers import OddClosedWalk, bipartition_or_odd_cycle, format_dimacs
 
 
 class TestEdgelist:
