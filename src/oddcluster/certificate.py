@@ -11,10 +11,9 @@ the host graph and the certificate itself.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
-from .graph import Graph, GraphError, InvariantViolation, TreeSubgraph, spanning_tree
+from .graph import Graph, GraphError, InvariantViolation, TreeSubgraph, bfs, spanning_tree
 from .graph_io import json_int, json_pair
 from .decompose import StuckState, parts_adjacent
 
@@ -65,10 +64,9 @@ def extract_certificate(g: Graph, t: int, stuck: StuckState) -> OddExpansionCert
         for v in side_b:
             coloring[v] = 2
 
-    comp_tree = spanning_tree(g, comp)
-    for v, parity in _tree_depth_parity(comp_tree).items():
-        coloring[v] = 1 if parity == 0 else 2
-    trees.append(comp_tree)
+    trees.append(spanning_tree(g, comp))
+    for v, p in bfs(g, min(comp), comp).items():
+        coloring[v] = 1 if v == p else 3 - coloring[p]
 
     joins: dict[tuple[int, int], tuple[int, int]] = {}
     for i in range(len(trees)):
@@ -85,23 +83,6 @@ def extract_certificate(g: Graph, t: int, stuck: StuckState) -> OddExpansionCert
                 )
             joins[(i, j)] = (min(anchors), y)
     return OddExpansionCertificate(t, tuple(trees), coloring, joins)
-
-
-def _tree_depth_parity(tree: TreeSubgraph) -> dict[int, int]:
-    adj: dict[int, list[int]] = {v: [] for v in tree.vertices}
-    for u, v in tree.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    root = min(tree.vertices)
-    parity = {root: 0}
-    queue = deque([root])
-    while queue:
-        x = queue.popleft()
-        for y in sorted(adj[x]):
-            if y not in parity:
-                parity[y] = 1 - parity[x]
-                queue.append(y)
-    return parity
 
 
 def verify_certificate(g: Graph, cert: OddExpansionCertificate) -> str | None:

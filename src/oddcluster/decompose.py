@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import AbstractSet, Iterable, Union
 
-from .graph import Graph, GraphError, InvariantViolation, connected_components, is_connected
+from .graph import Graph, GraphError, InvariantViolation, bfs, connected_components, is_connected
 from .spanner import (
     OnMove,
     SpannerRequest,
@@ -85,27 +85,18 @@ def pick_component(
     """Component of `uncovered` holding its minimum vertex, plus every part
     adjacent to it in ascending index order.
 
-    `uncovered` is the region minus the parts, kept by the caller. One
-    traversal walks that component alone and collects the neighbors outside
-    it; a part is adjacent when it holds one of them.
+    `uncovered` is the region minus the parts, kept by the caller. One BFS
+    walks that component alone; its neighbors outside it are the boundary,
+    and a part is adjacent when it holds one of them.
     """
     if not uncovered:
         raise GraphError("nothing left to pick: parts cover the region")
     start = min(uncovered)
     if start < 0 or max(uncovered) >= g.n:
         raise GraphError(f"region vertex out of range for n={g.n}")
-    comp = {start}
-    boundary: set[int] = set()
-    stack = [start]
-    while stack:
-        x = stack.pop()
-        for y in g.neighbors(x):
-            if y not in uncovered:
-                boundary.add(y)
-            elif y not in comp:
-                comp.add(y)
-                stack.append(y)
-    return frozenset(comp), [p for p in parts if not boundary.isdisjoint(p.vertices)]
+    comp = frozenset(bfs(g, start, uncovered))
+    boundary = set().union(*map(g.adj, comp)) - uncovered
+    return comp, [p for p in parts if not boundary.isdisjoint(p.vertices)]
 
 
 def decompose(

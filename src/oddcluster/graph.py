@@ -1,10 +1,16 @@
-"""Immutable simple-graph core: construction, traversal and parity primitives."""
+"""Immutable simple-graph core: construction and traversal primitives.
+
+`bfs` is the construction side's one breadth-first search: from a root,
+inside a vertex set, optionally along the edges a predicate accepts,
+neighbors in ascending order. Its parent map, in visit order, gives the
+reached set, the visit order, tree edges and depth parity. Components,
+connectivity and spanning trees below are built on it.
+"""
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import AbstractSet, Callable, Iterable
 
 Edge = tuple[int, int]
 
@@ -96,6 +102,29 @@ def _checked_set(g: Graph, within: Iterable[int]) -> frozenset[int]:
     return ws
 
 
+def bfs(
+    g: Graph,
+    root: int,
+    within: AbstractSet[int],
+    allowed: Callable[[int, int], bool] | None = None,
+) -> dict[int, int]:
+    """Breadth-first search from `root`: the parent of every vertex reached,
+    in visit order, with the root as its own parent.
+
+    Neighbors are visited in ascending order. The search enters only
+    vertices of `within` and, when `allowed` is given, follows only the
+    edges (x, y) it accepts.
+    """
+    parent = {root: root}
+    order = [root]
+    for x in order:
+        for y in g.neighbors(x):
+            if y in within and y not in parent and (allowed is None or allowed(x, y)):
+                parent[y] = x
+                order.append(y)
+    return parent
+
+
 def connected_components(
     g: Graph,
     within: Iterable[int] | None = None,
@@ -110,24 +139,16 @@ def connected_components(
     out: list[frozenset[int]] = []
     unseen = set(pool)
     for s in sorted(pool):
-        if s not in unseen:
-            continue
-        unseen.discard(s)
-        comp = {s}
-        queue = deque([s])
-        while queue:
-            x = queue.popleft()
-            for y in g.neighbors(x):
-                if y in unseen and (allowed is None or allowed(x, y)):
-                    unseen.discard(y)
-                    comp.add(y)
-                    queue.append(y)
-        out.append(frozenset(comp))
+        if s in unseen:
+            comp = frozenset(bfs(g, s, unseen, allowed))
+            unseen -= comp
+            out.append(comp)
     return out
 
 
 def is_connected(g: Graph, within: Iterable[int] | None = None) -> bool:
-    return len(connected_components(g, within)) <= 1
+    ws = frozenset(range(g.n)) if within is None else _checked_set(g, within)
+    return not ws or len(bfs(g, min(ws), ws)) == len(ws)
 
 
 def induced_edge_count(g: Graph, vertices: Iterable[int]) -> int:
@@ -148,17 +169,8 @@ def spanning_tree(
     ws = _checked_set(g, within)
     if not ws:
         raise GraphError("within must be nonempty")
-    root = min(ws)
-    seen = {root}
-    edges: set[Edge] = set()
-    queue = deque([root])
-    while queue:
-        x = queue.popleft()
-        for y in g.neighbors(x):
-            if y in ws and y not in seen and (allowed is None or allowed(x, y)):
-                seen.add(y)
-                edges.add(norm_edge(x, y))
-                queue.append(y)
-    if seen != ws:
+    parent = bfs(g, min(ws), ws, allowed)
+    if len(parent) != len(ws):
         raise GraphError("restricted subgraph on `within` is disconnected")
-    return TreeSubgraph(ws, frozenset(edges))
+    edges = frozenset(norm_edge(v, p) for v, p in parent.items() if v != p)
+    return TreeSubgraph(ws, edges)

@@ -46,7 +46,7 @@ def format_edgelist(g: Graph) -> str:
 
 
 def read_dimacs(text: str) -> Graph:
-    """Parse DIMACS: a "p edge n m" header plus "e u v" lines (1-based)."""
+    """Parse DIMACS: one "p edge n m" header plus "e u v" lines (1-based)."""
     n = None
     m = 0
     edges: list[Edge] = []
@@ -58,6 +58,8 @@ def read_dimacs(text: str) -> Graph:
         if parts[0] == "p":
             if len(parts) != 4 or parts[1] not in ("edge", "col"):
                 raise GraphError(f"bad problem line {line!r}")
+            if n is not None:
+                raise GraphError(f"repeated problem line {line!r}")
             n, m = _int_pair(parts[2:], "problem")
         elif parts[0] == "e":
             if n is None:
@@ -76,9 +78,10 @@ def read_dimacs(text: str) -> Graph:
 
 
 def load_graph(path: str | Path, fmt: str = "edgelist") -> Graph:
+    """Read a graph file as UTF-8 text in the given format."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise GraphError(f"cannot read {path}: {exc}") from exc
     if fmt == "edgelist":
         return read_edgelist(text)
@@ -97,10 +100,10 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
 
 
 def load_json(path: str | Path) -> Any:
-    """Parse a JSON file; an object that repeats a key is an error, not a silent overwrite."""
+    """Parse a UTF-8 JSON file; an object that repeats a key is an error, not a silent overwrite."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise GraphError(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(text, object_pairs_hook=_unique_keys)

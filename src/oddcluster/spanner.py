@@ -18,7 +18,6 @@ number of moves by the region's induced edge count.
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -26,6 +25,7 @@ from .graph import (
     Graph,
     GraphError,
     InvariantViolation,
+    bfs,
     connected_components,
     induced_edge_count,
     is_connected,
@@ -148,66 +148,47 @@ def bounded_bipartition(host: Graph, h_vertices: Iterable[int], bound: int) -> t
 
     Backtracking over a BFS order from the minimum vertex, trying the
     depth-parity side first, on an explicit stack, so no Python recursion
-    depth grows with the input. Minimum connectors always admit such a
-    split, so exhaustion means the input was not one (or a bug upstream).
+    depth grows with the input. A trial's same-side component is one BFS
+    inside that side. Minimum connectors always admit such a split, so
+    exhaustion means the input was not one (or a bug upstream).
     """
     hs = frozenset(h_vertices)
     if bound < 1:
         raise GraphError("bound must be >= 1")
     if not hs:
         raise GraphError("h_vertices must be nonempty")
-    root = min(hs)
-    depth = {root: 0}
-    order = [root]
-    queue = deque([root])
-    while queue:
-        x = queue.popleft()
-        for y in host.neighbors(x):
-            if y in hs and y not in depth:
-                depth[y] = depth[x] + 1
-                order.append(y)
-                queue.append(y)
-    if len(order) != len(hs):
+    parent = bfs(host, min(hs), hs)
+    if len(parent) != len(hs):
         raise GraphError("h_vertices does not induce a connected subgraph")
-
-    side: dict[int, int] = {}
-
-    def component_size(v: int) -> int:
-        # size of v's same-side component among vertices assigned so far
-        target = side[v]
-        seen = {v}
-        stack = [v]
-        while stack:
-            x = stack.pop()
-            for y in host.neighbors(x):
-                if y in hs and y not in seen and side.get(y) == target:
-                    seen.add(y)
-                    stack.append(y)
-        return len(seen)
+    order = list(parent)
+    parity: dict[int, int] = {}
+    for v, p in parent.items():
+        parity[v] = 0 if v == p else 1 - parity[p]
 
     # Depth-first search over side choices with an explicit stack: tried[i]
     # counts the sides tried for order[i], preferred (depth parity) first.
+    # A vertex leaves its side whenever the search comes back to it.
+    sides: tuple[set[int], set[int]] = (set(), set())
     tried = [0] * len(order)
     i = 0
     while 0 <= i < len(order):
         v = order[i]
+        sides[0].discard(v)
+        sides[1].discard(v)
         if tried[i] == 2:
             tried[i] = 0
             i -= 1
-            if i >= 0:
-                del side[order[i]]
             continue
-        side[v] = (depth[v] + tried[i]) % 2
+        side = sides[(parity[v] + tried[i]) % 2]
         tried[i] += 1
-        if component_size(v) <= bound:
+        side.add(v)
+        if len(bfs(host, v, side)) <= bound:
             i += 1
-        else:
-            del side[v]
     if i < 0:
         raise InvariantViolation(
             "no bounded bipartition exists; h_vertices was not a minimum connector"
         )
-    side_a = frozenset(v for v in order if side[v] == 0)
+    side_a = frozenset(sides[0])
     return side_a, hs - side_a
 
 
@@ -308,8 +289,7 @@ def refine_triple(req: SpannerRequest, start: Triple, on_move: OnMove | None = N
         cross = new_cross
 
     while len(comps := cross_components(g, h, a, b)) > 1:
-        top = min(h)
-        x = next(c for c in comps if top in c)
+        x = comps[0]  # pieces come ordered by minimum vertex
         y = h - x
         a, b = set((x & a) | (y & b)), set((x & b) | (y & a))
         bound_holds = max(max_side_component(g, a), max_side_component(g, b)) <= req.bound

@@ -1,12 +1,18 @@
 """Test-only graph checks and reference implementations.
 
 `bipartition_or_odd_cycle` is an independent bipartiteness check with an
-odd-cycle witness; the pipeline never needs one. `format_dimacs` writes
-the DIMACS text that `graph_io.read_dimacs` reads, for round-trip tests;
-the pipeline only reads DIMACS. The `*_reference` functions are earlier
+odd-cycle witness; the pipeline never needs one. `outcome` turns a call
+into its result or its GraphError, for comparing two implementations.
+`format_dimacs` writes the DIMACS text that `graph_io.read_dimacs` reads,
+for round-trip tests; the pipeline only reads DIMACS. The `*_reference` functions are earlier
 versions of pipeline functions, kept so differential tests can compare the
 rewrites against them:
 
+* `connected_components_reference`, `is_connected_reference`,
+  `spanning_tree_reference` and `tree_depth_parity_reference`: the deque
+  loops that `graph.bfs` replaced, the last being the second BFS, over the
+  component's tree, that colored the stuck component in certificate
+  extraction;
 * `cross_components_reference`: the stand-alone crossing-subgraph
   traversal that `spanner.cross_components` replaced with a
   predicate-restricted `connected_components` call;
@@ -21,16 +27,19 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 from oddcluster.decompose import Part
 from oddcluster.graph import (
+    Edge,
     Graph,
     GraphError,
     InvariantViolation,
+    TreeSubgraph,
     connected_components,
     induced_edge_count,
     is_connected,
+    norm_edge,
 )
 from oddcluster.spanner import (
     MoveEvent,
@@ -52,6 +61,14 @@ class OddClosedWalk:
     @property
     def length(self) -> int:
         return len(self.vertices) - 1
+
+
+def outcome(fn, *args):
+    """What a call returns, or the GraphError it raises, for differential tests."""
+    try:
+        return fn(*args)
+    except GraphError as exc:
+        return GraphError, str(exc)
 
 
 def format_dimacs(g: Graph) -> str:
@@ -113,6 +130,97 @@ def _odd_cycle(parent: dict[int, int], depth: dict[int, int], x: int, y: int) ->
     walk = px + list(reversed(py))[1:]
     walk.append(x)
     return OddClosedWalk(tuple(walk))
+
+
+def _checked_set_reference(g: Graph, within: Iterable[int]) -> frozenset[int]:
+    ws = frozenset(within)
+    for v in ws:
+        if not 0 <= v < g.n:
+            raise GraphError(f"vertex {v} out of range for n={g.n}")
+    return ws
+
+
+def connected_components_reference(
+    g: Graph,
+    within: Iterable[int] | None = None,
+    allowed: Callable[[int, int], bool] | None = None,
+) -> list[frozenset[int]]:
+    """Maximal connected pieces of the (restricted) vertex set, optionally
+    using only the edges (x, y) the `allowed` predicate accepts.
+
+    Pieces are ordered by their minimum contained vertex.
+    """
+    pool = frozenset(range(g.n)) if within is None else _checked_set_reference(g, within)
+    out: list[frozenset[int]] = []
+    unseen = set(pool)
+    for s in sorted(pool):
+        if s not in unseen:
+            continue
+        unseen.discard(s)
+        comp = {s}
+        queue = deque([s])
+        while queue:
+            x = queue.popleft()
+            for y in g.neighbors(x):
+                if y in unseen and (allowed is None or allowed(x, y)):
+                    unseen.discard(y)
+                    comp.add(y)
+                    queue.append(y)
+        out.append(frozenset(comp))
+    return out
+
+
+def is_connected_reference(g: Graph, within: Iterable[int] | None = None) -> bool:
+    return len(connected_components_reference(g, within)) <= 1
+
+
+def spanning_tree_reference(
+    g: Graph,
+    within: Iterable[int],
+    allowed: Callable[[int, int], bool] | None = None,
+) -> TreeSubgraph:
+    """Deterministic BFS tree covering `within`.
+
+    Rooted at the minimum vertex, neighbors visited in ascending order,
+    optionally restricted to edges the `allowed` predicate accepts.
+    """
+    ws = _checked_set_reference(g, within)
+    if not ws:
+        raise GraphError("within must be nonempty")
+    root = min(ws)
+    seen = {root}
+    edges: set[Edge] = set()
+    queue = deque([root])
+    while queue:
+        x = queue.popleft()
+        for y in g.neighbors(x):
+            if y in ws and y not in seen and (allowed is None or allowed(x, y)):
+                seen.add(y)
+                edges.add(norm_edge(x, y))
+                queue.append(y)
+    if seen != ws:
+        raise GraphError("restricted subgraph on `within` is disconnected")
+    return TreeSubgraph(ws, frozenset(edges))
+
+
+def tree_depth_parity_reference(tree: TreeSubgraph) -> dict[int, int]:
+    """Depth parity of every tree vertex, by BFS over the tree's own edges
+    from its minimum vertex; the stuck component is colored 1 at parity 0
+    and 2 at parity 1."""
+    adj: dict[int, list[int]] = {v: [] for v in tree.vertices}
+    for u, v in tree.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    root = min(tree.vertices)
+    parity = {root: 0}
+    queue = deque([root])
+    while queue:
+        x = queue.popleft()
+        for y in sorted(adj[x]):
+            if y not in parity:
+                parity[y] = 1 - parity[x]
+                queue.append(y)
+    return parity
 
 
 def cross_components_reference(

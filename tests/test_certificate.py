@@ -9,10 +9,16 @@ from oddcluster.certificate import (
     verify_certificate,
 )
 from oddcluster.decompose import StuckState, decompose
-from oddcluster.graph import GraphError, TreeSubgraph
+from oddcluster.generators import complete
+from oddcluster.graph import Graph, GraphError, TreeSubgraph
 
 from conftest import connected_graphs
-from helpers import OddClosedWalk, bipartition_or_odd_cycle
+from helpers import (
+    OddClosedWalk,
+    bipartition_or_odd_cycle,
+    spanning_tree_reference,
+    tree_depth_parity_reference,
+)
 
 
 @pytest.fixture
@@ -120,6 +126,25 @@ class TestRoundTripProperty:
         if isinstance(outcome, StuckState):
             cert = extract_certificate(g, t, outcome)
             assert verify_certificate(g, cert) is None
+
+    @given(tail=connected_graphs(min_n=1, max_n=16))
+    @settings(max_examples=150, deadline=None)
+    def test_component_tree_matches_reference(self, tail):
+        # K5 on 0..4 with a connected graph glued on at vertex 4: at t=3
+        # the parts are {0,1} and {2,3}, and the glued graph is the stuck
+        # component. Its tree and its coloring by depth parity over that
+        # tree must be what extraction built before it used graph.bfs.
+        edges = [(u + 4, v + 4) for u, v in tail.edges()]
+        g = Graph(tail.n + 4, complete(5).edges() + edges)
+        outcome = decompose(g, 3)
+        assert outcome.component == frozenset(range(4, g.n))
+        cert = extract_certificate(g, 3, outcome)
+        tree = spanning_tree_reference(g, outcome.component)
+        assert cert.trees[-1] == tree
+        parity = tree_depth_parity_reference(tree)
+        assert {v: cert.coloring[v] for v in tree.vertices} == {
+            v: 1 if p == 0 else 2 for v, p in parity.items()
+        }
 
     @given(connected_graphs(min_n=3, max_n=14))
     @settings(max_examples=120, deadline=None)

@@ -77,6 +77,18 @@ class TestColor:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("command", ["color", "verify"])
+    def test_non_utf8_input_rejected(self, tmp_path, capsys, c6, command):
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(b"\xff6 6\n")
+        if command == "color":
+            argv = ["color", "-i", str(bad), "--t", "3"]
+        else:
+            argv = ["verify", "-i", write_graph(tmp_path, c6), "--artifact", str(bad)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: cannot read {bad}: ") and err.count("\n") == 1
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "color", "-i", "/nonexistent", "--t", "3")
         assert code == 1

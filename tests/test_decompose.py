@@ -23,16 +23,9 @@ from helpers import (
     OddClosedWalk,
     bipartition_or_odd_cycle,
     maximal_bipartite_part_reference,
+    outcome,
     pick_component_reference,
 )
-
-
-def outcome(fn, *args):
-    """What a call returns, or the GraphError it raises, for differential tests."""
-    try:
-        return fn(*args)
-    except GraphError as exc:
-        return GraphError, str(exc)
 
 
 def uncovered_by(g, parts, pool=None):
@@ -214,6 +207,72 @@ class TestDecompose:
         outcome = decompose(g, 3)
         assert isinstance(outcome, Decomposition)
         assert len(outcome.parts) == 1
+
+
+def split_part(index, side_a, side_b):
+    return Part(index, frozenset(side_a) | frozenset(side_b), frozenset(side_a), frozenset(side_b))
+
+
+PATH3 = Graph(3, [(0, 1), (1, 2)])
+PATH4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
+# two disjoint edges and a hub that sees both sides of each
+TWO_EDGES_AND_HUB = Graph(5, [(0, 1), (2, 3), (0, 4), (1, 4), (2, 4), (3, 4)])
+HUB_PARTS = (split_part(1, {0}, {1}), split_part(2, {2}, {3}), split_part(3, {4}, ()))
+
+
+@pytest.mark.parametrize(
+    "g, d, message",
+    [
+        (PATH3, Decomposition(3, (split_part(2, {0, 2}, {1}),)), "part at position 0 has index 2"),
+        (
+            PATH3,
+            Decomposition(3, (Part(1, frozenset({0, 1, 2}), frozenset({0}), frozenset({1})),)),
+            "part 1: sides do not partition its vertices",
+        ),
+        (
+            PATH3,
+            Decomposition(3, (split_part(1, {0, 2}, {1}), split_part(2, {2}, ()))),
+            "part 2: overlaps an earlier part",
+        ),
+        (
+            PATH3,
+            Decomposition(3, (split_part(1, {0}, {2}), split_part(2, {1}, ()))),
+            "part 1: not connected",
+        ),
+        (PATH3, Decomposition(3, (split_part(1, {0, 1}, {2}),)), "part 1: same-side component exceeds 1"),
+        (
+            PATH4,
+            Decomposition(5, (split_part(1, {0, 3}, {1, 2}),)),
+            "part 1: crossing subgraph disconnected",
+        ),
+        (PATH4, Decomposition(3, (split_part(1, {0, 2}, {1}),)), "parts do not cover the region"),
+        (
+            PATH4,
+            Decomposition(3, (split_part(1, {0, 2}, {1}), split_part(2, {3}, ()))),
+            "vertex 3 adjacent to part 1 misses a side",
+        ),
+        (TWO_EDGES_AND_HUB, Decomposition(3, HUB_PARTS), "a component after part 2 touches 2 parts"),
+        (
+            TWO_EDGES_AND_HUB,
+            Decomposition(4, HUB_PARTS),
+            "parts 1 and 2 touch one component but are not adjacent",
+        ),
+    ],
+    ids=[
+        "index",
+        "partition",
+        "overlap",
+        "disconnected-part",
+        "side-component",
+        "crossing-subgraph",
+        "cover",
+        "misses-side",
+        "too-many-parts",
+        "non-adjacent-parts",
+    ],
+)
+def test_tampered_decomposition_rejected(g, d, message):
+    assert decomposition_violation(g, d) == message
 
 
 def test_json_round_trip(k4):

@@ -1,9 +1,11 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oddcluster.graph import (
     Graph,
     GraphError,
+    bfs,
     connected_components,
     induced_edge_count,
     is_connected,
@@ -11,7 +13,97 @@ from oddcluster.graph import (
 )
 
 from conftest import graphs, connected_graphs
-from helpers import OddClosedWalk, bipartition_or_odd_cycle
+from helpers import (
+    OddClosedWalk,
+    bipartition_or_odd_cycle,
+    connected_components_reference,
+    is_connected_reference,
+    outcome,
+    spanning_tree_reference,
+)
+
+
+@st.composite
+def graphs_with_regions(draw):
+    """A graph, a vertex subset, and a crossing-edge predicate: the edges
+    whose endpoints got different labels, as in a part's crossing subgraph."""
+    g = draw(graphs(min_n=1, max_n=14))
+    region = draw(st.sets(st.integers(min_value=0, max_value=g.n - 1)))
+    labels = draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n))
+    return g, region, lambda x, y: labels[x] != labels[y]
+
+
+class TestBfs:
+    def test_visit_order_and_parents(self, c6):
+        parent = bfs(c6, 0, frozenset(range(6)))
+        assert list(parent.items()) == [(0, 0), (1, 0), (5, 0), (2, 1), (4, 5), (3, 2)]
+
+    def test_root_alone(self):
+        assert bfs(Graph(3, [(0, 1), (1, 2)]), 1, {1}) == {1: 1}
+
+    def test_stays_within(self):
+        g = Graph(5, [(0, 1), (1, 2), (2, 3), (0, 4)])
+        assert list(bfs(g, 1, {0, 1, 3, 4}).items()) == [(1, 1), (0, 1), (4, 0)]
+
+    def test_follows_allowed_edges_only(self):
+        g = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+        assert bfs(g, 0, frozenset(range(4)), lambda x, y: {x, y} != {0, 3}) == {
+            0: 0,
+            1: 0,
+            2: 1,
+            3: 2,
+        }
+
+    @given(graphs_with_regions())
+    @settings(max_examples=200)
+    def test_is_a_shortest_path_tree_of_the_root_component(self, case):
+        g, region, allowed = case
+        if not region:
+            return
+        root = min(region)
+        parent = bfs(g, root, region, allowed)
+        comps = connected_components_reference(g, region, allowed)
+        assert set(parent) == next(c for c in comps if root in c)
+        depth = {}
+        for v, p in parent.items():
+            if v == root:
+                assert p == root
+                depth[v] = 0
+            else:
+                assert p in depth and g.has_edge(p, v) and allowed(p, v)
+                depth[v] = depth[p] + 1
+        assert list(depth.values()) == sorted(depth.values())
+
+
+class TestAgainstReference:
+    """The bfs-based traversals against the queue loops they replaced."""
+
+    @given(graphs_with_regions())
+    @settings(max_examples=300)
+    def test_connected_components(self, case):
+        g, region, allowed = case
+        for within in (None, region):
+            assert connected_components(g, within) == connected_components_reference(g, within)
+            assert connected_components(g, within, allowed) == connected_components_reference(
+                g, within, allowed
+            )
+
+    @given(graphs_with_regions())
+    @settings(max_examples=300)
+    def test_is_connected(self, case):
+        g, region, _ = case
+        for within in (None, region, region | {g.n}):
+            assert outcome(is_connected, g, within) == outcome(is_connected_reference, g, within)
+
+    @given(graphs_with_regions())
+    @settings(max_examples=300)
+    def test_spanning_tree(self, case):
+        g, region, allowed = case
+        for within in (range(g.n), region):
+            assert outcome(spanning_tree, g, within) == outcome(spanning_tree_reference, g, within)
+            assert outcome(spanning_tree, g, within, allowed) == outcome(
+                spanning_tree_reference, g, within, allowed
+            )
 
 
 class TestConstruction:

@@ -46,7 +46,14 @@ class TestDimacs:
 
     @pytest.mark.parametrize(
         "text",
-        ["", "e 1 2\n", "p edge 3 2\ne 1 2\n", "p edge 3\n", "p edge 2 1\nq 1 2\n"],
+        [
+            "",
+            "e 1 2\n",
+            "p edge 3 2\ne 1 2\n",
+            "p edge 3\n",
+            "p edge 2 1\nq 1 2\n",
+            "p edge 3 1\ne 1 2\np edge 5 1\n",
+        ],
     )
     def test_malformed(self, text):
         with pytest.raises(GraphError):

@@ -1,6 +1,6 @@
-"""The pipeline at the sizes the benchmark serves: n=3000 sparse random and
-the 100x100 grid, t=4. Each artifact must survive a JSON round trip and its
-own verifier."""
+"""The pipeline at the sizes the benchmark serves, n=3000 sparse random and
+the 100x100 grid, and at n=5000 sparse random (marked slow), all at t=4.
+Each artifact must survive a JSON round trip and its own verifier."""
 
 import json
 
@@ -14,8 +14,11 @@ from oddcluster.coloring import ColoringRejection, coloring_from_json, verify_co
 
 @pytest.mark.parametrize(
     "make",
-    [lambda: gen.connected_gnp(3000, 6 / 2999), lambda: gen.grid(100, 100)],
-    ids=["gnp-3000", "grid-100x100"],
+    [
+        pytest.param(lambda: gen.connected_gnp(3000, 6 / 2999), id="gnp-3000"),
+        pytest.param(lambda: gen.grid(100, 100), id="grid-100x100"),
+        pytest.param(lambda: gen.connected_gnp(5000, 6 / 4999), id="gnp-5000", marks=pytest.mark.slow),
+    ],
 )
 def test_artifact_verifies_after_json_round_trip(make):
     g = make()
