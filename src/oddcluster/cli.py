@@ -11,7 +11,9 @@ and {"status": "error", ...} on stdout.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -127,8 +129,23 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _write_stdout(text: str) -> None:
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        # the reader is gone (say, `| head`): point fd 1 at devnull so the
+        # interpreter's flush at exit does not fail a second time
+        with contextlib.suppress(OSError, ValueError):
+            fd = sys.stdout.fileno()
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        raise GraphError(f"cannot write stdout: {exc}") from exc
+
+
 def _emit(payload: dict) -> None:
-    print(json.dumps(payload, indent=2))
+    _write_stdout(json.dumps(payload, indent=2) + "\n")
 
 
 def _write_text(path: str, text: str) -> None:
@@ -206,7 +223,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     if args.output:
         _write_text(args.output, text)
     else:
-        sys.stdout.write(text)
+        _write_stdout(text)
     return EXIT_OK
 
 
@@ -271,7 +288,7 @@ def cmd_dot(args: argparse.Namespace) -> int:
     if args.output:
         _write_text(args.output, text)
     else:
-        sys.stdout.write(text)
+        _write_stdout(text)
     return EXIT_OK
 
 
@@ -342,7 +359,8 @@ def main(argv: list[str] | None = None) -> int:
         # bug: report it in one line with its type instead of a traceback
         message = " ".join(f"{type(exc).__name__}: {exc}".split())
         print(f"internal error: {message}", file=sys.stderr)
-        _emit({"status": "error", "error": message})
+        with contextlib.suppress(GraphError):
+            _emit({"status": "error", "error": message})
         return EXIT_INTERNAL
 
 

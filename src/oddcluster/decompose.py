@@ -10,9 +10,10 @@ is exactly what certificate extraction needs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import AbstractSet, Iterable, Union
 
-from .graph import Graph, GraphError, InvariantViolation, bfs, connected_components, is_connected
+from .graph import Graph, GraphError, InvariantViolation, bfs, is_connected
 from .spanner import (
     OnMove,
     SpannerRequest,
@@ -158,9 +159,21 @@ def decomposition_violation(
 
     Checks, for every part: sides partition it, it is connected, same-side
     components respect ceil((t-2)/2), and the crossing subgraph is connected.
-    Then, for every prefix: uncovered neighbors of the last part see both its
+    Then, for every prefix H_1..H_k: uncovered neighbors of H_k see both its
     sides, and every uncovered component touches at most t-2 parts which are
-    pairwise adjacent.
+    pairwise adjacent. The first failure in that order is reported: by
+    prefix, side checks before component checks, then by vertex or by the
+    component's minimum vertex.
+
+    Each distinct component needs one check. While C is a component of the
+    uncovered rest, all its neighbors outside C are covered, so the parts it
+    touches, the owners of N(C) minus C, stay the same at every prefix where
+    C exists; its check at the earliest of them decides them all. So the
+    parts are added back from last to first into a union-find over the
+    uncovered vertices, and each component is checked just before it merges
+    with the part being added back: that part's prefix is its earliest.
+    Part 1 is never added back; the components left are those after it.
+    The side checks and the part adjacency come from one pass over the edges.
     """
     pool = frozenset(range(g.n)) if within is None else frozenset(within)
     bound = (d.t - 1) // 2  # ceil((t-2)/2)
@@ -182,28 +195,70 @@ def decomposition_violation(
     if seen != pool:
         return "parts do not cover the region"
 
-    prefix: set[int] = set()
-    for p in d.parts:
-        prefix |= p.vertices
-        rest = pool - prefix
-        for v in sorted(rest):
-            nbrs = g.adj(v)
-            if nbrs & p.vertices and (not nbrs & p.side_a or not nbrs & p.side_b):
-                return f"vertex {v} adjacent to part {p.index} misses a side"
-        for comp in connected_components(g, rest):
-            touched = [
-                q for q in d.parts[: p.index] if any(g.adj(w) & q.vertices for w in comp)
-            ]
-            if len(touched) > d.t - 2:
-                return f"a component after part {p.index} touches {len(touched)} parts"
-            for j, q1 in enumerate(touched):
-                for q2 in touched[j + 1 :]:
-                    if not parts_adjacent(g, q1, q2):
-                        return (
-                            f"parts {q1.index} and {q2.index} touch one component "
-                            "but are not adjacent"
-                        )
-    return None
+    # tag[v] = 2 * (index of the part holding v) + (1 if v is on side B)
+    tag = {v: 2 * p.index + (v in p.side_b) for p in d.parts for v in p.vertices}
+    adjacent: set[tuple[int, int]] = set()  # parts (j, k), j < k, joined by an edge
+    touched: dict[int, set[int]] = {}  # per union-find root: the parts its component touches
+    first_miss = None  # (prefix, vertex) of the first side check that fails
+    for p in d.parts[1:]:
+        for v in p.vertices:
+            sides: dict[int, int] = {}  # earlier part -> bit 1 side A seen, bit 2 side B seen
+            for w in g.adj(v):
+                tw = tag.get(w)
+                if tw is not None and tw >> 1 < p.index:
+                    sides[tw >> 1] = sides.get(tw >> 1, 0) | 1 << (tw & 1)
+            for j, seen_sides in sides.items():
+                adjacent.add((j, p.index))
+                if seen_sides != 3 and (first_miss is None or (j, v) < first_miss):
+                    first_miss = (j, v)
+            touched[v] = set(sides)
+
+    parent: dict[int, int] = {}
+    low: dict[int, int] = {}  # per root: the component's minimum vertex
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]  # path halving
+            v = parent[v]
+        return v
+
+    def first_failure(roots: Iterable[int], k: int) -> str | None:
+        # components whose earliest prefix is k, checked by minimum vertex
+        for r in sorted(roots, key=low.__getitem__):
+            if len(touched[r]) > d.t - 2:
+                return f"a component after part {k} touches {len(touched[r])} parts"
+            for a, b in combinations(sorted(touched[r]), 2):
+                if (a, b) not in adjacent:
+                    return f"parts {a} and {b} touch one component but are not adjacent"
+        return None
+
+    failed = None  # (prefix, reason) of the first failing component so far
+    for p in reversed(d.parts[1:]):
+        roots = {find(w) for v in p.vertices for w in g.adj(v) if w in parent}
+        reason = first_failure(roots, p.index)
+        if reason is not None:
+            failed = (p.index, reason)
+        for v in p.vertices:
+            parent[v] = low[v] = v
+        for v in p.vertices:
+            for w in g.adj(v):
+                if w in parent:
+                    a, b = find(v), find(w)
+                    if a != b:
+                        if len(touched[a]) < len(touched[b]):
+                            a, b = b, a
+                        parent[b] = a
+                        touched[a] |= touched.pop(b)
+                        low[a] = min(low[a], low.pop(b))
+        for r in roots:
+            touched[find(r)].discard(p.index)
+    reason = first_failure(low, 1)  # the roots left: the components after part 1
+    if reason is not None:
+        failed = (1, reason)
+
+    if first_miss is not None and (failed is None or first_miss[0] <= failed[0]):
+        return f"vertex {first_miss[1]} adjacent to part {first_miss[0]} misses a side"
+    return None if failed is None else failed[1]
 
 
 def decomposition_to_json(d: Decomposition) -> dict:

@@ -78,9 +78,9 @@ def read_dimacs(text: str) -> Graph:
 
 
 def load_graph(path: str | Path, fmt: str = "edgelist") -> Graph:
-    """Read a graph file as UTF-8 text in the given format."""
+    """Read a graph file as UTF-8 text, a leading BOM ignored, in the given format."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise GraphError(f"cannot read {path}: {exc}") from exc
     if fmt == "edgelist":
@@ -100,9 +100,10 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
 
 
 def load_json(path: str | Path) -> Any:
-    """Parse a UTF-8 JSON file; an object that repeats a key is an error, not a silent overwrite."""
+    """Parse a UTF-8 JSON file, a leading BOM ignored; an object that repeats a key
+    is an error, not a silent overwrite."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise GraphError(f"cannot read {path}: {exc}") from exc
     try:

@@ -4,9 +4,12 @@
 odd-cycle witness; the pipeline never needs one. `outcome` turns a call
 into its result or its GraphError, for comparing two implementations.
 `format_dimacs` writes the DIMACS text that `graph_io.read_dimacs` reads,
-for round-trip tests; the pipeline only reads DIMACS. The `*_reference` functions are earlier
-versions of pipeline functions, kept so differential tests can compare the
-rewrites against them:
+for round-trip tests; the pipeline only reads DIMACS. `sparse_gnp` samples
+G(n,p) in time linear in n + m, for tests at sizes where the pair loop of
+`generators.gnp` is too slow; its edges differ from `gnp`'s for the same
+seed. The `*_reference` functions are earlier versions of pipeline
+functions, kept so differential tests can compare the rewrites against
+them:
 
 * `connected_components_reference`, `is_connected_reference`,
   `spanning_tree_reference` and `tree_depth_parity_reference`: the deque
@@ -20,16 +23,21 @@ rewrites against them:
   `refine_triple_reference`: the versions that rescan the whole region on
   every step and recheck every local-search move from scratch;
 * `bounded_bipartition_reference`: the recursive backtracking, one Python
-  frame per vertex.
+  frame per vertex;
+* `decomposition_violation_reference`: the recheck that recomputes the
+  uncovered components at every prefix and scans every earlier part for
+  each of them, cubic in the worst case.
 """
 
 from __future__ import annotations
 
+import math
+import random
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from oddcluster.decompose import Part
+from oddcluster.decompose import Decomposition, Part, parts_adjacent
 from oddcluster.graph import (
     Edge,
     Graph,
@@ -69,6 +77,24 @@ def outcome(fn, *args):
         return fn(*args)
     except GraphError as exc:
         return GraphError, str(exc)
+
+
+def sparse_gnp(n: int, p: float, seed: int = 0) -> Graph:
+    """G(n,p) for 0 < p < 1 by geometric skipping (Batagelj and Brandes 2005):
+    the gap to the next kept pair in the order (0,1), (0,2), (1,2), (0,3), ...
+    is geometric, so one draw per edge suffices."""
+    rng = random.Random(seed)
+    log_q = math.log(1.0 - p)
+    edges = []
+    v, w = 1, -1
+    while v < n:
+        w += 1 + int(math.log(1.0 - rng.random()) / log_q)
+        while w >= v and v < n:
+            w -= v
+            v += 1
+        if v < n:
+            edges.append((w, v))
+    return Graph(n, edges)
 
 
 def format_dimacs(g: Graph) -> str:
@@ -415,3 +441,58 @@ def bounded_bipartition_reference(
         )
     side_a = frozenset(v for v in order if side[v] == 0)
     return side_a, hs - side_a
+
+
+def decomposition_violation_reference(
+    g: Graph, d: Decomposition, within: Iterable[int] | None = None
+) -> str | None:
+    """First violated decomposition guarantee, recomputed from scratch; None if clean.
+
+    Checks, for every part: sides partition it, it is connected, same-side
+    components respect ceil((t-2)/2), and the crossing subgraph is connected.
+    Then, for every prefix: uncovered neighbors of the last part see both its
+    sides, and every uncovered component touches at most t-2 parts which are
+    pairwise adjacent.
+    """
+    pool = frozenset(range(g.n)) if within is None else frozenset(within)
+    bound = (d.t - 1) // 2  # ceil((t-2)/2)
+    seen: set[int] = set()
+    for i, p in enumerate(d.parts):
+        if p.index != i + 1:
+            return f"part at position {i} has index {p.index}"
+        if (p.side_a & p.side_b) or (p.side_a | p.side_b) != p.vertices:
+            return f"part {p.index}: sides do not partition its vertices"
+        if p.vertices & seen:
+            return f"part {p.index}: overlaps an earlier part"
+        seen |= p.vertices
+        if not is_connected(g, p.vertices):
+            return f"part {p.index}: not connected"
+        if max_side_component(g, p.side_a) > bound or max_side_component(g, p.side_b) > bound:
+            return f"part {p.index}: same-side component exceeds {bound}"
+        if len(cross_components(g, p.vertices, p.side_a, p.side_b)) > 1:
+            return f"part {p.index}: crossing subgraph disconnected"
+    if seen != pool:
+        return "parts do not cover the region"
+
+    prefix: set[int] = set()
+    for p in d.parts:
+        prefix |= p.vertices
+        rest = pool - prefix
+        for v in sorted(rest):
+            nbrs = g.adj(v)
+            if nbrs & p.vertices and (not nbrs & p.side_a or not nbrs & p.side_b):
+                return f"vertex {v} adjacent to part {p.index} misses a side"
+        for comp in connected_components(g, rest):
+            touched = [
+                q for q in d.parts[: p.index] if any(g.adj(w) & q.vertices for w in comp)
+            ]
+            if len(touched) > d.t - 2:
+                return f"a component after part {p.index} touches {len(touched)} parts"
+            for j, q1 in enumerate(touched):
+                for q2 in touched[j + 1 :]:
+                    if not parts_adjacent(g, q1, q2):
+                        return (
+                            f"parts {q1.index} and {q2.index} touch one component "
+                            "but are not adjacent"
+                        )
+    return None

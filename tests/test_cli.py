@@ -1,4 +1,6 @@
+import io
 import json
+import os
 import subprocess
 import sys
 
@@ -104,6 +106,46 @@ class TestColor:
         payload = json.loads(out)
         assert code == 0
         assert payload["decompositions"][0]["parts"][0]["H"] == [0, 1]
+
+
+BOM = "\ufeff"
+
+
+class TestByteOrderMark:
+    """A leading UTF-8 byte-order mark is skipped; one elsewhere is data."""
+
+    def test_edgelist(self, tmp_path, capsys, c6):
+        path = tmp_path / "bom.txt"
+        path.write_text(BOM + format_edgelist(c6), encoding="utf-8")
+        code, out, _ = run_cli(capsys, "color", "-i", str(path), "--t", "3")
+        assert code == 0
+        assert out == run_cli(capsys, "color", "-i", write_graph(tmp_path, c6), "--t", "3")[1]
+
+    def test_dimacs(self, tmp_path, capsys, c6):
+        path = tmp_path / "bom.col"
+        path.write_text(BOM + format_dimacs(c6), encoding="utf-8")
+        code, out, _ = run_cli(capsys, "color", "-i", str(path), "--format", "dimacs", "--t", "3")
+        assert code == 0 and json.loads(out)["status"] == "colored"
+
+    def test_artifact(self, tmp_path, capsys, k5):
+        graph = write_graph(tmp_path, k5)
+        artifact = tmp_path / "cert.json"
+        run_cli(capsys, "color", "-i", graph, "--t", "3", "-o", str(artifact))
+        artifact.write_text(BOM + artifact.read_text(), encoding="utf-8")
+        code, out, _ = run_cli(capsys, "verify", "-i", graph, "--artifact", str(artifact))
+        assert code == 0 and json.loads(out)["accepted"] is True
+
+    @pytest.mark.parametrize(
+        "text",
+        [BOM + BOM + "3 2\n0 1\n1 2\n", "3 2\n" + BOM + "0 1\n1 2\n", "3 2\n0 1" + BOM + "\n1 2\n"],
+        ids=["second-bom", "bom-at-line-start", "bom-mid-line"],
+    )
+    def test_bom_after_first_byte_rejected(self, tmp_path, capsys, text):
+        path = tmp_path / "bom.txt"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(capsys, "color", "-i", str(path), "--t", "3")
+        assert code == 1 and out == ""
+        assert err.startswith("error: bad ") and err.count("\n") == 1
 
 
 def set_entry(path, entry):
@@ -358,6 +400,22 @@ class TestInternalErrors:
         code, out, err = run_cli(capsys, "color", "-i", write_graph(tmp_path, c6), "--t", "3")
         self.assert_internal(code, out, err, type(exc).__name__)
 
+    def test_exception_with_closed_stdout(self, tmp_path, capsys, monkeypatch, c6):
+        # the error payload cannot be written either: still one stderr line
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        def fail(*args, **kwargs):
+            raise InvariantViolation("forced invariant")
+
+        monkeypatch.setattr(cli, "decompose", fail)
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        code = main(["color", "-i", write_graph(tmp_path, c6), "--t", "3"])
+        err = capsys.readouterr().err
+        assert code == EXIT_INTERNAL
+        assert err == "internal error: InvariantViolation: forced invariant\n"
+
 
 class TestSubprocess:
     def test_module_invocation(self, tmp_path):
@@ -397,3 +455,28 @@ class TestSubprocess:
             text=True,
         )
         assert proc.returncode == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["color", "--t", "3"], ["dot"], ["gen", "--family", "grid", "--n", "30"]],
+        ids=["color", "dot", "gen"],
+    )
+    def test_closed_stdout_is_one_error_line(self, tmp_path, argv):
+        # the reader closes its end before anything is written, as `| head`
+        # does once it has its lines
+        if argv[0] != "gen":
+            argv = argv + ["-i", write_graph(tmp_path, gen.grid(30, 30))]
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "oddcluster", *argv],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: cannot write stdout: ")
+        assert proc.stderr.count("\n") == 1

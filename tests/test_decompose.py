@@ -15,13 +15,14 @@ from oddcluster.decompose import (
     parts_adjacent,
     pick_component,
 )
-from oddcluster.graph import Graph, GraphError
+from oddcluster.graph import Graph, GraphError, bfs
 from oddcluster import generators as gen
 
 from conftest import connected_graphs, graphs
 from helpers import (
     OddClosedWalk,
     bipartition_or_odd_cycle,
+    decomposition_violation_reference,
     maximal_bipartite_part_reference,
     outcome,
     pick_component_reference,
@@ -218,6 +219,30 @@ PATH4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
 # two disjoint edges and a hub that sees both sides of each
 TWO_EDGES_AND_HUB = Graph(5, [(0, 1), (2, 3), (0, 4), (1, 4), (2, 4), (3, 4)])
 HUB_PARTS = (split_part(1, {0}, {1}), split_part(2, {2}, {3}), split_part(3, {4}, ()))
+# Tie-breaks. Parts 1-3 are the edges {0,1}, {2,3}, {4,5}, one vertex a side.
+# Vertex 6 misses side B of part 2, while the component {4,5,6} touches
+# parts 1 and 2: both fail at prefix 2, and the side check comes first,
+# although the component's minimum vertex is smaller.
+SIDE_AND_COMPONENT = Graph(7, [(0, 1), (2, 3), (4, 5), (0, 4), (1, 4), (2, 4), (3, 4), (2, 6), (4, 6), (5, 6)])
+SIDE_AND_COMPONENT_PARTS = (
+    split_part(1, {0}, {1}), split_part(2, {2}, {3}), split_part(3, {4}, {5}), split_part(4, {6}, ()),
+)
+# After prefix 3, the parts {6,9} and {7,8} are two components. Through 9,
+# {6,9} touches parts 2 and 3, and through 8, {7,8} touches parts 1 and 3;
+# neither pair is adjacent. The smaller minimum vertex wins, although {6,9}
+# has the larger maximum and neither component's minimum touches a part.
+TWO_COMPONENTS_EDGES = [
+    (0, 1), (2, 3), (4, 5), (6, 9), (7, 8),
+    (2, 9), (3, 9), (4, 9), (5, 9), (0, 8), (1, 8), (4, 8), (5, 8),
+]
+TWO_COMPONENTS = Graph(10, TWO_COMPONENTS_EDGES + [(0, 2), (1, 2)])
+TWO_COMPONENTS_PARTS = SIDE_AND_COMPONENT_PARTS[:3] + (split_part(4, {6}, {9}), split_part(5, {7}, {8}))
+# The same, with vertex 10 missing side B of part 1: prefix 1 beats prefix 3.
+PREFIXES_1_AND_3 = Graph(11, TWO_COMPONENTS_EDGES + [(0, 2), (1, 2), (0, 10)])
+PREFIXES_1_AND_3_PARTS = TWO_COMPONENTS_PARTS + (split_part(6, {10}, ()),)
+# Without the edges between parts 1 and 2, the component {4,...,9} after
+# prefix 2 touches both: prefix 2 beats the two failures at prefix 3.
+PREFIXES_2_AND_3 = Graph(10, TWO_COMPONENTS_EDGES)
 
 
 @pytest.mark.parametrize(
@@ -257,6 +282,26 @@ HUB_PARTS = (split_part(1, {0}, {1}), split_part(2, {2}, {3}), split_part(3, {4}
             Decomposition(4, HUB_PARTS),
             "parts 1 and 2 touch one component but are not adjacent",
         ),
+        (
+            SIDE_AND_COMPONENT,
+            Decomposition(3, SIDE_AND_COMPONENT_PARTS),
+            "vertex 6 adjacent to part 2 misses a side",
+        ),
+        (
+            TWO_COMPONENTS,
+            Decomposition(4, TWO_COMPONENTS_PARTS),
+            "parts 2 and 3 touch one component but are not adjacent",
+        ),
+        (
+            PREFIXES_1_AND_3,
+            Decomposition(4, PREFIXES_1_AND_3_PARTS),
+            "vertex 10 adjacent to part 1 misses a side",
+        ),
+        (
+            PREFIXES_2_AND_3,
+            Decomposition(4, TWO_COMPONENTS_PARTS),
+            "parts 1 and 2 touch one component but are not adjacent",
+        ),
     ],
     ids=[
         "index",
@@ -269,10 +314,112 @@ HUB_PARTS = (split_part(1, {0}, {1}), split_part(2, {2}, {3}), split_part(3, {4}
         "misses-side",
         "too-many-parts",
         "non-adjacent-parts",
+        "side-check-before-component-at-one-prefix",
+        "smaller-component-minimum-at-one-prefix",
+        "side-miss-at-prefix-1-before-prefix-3",
+        "component-at-prefix-2-before-prefix-3",
     ],
 )
 def test_tampered_decomposition_rejected(g, d, message):
     assert decomposition_violation(g, d) == message
+    assert decomposition_violation_reference(g, d) == message
+
+
+def carve_bipartite_pieces(g, region, rng):
+    """Cut `region` into parts that pass the per-part checks at any t >= 3:
+    each grows from a random start, in BFS order, by vertices whose
+    neighbors in the part all lie on one side, up to four vertices."""
+    left = set(region)
+    parts = []
+    while left:
+        start = rng.choice(sorted(left))
+        size = rng.randint(1, 4)
+        side = {start: 0}
+        for v in bfs(g, start, left):
+            sides = {side[w] for w in g.adj(v) if w in side}
+            if len(side) < size and len(sides) == 1:
+                side[v] = 1 - sides.pop()
+        vertices = frozenset(side)
+        a = frozenset(v for v in vertices if side[v] == 0)
+        parts.append(Part(len(parts) + 1, vertices, a, vertices - a))
+        left -= vertices
+    return tuple(parts)
+
+
+def edge_pair_case(rng):
+    """Parts {2i, 2i+1}, one vertex a side. Each vertex may join both ends of
+    an earlier part, now and then only one, so the side checks mostly pass
+    and the component checks decide."""
+    k = rng.randint(2, 10)
+    density = rng.uniform(0.05, 0.4)
+    edges = [(2 * i, 2 * i + 1) for i in range(k)]
+    for j in range(1, k):
+        for v in (2 * j, 2 * j + 1):
+            for i in range(j):
+                if rng.random() < density:
+                    edges += [(2 * i, v)] + ([(2 * i + 1, v)] if rng.random() < 0.95 else [])
+    parts = tuple(split_part(i + 1, {2 * i}, {2 * i + 1}) for i in range(k))
+    return Graph(2 * k, edges), Decomposition(rng.randint(3, 6), parts), None
+
+
+def connected_subregion(g, rng):
+    """A BFS prefix from a random vertex: it induces a connected subgraph."""
+    order = list(bfs(g, rng.randrange(g.n), frozenset(range(g.n))))
+    return frozenset(order[: rng.randint(1, len(order))])
+
+
+def recheck_case(kind, rng):
+    """(graph, decomposition, region) to recheck: a clean decompose output
+    rechecked at its own t or a smaller one, a random carving, or edge-pair
+    parts. About a third of the graph cases use a connected sub-region."""
+    if kind == "edge-pairs":
+        return edge_pair_case(rng)
+    n = rng.randint(1, 18)
+    g = gen.connected_gnp(n, rng.uniform(0.1, 0.6), rng.randrange(10**6))
+    region = connected_subregion(g, rng) if rng.random() < 0.35 else None
+    if kind == "carving":
+        parts = carve_bipartite_pieces(g, range(g.n) if region is None else region, rng)
+        return g, Decomposition(rng.randint(3, 6), parts), region
+    t = rng.randint(3, 6)
+    d = decompose(g, t, within=region)
+    if not isinstance(d, Decomposition):
+        return None
+    return g, Decomposition(rng.randint(3, t), d.parts), region
+
+
+RECHECK_KINDS = ("decomposition", "carving", "edge-pairs")
+
+
+class TestRecheckAgainstReference:
+    @given(kind=st.sampled_from(RECHECK_KINDS), rng=st.randoms(use_true_random=False))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_reference(self, kind, rng):
+        case = recheck_case(kind, rng)
+        if case is not None:
+            assert decomposition_violation(*case) == decomposition_violation_reference(*case)
+
+    def test_sweep_reaches_every_prefix_message(self):
+        reached = set()
+        for seed in range(600):
+            case = recheck_case(RECHECK_KINDS[seed % 3], random.Random(seed))
+            if case is None:
+                continue
+            expected = decomposition_violation_reference(*case)
+            assert decomposition_violation(*case) == expected, seed
+            reached.add(expected and expected.split()[0])
+        # None, then the side check, the part count and the part pair
+        assert {None, "vertex", "a", "parts"} <= reached
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_reference_on_larger_graphs(self, seed):
+        rng = random.Random(seed)
+        g = gen.connected_gnp(150, rng.uniform(0.02, 0.06), seed)
+        for region in (None, connected_subregion(g, rng)):
+            d = decompose(g, 6, within=region)
+            assert isinstance(d, Decomposition)
+            for t in range(3, 7):
+                case = (g, Decomposition(t, d.parts), region)
+                assert decomposition_violation(*case) == decomposition_violation_reference(*case)
 
 
 def test_json_round_trip(k4):

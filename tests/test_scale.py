@@ -1,8 +1,10 @@
 """The pipeline at the sizes the benchmark serves, n=3000 sparse random and
-the 100x100 grid, and at n=5000 sparse random (marked slow), all at t=4.
-Each artifact must survive a JSON round trip and its own verifier."""
+the 100x100 grid, and beyond them at n=5000 (marked slow) and n=10^4 sparse
+random, all at t=4. Each artifact must survive a JSON round trip and its
+own verifier."""
 
 import json
+import math
 
 import pytest
 
@@ -11,6 +13,8 @@ from oddcluster.certificate import certificate_from_json, verify_certificate
 from oddcluster.cli import EXIT_CERT, EXIT_OK, run_color
 from oddcluster.coloring import ColoringRejection, coloring_from_json, verify_coloring
 
+from helpers import sparse_gnp
+
 
 @pytest.mark.parametrize(
     "make",
@@ -18,6 +22,7 @@ from oddcluster.coloring import ColoringRejection, coloring_from_json, verify_co
         pytest.param(lambda: gen.connected_gnp(3000, 6 / 2999), id="gnp-3000"),
         pytest.param(lambda: gen.grid(100, 100), id="grid-100x100"),
         pytest.param(lambda: gen.connected_gnp(5000, 6 / 4999), id="gnp-5000", marks=pytest.mark.slow),
+        pytest.param(lambda: gen.chain_components(sparse_gnp(10**4, 6 / 9999)), id="sparse-gnp-10000"),
     ],
 )
 def test_artifact_verifies_after_json_round_trip(make):
@@ -31,3 +36,12 @@ def test_artifact_verifies_after_json_round_trip(make):
     else:
         assert result.exit_code == EXIT_CERT
         assert verify_certificate(g, certificate_from_json(artifact)) is None
+
+
+@pytest.mark.parametrize("n, p", [(3000, 6 / 2999), (60, 0.5)])
+def test_sparse_gnp_sampler_edge_count(n, p):
+    # m is binomial over the n(n-1)/2 pairs
+    pairs = n * (n - 1) // 2
+    for seed in range(5):
+        m = sparse_gnp(n, p, seed).m
+        assert abs(m - p * pairs) < 5 * math.sqrt(pairs * p * (1 - p))
