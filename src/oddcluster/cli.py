@@ -165,10 +165,11 @@ def cmd_color(args: argparse.Namespace) -> int:
         raise _UsageError("--t must be at least 3")
     g = load_graph(args.input, args.format)
     result = run_color(g, args.t, verbose=args.verbose)
+    # the artifact first, so that a stdout whose reader is gone cannot lose it
+    _write_artifact(result, args.output)
     _emit(result.payload)
     if result.exit_code == EXIT_INTERNAL:
         print(f"internal error: {result.payload['error']}", file=sys.stderr)
-    _write_artifact(result, args.output)
     return result.exit_code
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graph import Graph, GraphError, InvariantViolation, norm_edge
+from .graph import Graph, GraphError, InvariantViolation
 from .graph_io import json_int, json_pair
 from .decompose import Decomposition
 
@@ -38,19 +38,17 @@ class ColoringRejection:
 def build_auxiliary(g: Graph, d: Decomposition) -> Graph:
     """Graph on 0-based part positions, adjacent iff the parts are adjacent in g.
 
+    The pairs are read off each part's boundary, its neighbors outside it,
+    which the parts' disjointness makes the same as reading every edge of g.
     Raises InvariantViolation if some position sees more than t-2 earlier
     ones, which would break the greedy hue bound.
     """
-    owner: dict[int, int] = {}
-    for pos, p in enumerate(d.parts):
-        for v in p.vertices:
-            owner[v] = pos
+    owner = {v: pos for pos, p in enumerate(d.parts) for v in p.vertices}
     pairs: set[tuple[int, int]] = set()
-    for u, v in g.edges():
-        pu, pv = owner.get(u), owner.get(v)
-        if pu is None or pv is None or pu == pv:
-            continue
-        pairs.add(norm_edge(pu, pv))
+    for pos, p in enumerate(d.parts):
+        boundary = g.neighborhood(p.vertices) - p.vertices
+        owners = set(map(owner.__getitem__, boundary & owner.keys()))
+        pairs.update((q, pos) for q in owners if q < pos)
     aux = Graph(len(d.parts), sorted(pairs))
     for pos in range(aux.n):
         back = sum(1 for q in aux.neighbors(pos) if q < pos)
@@ -122,23 +120,20 @@ def verify_coloring(g: Graph, coloring: ClusteredColoring, t: int) -> ColoringRe
         unseen.discard(s)
         pair = colors[s]
         comp = [s]
-        stack = [s]
-        while stack:
-            x = stack.pop()
+        for x in comp:
             for y in g.neighbors(x):
                 if y in unseen and colors[y] == pair:
                     unseen.discard(y)
                     comp.append(y)
-                    stack.append(y)
-        comps.append(sorted(comp))
+        comps.append(comp)
 
     used = len({colors[v] for v in range(g.n)})
-    max_component = max((len(c) for c in comps), default=0)
+    max_component = max(map(len, comps), default=0)
     max_defect = 0
     for comp in comps:
-        members = frozenset(comp)
-        inner = max((len(g.adj(v) & members) for v in comp), default=0)
-        max_defect = max(max_defect, inner)
+        if len(comp) > 1:  # a single vertex has defect 0
+            members = frozenset(comp)
+            max_defect = max(max_defect, max(len(g.adj(v) & members) for v in comp))
 
     if used > 2 * t - 2:
         return ColoringRejection(f"{used} colors used, above the 2t-2 = {2 * t - 2} limit")
@@ -147,7 +142,7 @@ def verify_coloring(g: Graph, coloring: ClusteredColoring, t: int) -> ColoringRe
         offender = next(c for c in comps if len(c) > limit)
         return ColoringRejection(
             f"monochromatic component of size {len(offender)} exceeds {limit}",
-            tuple(offender),
+            tuple(sorted(offender)),
         )
     return ColoringReport(used, max_component, max_defect)
 

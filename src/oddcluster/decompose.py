@@ -9,9 +9,10 @@ is exactly what certificate extraction needs.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
-from typing import AbstractSet, Iterable, Union
+from typing import AbstractSet, Iterable, Sequence, Union
 
 from .graph import Graph, GraphError, InvariantViolation, bfs, is_connected
 from .spanner import (
@@ -81,23 +82,29 @@ def maximal_bipartite_part(g: Graph, within: Iterable[int] | None = None) -> Par
 
 
 def pick_component(
-    g: Graph, uncovered: AbstractSet[int], parts: Iterable[Part]
+    g: Graph,
+    uncovered: AbstractSet[int],
+    pending: deque[int],
+    owner: dict[int, int],
+    parts: Sequence[Part],
 ) -> tuple[frozenset[int], list[Part]]:
     """Component of `uncovered` holding its minimum vertex, plus every part
     adjacent to it in ascending index order.
 
-    `uncovered` is the region minus the parts, kept by the caller. One BFS
-    walks that component alone; its neighbors outside it are the boundary,
-    and a part is adjacent when it holds one of them.
+    The caller keeps the state across calls: `uncovered`, the region minus
+    the parts; `pending`, a sorted queue holding every uncovered vertex,
+    whose covered head is dropped here, so the minimum is found by a cursor
+    that only moves forward; `owner`, the position in `parts` of every
+    covered vertex. One BFS walks the component alone; its covered
+    neighbors are the boundary, and the adjacent parts are their owners.
     """
-    if not uncovered:
+    while pending and pending[0] not in uncovered:
+        pending.popleft()
+    if not pending:
         raise GraphError("nothing left to pick: parts cover the region")
-    start = min(uncovered)
-    if start < 0 or max(uncovered) >= g.n:
-        raise GraphError(f"region vertex out of range for n={g.n}")
-    comp = frozenset(bfs(g, start, uncovered))
-    boundary = set().union(*map(g.adj, comp)) - uncovered
-    return comp, [p for p in parts if not boundary.isdisjoint(p.vertices)]
+    comp = frozenset(bfs(g, pending[0], uncovered))
+    boundary = g.neighborhood(comp) & owner.keys()  # its covered neighbors
+    return comp, [parts[i] for i in sorted(set(map(owner.__getitem__, boundary)))]
 
 
 def decompose(
@@ -110,7 +117,8 @@ def decompose(
     when a component sees t-1 earlier parts.
 
     The region must induce a connected subgraph (callers split disconnected
-    graphs beforehand). Every picked component's adjacent parts must be
+    graphs beforehand); that test also checks, once, that its vertices are
+    in range, so pick_component need not. Every picked component's adjacent parts must be
     pairwise adjacent; a miss is a bug, not an input problem. A completed
     run is rechecked from scratch by decomposition_violation before it is
     returned.
@@ -124,9 +132,11 @@ def decompose(
         raise GraphError("region must induce a connected subgraph")
 
     parts = [maximal_bipartite_part(g, pool)]
+    owner = dict.fromkeys(parts[0].vertices, 0)
     uncovered = set(pool) - parts[0].vertices
+    pending = deque(sorted(uncovered))
     while uncovered:
-        comp, adjacent = pick_component(g, uncovered, parts)
+        comp, adjacent = pick_component(g, uncovered, pending, owner, parts)
         if not adjacent:
             raise InvariantViolation("uncovered component with no adjacent part")
         for i, p in enumerate(adjacent):
@@ -142,6 +152,7 @@ def decompose(
         }
         req = SpannerRequest(g, comp, frozenset(terminals), (len(terminals) + 1) // 2)
         triple = build_spanner(req, on_move=on_move)
+        owner.update(dict.fromkeys(triple.h_vertices, len(parts)))  # the new part's position
         parts.append(Part(len(parts) + 1, triple.h_vertices, triple.side_a, triple.side_b))
         uncovered -= triple.h_vertices
 
@@ -186,17 +197,22 @@ def decomposition_violation(
         if p.vertices & seen:
             return f"part {p.index}: overlaps an earlier part"
         seen |= p.vertices
-        if not is_connected(g, p.vertices):
+        # the crossing subgraph spans the part: when it is connected, so is the part
+        pieces = len(cross_components(g, p.vertices, p.side_a, p.side_b))
+        if pieces > 1 and not is_connected(g, p.vertices):
             return f"part {p.index}: not connected"
         if max_side_component(g, p.side_a) > bound or max_side_component(g, p.side_b) > bound:
             return f"part {p.index}: same-side component exceeds {bound}"
-        if len(cross_components(g, p.vertices, p.side_a, p.side_b)) > 1:
+        if pieces > 1:
             return f"part {p.index}: crossing subgraph disconnected"
     if seen != pool:
         return "parts do not cover the region"
 
     # tag[v] = 2 * (index of the part holding v) + (1 if v is on side B)
-    tag = {v: 2 * p.index + (v in p.side_b) for p in d.parts for v in p.vertices}
+    tag: dict[int, int] = {}
+    for p in d.parts:
+        tag.update(dict.fromkeys(p.side_a, 2 * p.index))
+        tag.update(dict.fromkeys(p.side_b, 2 * p.index + 1))
     adjacent: set[tuple[int, int]] = set()  # parts (j, k), j < k, joined by an edge
     touched: dict[int, set[int]] = {}  # per union-find root: the parts its component touches
     first_miss = None  # (prefix, vertex) of the first side check that fails

@@ -40,24 +40,22 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[Edge] = ()) -> None:
         if n < 0:
             raise GraphError("vertex count must be nonnegative")
-        seen: set[Edge] = set()
+        adj: list[set[int]] = [set() for _ in range(n)]
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise GraphError(f"self-loop at vertex {u}")
-            key = norm_edge(u, v)
-            if key in seen:
+            if v in adj[u]:
                 raise GraphError(f"duplicate edge ({u},{v})")
-            seen.add(key)
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in seen:
-            adj[u].append(v)
-            adj[v].append(u)
+            adj[u].add(v)
+            adj[v].add(u)
+        for v in range(n):  # in place: each set is freed as its frozen copy is made
+            adj[v] = frozenset(adj[v])
         self.n = n
-        self.m = len(seen)
+        self.m = sum(map(len, adj)) // 2
         self._nbrs = tuple(tuple(sorted(a)) for a in adj)
-        self._sets = tuple(frozenset(a) for a in adj)
+        self._sets = tuple(adj)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         """Neighbors of v in ascending order."""
@@ -65,6 +63,10 @@ class Graph:
 
     def adj(self, v: int) -> frozenset[int]:
         return self._sets[v]
+
+    def neighborhood(self, vertices: Iterable[int]) -> set[int]:
+        """Every neighbor of some vertex in `vertices`, in one C-level union."""
+        return set().union(*map(self._sets.__getitem__, vertices))
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self._sets[u]
@@ -96,9 +98,9 @@ class TreeSubgraph:
 
 def _checked_set(g: Graph, within: Iterable[int]) -> frozenset[int]:
     ws = frozenset(within)
-    for v in ws:
-        if not 0 <= v < g.n:
-            raise GraphError(f"vertex {v} out of range for n={g.n}")
+    if ws and (min(ws) < 0 or max(ws) >= g.n):
+        v = next(v for v in ws if not 0 <= v < g.n)
+        raise GraphError(f"vertex {v} out of range for n={g.n}")
     return ws
 
 

@@ -25,8 +25,8 @@ from .graph import (
     Graph,
     GraphError,
     InvariantViolation,
+    _checked_set,
     bfs,
-    connected_components,
     induced_edge_count,
     is_connected,
 )
@@ -200,14 +200,47 @@ def count_cross_edges(host: Graph, side_a: Iterable[int], side_b: Iterable[int])
 def cross_components(
     host: Graph, h_vertices: Iterable[int], side_a: Iterable[int], side_b: Iterable[int]
 ) -> list[frozenset[int]]:
-    """Components of the crossing subgraph: vertices of H, side-crossing edges only."""
+    """Components of the crossing subgraph: vertices of H, side-crossing edges
+    only, ordered by their minimum vertex.
+
+    Each piece is walked from its minimum vertex. From x the walk enters an
+    unseen neighbor on the side x is not on; both tests are set lookups made
+    in the loop, with no predicate call per edge.
+    """
+    hs = _checked_set(host, h_vertices)
     sa = frozenset(side_a)
     sb = frozenset(side_b)
-    return connected_components(host, h_vertices, lambda x, y: y in (sb if x in sa else sa))
+    unseen = set(hs)
+    out: list[frozenset[int]] = []
+    for s in sorted(hs):
+        if s in unseen:
+            unseen.discard(s)
+            piece = [s]
+            for x in piece:
+                other = sb if x in sa else sa
+                for y in host.neighbors(x):
+                    if y in other and y in unseen:
+                        unseen.discard(y)
+                        piece.append(y)
+            out.append(frozenset(piece))
+    return out
 
 
 def max_side_component(host: Graph, side: Iterable[int]) -> int:
-    return max((len(c) for c in connected_components(host, side)), default=0)
+    """Size of the largest component that `side` induces; 0 when it is empty.
+
+    A vertex with no neighbor on its own side is a component of size 1, so
+    a traversal (one `bfs` inside the side) starts only from the vertices
+    with a same-side neighbor, found by one union of neighbor sets.
+    """
+    ws = _checked_set(host, side)
+    largest = min(len(ws), 1)
+    linked = host.neighborhood(ws) & ws
+    while linked:
+        comp = bfs(host, linked.pop(), ws)
+        linked.difference_update(comp)
+        largest = max(largest, len(comp))
+    return largest
 
 
 def triple_violation(req: SpannerRequest, triple: Triple) -> str | None:
@@ -220,17 +253,20 @@ def triple_violation(req: SpannerRequest, triple: Triple) -> str | None:
         return "H misses a terminal"
     if not h <= req.component:
         return "H leaves the component"
-    if not is_connected(g, h):
+    # the crossing subgraph spans H: when it is connected, so is H
+    pieces = len(cross_components(g, h, a, b))
+    if pieces > 1 and not is_connected(g, h):
         return "H is not connected"
     if triple.cross_edges != count_cross_edges(g, a, b):
         return "crossing edge count is wrong"
     if max_side_component(g, a) > req.bound or max_side_component(g, b) > req.bound:
         return "a same-side component exceeds the bound"
-    if len(cross_components(g, h, a, b)) > 1:
+    if pieces > 1:
         return "crossing subgraph is disconnected"
-    for v in sorted(req.component - h):
+    # only region vertices adjacent to H can fail; the rest pass vacuously
+    for v in sorted((g.neighborhood(h) & req.component) - h):
         nbrs = g.adj(v)
-        if nbrs & h and (not nbrs & a or not nbrs & b):
+        if nbrs.isdisjoint(a) or nbrs.isdisjoint(b):
             return f"outside vertex {v} does not see both sides"
     return None
 
@@ -248,6 +284,15 @@ def refine_triple(req: SpannerRequest, start: Triple, on_move: OnMove | None = N
     Both moves strictly increase the crossing-edge count and preserve the
     side-component bound, so the loop ends within the region's induced edge
     count. Violations of either fact raise InvariantViolation.
+
+    That move cap is counted lazily, and the check stays exact. The edges
+    inside H are a lower bound on it, since H stays inside the region, and
+    they are known at no cost: an extended vertex brings exactly its gain
+    in edges into H, and a reconnect leaves H alone. While the move count
+    stays within that bound, it is within the cap too. The region's edges
+    are counted, once, only when a MoveEvent needs the cap or the move
+    count passes the bound. A correct run never passes it: every move adds
+    a crossing edge, and crossing edges lie inside H.
 
     Reconnects run first and recount crossing edges and side components
     from scratch. Extends keep the crossing subgraph connected, so once it
@@ -271,16 +316,19 @@ def refine_triple(req: SpannerRequest, start: Triple, on_move: OnMove | None = N
     if max_side_component(g, a) > req.bound or max_side_component(g, b) > req.bound:
         raise GraphError("start violates the side-component bound")
 
-    cap = induced_edge_count(g, req.component)
+    inner = induced_edge_count(g, h)  # edges inside H: a lower bound on the cap
+    cap: int | None = None  # the region's induced edge count, once counted
     cross = count_cross_edges(g, a, b)
     moves = 0
 
     def commit(kind: str, new_cross: int, bound_holds: bool) -> None:
-        nonlocal moves, cross
+        nonlocal moves, cross, cap
         moves += 1
         if new_cross <= cross:
             raise InvariantViolation("move failed to increase crossing edges")
-        if moves > cap:
+        if cap is None and (moves > inner or on_move is not None):
+            cap = induced_edge_count(g, req.component)
+        if cap is not None and moves > cap:
             raise InvariantViolation("move count exceeded the region's edge count")
         if not bound_holds:
             raise InvariantViolation("move broke the side-component bound")
@@ -315,9 +363,11 @@ def refine_triple(req: SpannerRequest, start: Triple, on_move: OnMove | None = N
             side, other = b, a
         else:
             continue  # sees both sides, and will for good: H only grows
+        gain = len(nbrs & other)  # v has no neighbor on `side`: all its edges into H
         h.add(v)
         side.add(v)
-        commit("extend", cross + len(nbrs & other), nbrs.isdisjoint(side))
+        inner += gain
+        commit("extend", cross + gain, nbrs.isdisjoint(side))
         enqueue_neighbors(v)
     return Triple(frozenset(h), frozenset(a), frozenset(b), cross)
 

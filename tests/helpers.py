@@ -2,7 +2,7 @@
 
 `bipartition_or_odd_cycle` is an independent bipartiteness check with an
 odd-cycle witness; the pipeline never needs one. `outcome` turns a call
-into its result or its GraphError, for comparing two implementations.
+into its result or its error, for comparing two implementations.
 `format_dimacs` writes the DIMACS text that `graph_io.read_dimacs` reads,
 for round-trip tests; the pipeline only reads DIMACS. `sparse_gnp` samples
 G(n,p) in time linear in n + m, for tests at sizes where the pair loop of
@@ -16,9 +16,12 @@ them:
   loops that `graph.bfs` replaced, the last being the second BFS, over the
   component's tree, that colored the stuck component in certificate
   extraction;
-* `cross_components_reference`: the stand-alone crossing-subgraph
-  traversal that `spanner.cross_components` replaced with a
-  predicate-restricted `connected_components` call;
+* `cross_components_reference`: the seed's stack-based crossing-subgraph
+  traversal;
+* `max_side_component_reference` and `triple_violation_reference`: the
+  side check that traverses from every vertex of the side, and the spanner
+  postcondition that runs the BFS connectivity test on every H and sweeps
+  every region vertex outside H;
 * `maximal_bipartite_part_reference`, `pick_component_reference` and
   `refine_triple_reference`: the versions that rescan the whole region on
   every step and recheck every local-search move from scratch;
@@ -26,7 +29,13 @@ them:
   frame per vertex;
 * `decomposition_violation_reference`: the recheck that recomputes the
   uncovered components at every prefix and scans every earlier part for
-  each of them, cubic in the worst case.
+  each of them, cubic in the worst case;
+* `build_auxiliary_reference` and `verify_coloring_reference`: the part
+  graph read off every edge of g, and the coloring verifier that sorts
+  every monochromatic component and scans every one for its defect.
+
+The references call each other rather than the rewritten functions, so a
+differential test compares two independent computations.
 """
 
 from __future__ import annotations
@@ -37,6 +46,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
+from oddcluster.coloring import ClusteredColoring, ColoringRejection, ColoringReport
 from oddcluster.decompose import Decomposition, Part, parts_adjacent
 from oddcluster.graph import (
     Edge,
@@ -44,9 +54,7 @@ from oddcluster.graph import (
     GraphError,
     InvariantViolation,
     TreeSubgraph,
-    connected_components,
     induced_edge_count,
-    is_connected,
     norm_edge,
 )
 from oddcluster.spanner import (
@@ -55,8 +63,6 @@ from oddcluster.spanner import (
     SpannerRequest,
     Triple,
     count_cross_edges,
-    cross_components,
-    max_side_component,
 )
 
 
@@ -71,12 +77,13 @@ class OddClosedWalk:
         return len(self.vertices) - 1
 
 
-def outcome(fn, *args):
-    """What a call returns, or the GraphError it raises, for differential tests."""
+def outcome(fn, *args, **kwargs):
+    """What a call returns, or the GraphError or InvariantViolation it
+    raises, for differential tests."""
     try:
-        return fn(*args)
-    except GraphError as exc:
-        return GraphError, str(exc)
+        return fn(*args, **kwargs)
+    except (GraphError, InvariantViolation) as exc:
+        return type(exc), str(exc)
 
 
 def sparse_gnp(n: int, p: float, seed: int = 0) -> Graph:
@@ -115,7 +122,7 @@ def bipartition_or_odd_cycle(
     ws = frozenset(within)
     if not ws:
         raise GraphError("within must be nonempty")
-    if not is_connected(g, ws):
+    if not is_connected_reference(g, ws):
         raise GraphError("within does not induce a connected subgraph")
     root = min(ws)
     parent = {root: root}
@@ -276,6 +283,12 @@ def cross_components_reference(
     return comps
 
 
+def max_side_component_reference(host: Graph, side: Iterable[int]) -> int:
+    """Size of the largest component that `side` induces, by a traversal
+    from every vertex of the side."""
+    return max((len(c) for c in connected_components_reference(host, side)), default=0)
+
+
 def maximal_bipartite_part_reference(g: Graph, within: Iterable[int] | None = None) -> Part:
     """Grow a connected bipartite induced set from the minimum vertex until no
     adjacent vertex can join without creating an odd cycle.
@@ -320,7 +333,7 @@ def pick_component_reference(
     uncovered = pool - covered
     if not uncovered:
         raise GraphError("nothing left to pick: parts cover the region")
-    comp = connected_components(g, uncovered)[0]
+    comp = connected_components_reference(g, uncovered)[0]
     adjacent = [p for p in parts if any(g.adj(v) & p.vertices for v in comp)]
     return comp, adjacent
 
@@ -336,7 +349,7 @@ def refine_triple_reference(req: SpannerRequest, start: Triple, on_move: OnMove 
         raise GraphError("start sides do not partition H")
     if not req.terminals <= start.h_vertices <= req.component:
         raise GraphError("start H must sit between terminals and component")
-    if max_side_component(g, a) > req.bound or max_side_component(g, b) > req.bound:
+    if max(max_side_component_reference(g, a), max_side_component_reference(g, b)) > req.bound:
         raise GraphError("start violates the side-component bound")
 
     cap = induced_edge_count(g, req.component)
@@ -344,7 +357,7 @@ def refine_triple_reference(req: SpannerRequest, start: Triple, on_move: OnMove 
     moves = 0
     while True:
         kind = None
-        comps = cross_components(g, h, a, b)
+        comps = cross_components_reference(g, h, a, b)
         if len(comps) > 1:
             top = min(h)
             x = next(c for c in comps if top in c)
@@ -376,12 +389,38 @@ def refine_triple_reference(req: SpannerRequest, start: Triple, on_move: OnMove 
             raise InvariantViolation("move failed to increase crossing edges")
         if moves > cap:
             raise InvariantViolation("move count exceeded the region's edge count")
-        if max_side_component(g, a) > req.bound or max_side_component(g, b) > req.bound:
+        if max(max_side_component_reference(g, a), max_side_component_reference(g, b)) > req.bound:
             raise InvariantViolation("move broke the side-component bound")
         if on_move is not None:
             on_move(MoveEvent(kind, cross, new_cross, moves, cap))
         cross = new_cross
     return Triple(frozenset(h), frozenset(a), frozenset(b), cross)
+
+
+def triple_violation_reference(req: SpannerRequest, triple: Triple) -> str | None:
+    """First violated spanner guarantee, or None: a BFS connectivity test on
+    H, and a sweep over every region vertex outside H."""
+    g = req.host
+    h, a, b = triple.h_vertices, triple.side_a, triple.side_b
+    if (a | b) != h or (a & b):
+        return "sides do not partition H"
+    if not req.terminals <= h:
+        return "H misses a terminal"
+    if not h <= req.component:
+        return "H leaves the component"
+    if not is_connected_reference(g, h):
+        return "H is not connected"
+    if triple.cross_edges != count_cross_edges(g, a, b):
+        return "crossing edge count is wrong"
+    if max(max_side_component_reference(g, a), max_side_component_reference(g, b)) > req.bound:
+        return "a same-side component exceeds the bound"
+    if len(cross_components_reference(g, h, a, b)) > 1:
+        return "crossing subgraph is disconnected"
+    for v in sorted(req.component - h):
+        nbrs = g.adj(v)
+        if nbrs & h and (not nbrs & a or not nbrs & b):
+            return f"outside vertex {v} does not see both sides"
+    return None
 
 
 def bounded_bipartition_reference(
@@ -465,11 +504,12 @@ def decomposition_violation_reference(
         if p.vertices & seen:
             return f"part {p.index}: overlaps an earlier part"
         seen |= p.vertices
-        if not is_connected(g, p.vertices):
+        if not is_connected_reference(g, p.vertices):
             return f"part {p.index}: not connected"
-        if max_side_component(g, p.side_a) > bound or max_side_component(g, p.side_b) > bound:
+        sides = (p.side_a, p.side_b)
+        if max(max_side_component_reference(g, side) for side in sides) > bound:
             return f"part {p.index}: same-side component exceeds {bound}"
-        if len(cross_components(g, p.vertices, p.side_a, p.side_b)) > 1:
+        if len(cross_components_reference(g, p.vertices, p.side_a, p.side_b)) > 1:
             return f"part {p.index}: crossing subgraph disconnected"
     if seen != pool:
         return "parts do not cover the region"
@@ -482,7 +522,7 @@ def decomposition_violation_reference(
             nbrs = g.adj(v)
             if nbrs & p.vertices and (not nbrs & p.side_a or not nbrs & p.side_b):
                 return f"vertex {v} adjacent to part {p.index} misses a side"
-        for comp in connected_components(g, rest):
+        for comp in connected_components_reference(g, rest):
             touched = [
                 q for q in d.parts[: p.index] if any(g.adj(w) & q.vertices for w in comp)
             ]
@@ -496,3 +536,82 @@ def decomposition_violation_reference(
                             "but are not adjacent"
                         )
     return None
+
+
+def build_auxiliary_reference(g: Graph, d: Decomposition) -> Graph:
+    """Graph on 0-based part positions, adjacent iff the parts are adjacent
+    in g, read off every edge of g; raises InvariantViolation above t-2
+    earlier neighbors."""
+    owner: dict[int, int] = {}
+    for pos, p in enumerate(d.parts):
+        for v in p.vertices:
+            owner[v] = pos
+    pairs: set[tuple[int, int]] = set()
+    for u, v in g.edges():
+        pu, pv = owner.get(u), owner.get(v)
+        if pu is None or pv is None or pu == pv:
+            continue
+        pairs.add(norm_edge(pu, pv))
+    aux = Graph(len(d.parts), sorted(pairs))
+    for pos in range(aux.n):
+        back = sum(1 for q in aux.neighbors(pos) if q < pos)
+        if back > d.t - 2:
+            raise InvariantViolation(
+                f"part {pos + 1} adjacent to {back} earlier parts, above t-2 = {d.t - 2}"
+            )
+    return aux
+
+
+def verify_coloring_reference(
+    g: Graph, coloring: ClusteredColoring, t: int
+) -> ColoringReport | ColoringRejection:
+    """Recompute monochromatic components from scratch, each one sorted and
+    scanned for its defect, and check at most 2t-2 colors and no component
+    above ceil((t-2)/2)."""
+    colors = coloring.colors
+    for v in range(g.n):
+        pair = colors.get(v)
+        if pair is None:
+            return ColoringRejection(f"vertex {v} is uncolored")
+        if not (isinstance(pair, tuple) and len(pair) == 2):
+            return ColoringRejection(f"vertex {v} color {pair!r} is malformed")
+        hue, side = pair
+        if not (isinstance(hue, int) and 1 <= hue <= t - 1) or side not in (1, 2):
+            return ColoringRejection(f"vertex {v} color {pair} out of range")
+
+    comps: list[list[int]] = []
+    unseen = set(range(g.n))
+    for s in range(g.n):
+        if s not in unseen:
+            continue
+        unseen.discard(s)
+        pair = colors[s]
+        comp = [s]
+        stack = [s]
+        while stack:
+            x = stack.pop()
+            for y in g.neighbors(x):
+                if y in unseen and colors[y] == pair:
+                    unseen.discard(y)
+                    comp.append(y)
+                    stack.append(y)
+        comps.append(sorted(comp))
+
+    used = len({colors[v] for v in range(g.n)})
+    max_component = max((len(c) for c in comps), default=0)
+    max_defect = 0
+    for comp in comps:
+        members = frozenset(comp)
+        inner = max((len(g.adj(v) & members) for v in comp), default=0)
+        max_defect = max(max_defect, inner)
+
+    if used > 2 * t - 2:
+        return ColoringRejection(f"{used} colors used, above the 2t-2 = {2 * t - 2} limit")
+    limit = (t - 1) // 2  # ceil((t-2)/2)
+    if max_component > limit:
+        offender = next(c for c in comps if len(c) > limit)
+        return ColoringRejection(
+            f"monochromatic component of size {len(offender)} exceeds {limit}",
+            tuple(offender),
+        )
+    return ColoringReport(used, max_component, max_defect)

@@ -29,6 +29,13 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
+class ClosedPipe(io.StringIO):
+    """A stdout whose reader is gone."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
 class TestColor:
     def test_c6_colored(self, tmp_path, capsys, c6):
         path = write_graph(tmp_path, c6)
@@ -40,6 +47,22 @@ class TestColor:
         assert payload["report"]["colors_used"] <= 4
         assert payload["report"]["max_component"] == 1
         assert json.loads((tmp_path / "coloring.json").read_text()) == payload["coloring"]
+
+    @pytest.mark.parametrize("g, code", [(gen.grid(30, 30), 0), (gen.complete(5), 3)], ids=["coloring", "certificate"])
+    def test_artifact_written_before_a_closed_stdout(self, tmp_path, capsys, monkeypatch, g, code):
+        art = tmp_path / "art.json"
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["color", "-i", write_graph(tmp_path, g), "--t", "3", "-o", str(art)]) == 1
+        assert capsys.readouterr().err == "error: cannot write stdout: [Errno 32] Broken pipe\n"
+        assert run_color(g, 3).exit_code == code
+        assert json.loads(art.read_text()) == run_color(g, 3).artifact
+
+    def test_unwritable_artifact_is_one_error_line(self, tmp_path, capsys, c6):
+        # the -o target is a directory: nothing reaches stdout
+        code, out, err = run_cli(capsys, "color", "-i", write_graph(tmp_path, c6), "--t", "3", "-o", str(tmp_path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: cannot write {tmp_path}: ") and err.count("\n") == 1
 
     def test_k5_certified(self, tmp_path, capsys, k5):
         path = write_graph(tmp_path, k5)
@@ -402,10 +425,6 @@ class TestInternalErrors:
 
     def test_exception_with_closed_stdout(self, tmp_path, capsys, monkeypatch, c6):
         # the error payload cannot be written either: still one stderr line
-        class ClosedPipe(io.StringIO):
-            def write(self, text):
-                raise BrokenPipeError(32, "Broken pipe")
-
         def fail(*args, **kwargs):
             raise InvariantViolation("forced invariant")
 

@@ -1,5 +1,8 @@
+import random
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oddcluster.coloring import (
     ClusteredColoring,
@@ -16,8 +19,10 @@ from oddcluster.coloring import (
 )
 from oddcluster.decompose import Decomposition, Part, decompose
 from oddcluster.graph import Graph
+from oddcluster import generators as gen
 
-from conftest import connected_graphs
+from conftest import connected_graphs, graphs
+from helpers import build_auxiliary_reference, outcome, verify_coloring_reference
 
 
 def path_of_parts():
@@ -177,3 +182,85 @@ class TestJson:
         a = ClusteredColoring(3, {0: (1, 1)})
         with pytest.raises(GraphError, match="overlap"):
             merge_colorings(3, [a, a])
+
+
+class TestAuxiliaryAgainstReference:
+    @pytest.mark.parametrize("t", [3, 4, 5])
+    @given(g=connected_graphs(max_n=20))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference_on_decompositions(self, t, g):
+        result = decompose(g, t)
+        if isinstance(result, Decomposition):
+            # rechecked at a smaller t too, where a part may see too many earlier ones
+            for t2 in range(3, t + 1):
+                d = Decomposition(t2, result.parts)
+                assert outcome(build_auxiliary, g, d) == outcome(build_auxiliary_reference, g, d)
+
+    @given(g=graphs(max_n=14), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference_on_disjoint_parts(self, g, data):
+        # parts from random labels; label -1 leaves a vertex outside every part
+        labels = data.draw(st.lists(st.integers(min_value=-1, max_value=4), min_size=g.n, max_size=g.n))
+        parts = []
+        for k in range(5):
+            vs = frozenset(v for v in range(g.n) if labels[v] == k)
+            if vs:
+                parts.append(Part(len(parts) + 1, vs, vs, frozenset()))
+        t = data.draw(st.integers(min_value=3, max_value=6))
+        d = Decomposition(t, tuple(parts))
+        assert outcome(build_auxiliary, g, d) == outcome(build_auxiliary_reference, g, d)
+
+
+def tampered_coloring(rng):
+    """A graph, t, and a coloring: the pipeline's own, or random pairs from a
+    small palette, then a few vertices recolored, some out of range, uncolored
+    or malformed."""
+    n = rng.randint(1, 24)
+    g = gen.connected_gnp(n, rng.uniform(0.05, 0.5), rng.randrange(10**6))
+    t = rng.randint(2, 6)
+    result = decompose(g, max(t, 3))
+    if isinstance(result, Decomposition) and rng.random() < 0.5:
+        d = Decomposition(max(t, 3), result.parts)
+        colors = dict(product_coloring(g, d, color_parts(build_auxiliary(g, d), d.t)).colors)
+    else:
+        colors = {v: (rng.randint(1, max(1, t - 1)), rng.randint(1, 2)) for v in range(n)}
+    for _ in range(rng.choice((0, 0, 1, 3))):
+        v = rng.randrange(n)
+        roll = rng.random()
+        if roll < 0.6:
+            colors[v] = (rng.randint(1, max(1, t - 1)), rng.randint(1, 2))
+        elif roll < 0.75:
+            colors[v] = (rng.randint(0, t), rng.randint(0, 3))
+        elif roll < 0.85:
+            colors.pop(v, None)
+        else:
+            colors[v] = rng.choice(([1, 1], (1, 1, 1), (1,), "11"))
+    return g, ClusteredColoring(t, colors), t
+
+
+class TestVerifierAgainstReference:
+    @given(rng=st.randoms(use_true_random=False))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_on_tampered_colorings(self, rng):
+        g, coloring, t = tampered_coloring(rng)
+        assert verify_coloring(g, coloring, t) == verify_coloring_reference(g, coloring, t)
+
+    def test_sweep_reaches_every_verdict(self):
+        reached = set()
+        for seed in range(500):
+            g, coloring, t = tampered_coloring(random.Random(seed))
+            expected = verify_coloring_reference(g, coloring, t)
+            assert verify_coloring(g, coloring, t) == expected, seed
+            if isinstance(expected, ColoringReport):
+                reached.add("report with defect" if expected.max_defect else "report")
+            else:
+                reached.add(" ".join(w for w in expected.reason.split() if w.isalpha()))
+        # the 2t-2 color limit cannot fail once every pair is in range
+        assert reached == {
+            "report",
+            "report with defect",
+            "vertex is uncolored",
+            "vertex color is malformed",
+            "vertex color out of range",
+            "monochromatic component of size exceeds",
+        }

@@ -1,4 +1,5 @@
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +34,15 @@ def uncovered_by(g, parts, pool=None):
     """The region (all of g when pool is None) minus the parts' vertices."""
     region = frozenset(range(g.n)) if pool is None else frozenset(pool)
     return region.difference(*(p.vertices for p in parts))
+
+
+def pick(g, parts, pool=None):
+    """pick_component as decompose calls it after the given parts, with the
+    owner map built from scratch and the cursor still at the start of the
+    region, so it must skip the covered vertices."""
+    region = range(g.n) if pool is None else pool
+    owner = {v: i for i, p in enumerate(parts) for v in p.vertices}
+    return pick_component(g, uncovered_by(g, parts, pool), deque(sorted(region)), owner, parts)
 
 
 @st.composite
@@ -101,28 +111,27 @@ class TestMaximalBipartitePart:
 class TestPickComponent:
     def test_k5_after_first_part(self, k5):
         first = maximal_bipartite_part(k5)
-        comp, adjacent = pick_component(k5, uncovered_by(k5, [first]), [first])
+        comp, adjacent = pick(k5, [first])
         assert comp == frozenset({2, 3, 4})
         assert adjacent == [first]
 
     def test_lowest_vertex_component_first(self):
         g = Graph(5, [(0, 1), (2, 3)])
         part = Part(1, frozenset({0, 1}), frozenset({0}), frozenset({1}))
-        comp, adjacent = pick_component(g, uncovered_by(g, [part]), [part])
+        comp, adjacent = pick(g, [part])
         assert comp == frozenset({2, 3})
         assert adjacent == []
 
     def test_all_covered_rejected(self, c6):
         part = maximal_bipartite_part(c6)
         with pytest.raises(GraphError, match="cover"):
-            pick_component(c6, uncovered_by(c6, [part]), [part])
+            pick(c6, [part])
 
     @given(graphs_with_parts())
     @settings(max_examples=300)
     def test_matches_reference_on_random_parts(self, case):
         g, parts, pool = case
-        uncovered = uncovered_by(g, parts, pool)
-        assert outcome(pick_component, g, uncovered, parts) == outcome(pick_component_reference, g, parts, pool)
+        assert outcome(pick, g, parts, pool) == outcome(pick_component_reference, g, parts, pool)
 
     @pytest.mark.parametrize("t", [3, 4, 5])
     @given(g=connected_graphs(max_n=20))
@@ -131,8 +140,7 @@ class TestPickComponent:
         parts = decompose(g, t).parts
         for k in range(1, len(parts) + 1):
             prefix = parts[:k]
-            uncovered = uncovered_by(g, prefix)
-            assert outcome(pick_component, g, uncovered, prefix) == outcome(pick_component_reference, g, prefix)
+            assert outcome(pick, g, prefix) == outcome(pick_component_reference, g, prefix)
 
 
 @pytest.mark.parametrize(
@@ -140,10 +148,11 @@ class TestPickComponent:
     [
         lambda g: maximal_bipartite_part(g, {-1, 0}),
         lambda g: maximal_bipartite_part(g, {0, 6}),
-        lambda g: pick_component(g, {-1, 0}, []),
-        lambda g: pick_component(g, {0, 6}, []),
+        lambda g: decompose(g, 3, {-1, 0}),
+        lambda g: decompose(g, 3, {0, 6}),
     ],
-    ids=["first-part-negative", "first-part-too-large", "pick-negative", "pick-too-large"],
+    # pick_component trusts the region, which decompose checks once
+    ids=["first-part-negative", "first-part-too-large", "decompose-negative", "decompose-too-large"],
 )
 def test_out_of_range_region_rejected(c6, call):
     with pytest.raises(GraphError, match="out of range"):
@@ -409,6 +418,22 @@ class TestRecheckAgainstReference:
             reached.add(expected and expected.split()[0])
         # None, then the side check, the part count and the part pair
         assert {None, "vertex", "a", "parts"} <= reached
+
+    @given(g=graphs(min_n=1, max_n=12), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_on_random_splits(self, g, data):
+        # parts from random labels, each split at random: the per-part checks
+        # (connected, same-side bound, crossing subgraph) fail in every order
+        labels = data.draw(st.lists(st.integers(min_value=0, max_value=3), min_size=g.n, max_size=g.n))
+        in_a = data.draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n))
+        parts = []
+        for k in range(4):
+            vs = frozenset(v for v in range(g.n) if labels[v] == k)
+            if vs:
+                a = frozenset(v for v in vs if in_a[v])
+                parts.append(Part(len(parts) + 1, vs, a, vs - a))
+        d = Decomposition(data.draw(st.integers(min_value=3, max_value=6)), tuple(parts))
+        assert decomposition_violation(g, d) == decomposition_violation_reference(g, d)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_reference_on_larger_graphs(self, seed):

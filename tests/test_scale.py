@@ -1,7 +1,7 @@
 """The pipeline at the sizes the benchmark serves, n=3000 sparse random and
-the 100x100 grid, and beyond them at n=5000 (marked slow) and n=10^4 sparse
-random, all at t=4. Each artifact must survive a JSON round trip and its
-own verifier."""
+the 100x100 grid, and beyond them at n=5000, n=10^4 and n=10^5 (marked
+slow) sparse random, all at t=4. Each artifact must survive a JSON round
+trip and its own verifier."""
 
 import json
 import math
@@ -21,8 +21,13 @@ from helpers import sparse_gnp
     [
         pytest.param(lambda: gen.connected_gnp(3000, 6 / 2999), id="gnp-3000"),
         pytest.param(lambda: gen.grid(100, 100), id="grid-100x100"),
-        pytest.param(lambda: gen.connected_gnp(5000, 6 / 4999), id="gnp-5000", marks=pytest.mark.slow),
+        pytest.param(lambda: gen.connected_gnp(5000, 6 / 4999), id="gnp-5000"),
         pytest.param(lambda: gen.chain_components(sparse_gnp(10**4, 6 / 9999)), id="sparse-gnp-10000"),
+        pytest.param(
+            lambda: gen.chain_components(sparse_gnp(10**5, 6 / (10**5 - 1))),
+            id="sparse-gnp-100000",
+            marks=pytest.mark.slow,
+        ),
     ],
 )
 def test_artifact_verifies_after_json_round_trip(make):

@@ -1,46 +1,49 @@
 import random
+import re
+from dataclasses import replace
 from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oddcluster.graph import Graph, GraphError, InvariantViolation, connected_components
+from oddcluster.graph import Graph, GraphError, InvariantViolation, bfs, connected_components
 from oddcluster.oracle import min_connector_bruteforce
 from oddcluster.spanner import (
     SpannerRequest,
     Triple,
     bounded_bipartition,
     build_spanner,
+    count_cross_edges,
     cross_components,
+    max_side_component,
     minimum_connector,
     refine_triple,
     triple_violation,
 )
 from oddcluster import generators as gen
+from oddcluster import spanner
 
 from conftest import graphs, graphs_with_terminals
 from helpers import (
     bounded_bipartition_reference,
     cross_components_reference,
+    max_side_component_reference,
+    outcome,
     refine_triple_reference,
+    triple_violation_reference,
 )
 
 
-def outcome(fn, *args, **kwargs):
-    """What a call returns, or the error it raises, for differential tests."""
-    try:
-        return fn(*args, **kwargs)
-    except (GraphError, InvariantViolation) as exc:
-        return type(exc), str(exc)
-
-
 def refine_both(req, start):
-    """refine_triple and its from-scratch reference on one start: outcomes and move events."""
+    """refine_triple and its from-scratch reference on one start: outcomes and
+    move events, `edge_cap` included. Without the event hook, which makes it
+    count the region's edges at once, refine_triple must end the same way."""
     runs = []
     for fn in (refine_triple, refine_triple_reference):
         events = []
         runs.append((outcome(fn, req, start, on_move=events.append), events))
+    assert outcome(refine_triple, req, start) == runs[0][0]
     return runs
 
 
@@ -67,6 +70,15 @@ def two_sided_splits(draw):
     return g, frozenset(h), side_a, frozenset(h) - side_a
 
 
+@st.composite
+def loose_sides(draw):
+    """H and two sides drawn independently: the sides may overlap, miss
+    vertices of H or hold vertices outside it."""
+    g = draw(graphs(max_n=14))
+    vertex_sets = st.sets(st.integers(min_value=0, max_value=g.n - 1))
+    return g, draw(vertex_sets), draw(vertex_sets), draw(vertex_sets)
+
+
 class TestCrossComponents:
     def test_c4_alternating_and_same_side(self):
         g = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
@@ -79,6 +91,31 @@ class TestCrossComponents:
     def test_matches_reference_traversal(self, case):
         g, h, side_a, side_b = case
         assert cross_components(g, h, side_a, side_b) == cross_components_reference(g, h, side_a, side_b)
+
+    @given(loose_sides())
+    @settings(max_examples=200)
+    def test_matches_reference_on_loose_sides(self, case):
+        g, h, side_a, side_b = case
+        assert cross_components(g, h, side_a, side_b) == cross_components_reference(g, h, side_a, side_b)
+
+    def test_out_of_range_rejected(self, c6):
+        with pytest.raises(GraphError, match="vertex 6 out of range"):
+            cross_components(c6, {0, 6}, {0}, {6})
+
+
+class TestMaxSideComponent:
+    def test_path_sides(self):
+        g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+        assert max_side_component(g, {0, 2, 4}) == 1
+        assert max_side_component(g, {0, 1, 2, 4}) == 3
+        assert max_side_component(g, ()) == 0
+
+    @given(g=graphs(max_n=14), data=st.data())
+    @settings(max_examples=300)
+    def test_matches_reference(self, g, data):
+        # a few out-of-range entries check the error and its message
+        side = data.draw(st.sets(st.integers(min_value=-2, max_value=g.n + 1)))
+        assert outcome(max_side_component, g, side) == outcome(max_side_component_reference, g, side)
 
 
 class TestMinimumConnector:
@@ -240,6 +277,21 @@ class TestRefine:
             kinds["error"] += isinstance(result, tuple)
         assert min(kinds.values()) > 0, kinds
 
+    @pytest.mark.parametrize("hooked", [True, False], ids=["with-events", "without-events"])
+    def test_cap_stops_a_runaway_loop_at_the_region_edge_count(self, monkeypatch, hooked):
+        # a crossing count that keeps rising and a crossing subgraph that never
+        # connects: move 7 passes the 6 edges of C6, with or without the hook
+        counts = iter(range(1, 100))
+        monkeypatch.setattr(spanner, "count_cross_edges", lambda *args: next(counts))
+        monkeypatch.setattr(spanner, "cross_components", lambda *args: [frozenset({0}), frozenset({1})])
+        g = gen.cycle(6)
+        req = SpannerRequest(g, frozenset(range(6)), frozenset({0}), 2)
+        start = Triple(frozenset({0, 1}), frozenset({0}), frozenset({1}), 1)
+        events = []
+        with pytest.raises(InvariantViolation, match="exceeded the region's edge count"):
+            refine_triple(req, start, on_move=events.append if hooked else None)
+        assert [(e.move_index, e.edge_cap) for e in events] == ([(i, 6) for i in range(1, 7)] if hooked else [])
+
     def test_bad_start_rejected(self):
         g = Graph(3, [(0, 1), (1, 2)])
         req = SpannerRequest(g, frozenset(range(3)), frozenset({0}), 1)
@@ -285,3 +337,78 @@ class TestBuildSpanner:
             if last is not None:
                 assert e.cross_before == last.cross_after
             last = e
+
+
+TAMPERS = ("flip", "drop", "add", "count", "overlap", "bound", "terminal", "region")
+
+
+def tampered_case(rng):
+    """A spanner request, on the whole graph or on a connected part of it,
+    and its built triple, then up to two random breaks: a vertex moved to
+    the other side, dropped from H or added to it from outside, a wrong
+    crossing count, a vertex on both sides, a smaller bound, a terminal
+    outside H, or a region that H leaves."""
+    n = rng.randint(1, 14)
+    g = gen.connected_gnp(n, rng.uniform(0.15, 0.6), rng.randrange(10**6))
+    order = list(bfs(g, rng.randrange(n), frozenset(range(n))))
+    region = frozenset(order[: rng.randint(1, n)] if rng.random() < 0.4 else order)
+    terms = frozenset(rng.sample(sorted(region), rng.randint(1, min(4, len(region)))))
+    req = SpannerRequest(g, region, terms, (len(terms) + 1) // 2)
+    triple = build_spanner(req)
+    h, a, b = set(triple.h_vertices), set(triple.side_a), set(triple.side_b)
+    cross = triple.cross_edges
+    for kind in rng.sample(TAMPERS, rng.randint(0, 2)):
+        outside = sorted(req.component - h)
+        v = rng.choice(sorted(h))
+        if kind == "flip":
+            (a, b) = (a - {v}, b | {v}) if v in a else (a | {v}, b - {v})
+        elif kind == "drop" and len(h) > 1:
+            h, a, b = h - {v}, a - {v}, b - {v}
+        elif kind == "add" and outside:
+            w = rng.choice(outside)
+            h.add(w)
+            (a if rng.random() < 0.5 else b).add(w)
+        elif kind == "count":
+            cross += rng.choice((-1, 1))
+        elif kind == "overlap":
+            a.add(v)
+            b.add(v)
+        elif kind == "bound" and req.bound > 1:
+            req = replace(req, bound=req.bound - 1)
+        elif kind == "terminal" and outside:
+            req = replace(req, terminals=req.terminals | {rng.choice(outside)})
+        elif kind == "region":
+            req = replace(req, component=req.component - {v})
+        if kind in ("flip", "drop", "add") and rng.random() < 0.8:
+            cross = count_cross_edges(g, a, b)  # so later checks get their turn
+    return req, Triple(frozenset(h), frozenset(a), frozenset(b), cross)
+
+
+TRIPLE_MESSAGES = (
+    "sides do not partition H",
+    "H misses a terminal",
+    "H leaves the component",
+    "H is not connected",
+    "crossing edge count is wrong",
+    "a same-side component exceeds the bound",
+    "crossing subgraph is disconnected",
+    "outside vertex v does not see both sides",
+)
+
+
+class TestTripleViolationAgainstReference:
+    @given(rng=st.randoms(use_true_random=False))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_on_tampered_triples(self, rng):
+        req, triple = tampered_case(rng)
+        assert outcome(triple_violation, req, triple) == outcome(triple_violation_reference, req, triple)
+
+    def test_sweep_reaches_every_message(self):
+        reached = set()
+        for seed in range(800):
+            req, triple = tampered_case(random.Random(seed))
+            expected = triple_violation_reference(req, triple)
+            assert triple_violation(req, triple) == expected, seed
+            reached.add(expected and re.sub(r"\d+", "v", expected))
+        assert reached == {None, *TRIPLE_MESSAGES}
+
