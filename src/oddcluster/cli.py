@@ -1,5 +1,5 @@
-"""Command-line surface: color-or-certify, verify artifacts, generate graphs,
-render DOT, and query the toy oracle.
+"""Command-line surface: color-or-certify, verify artifacts, generate graphs
+and render DOT.
 
 Exit codes: 0 colored/accepted, 1 usage or parse error, 2 verification
 rejected, 3 odd-minor certificate emitted, 4 internal error: a self-check,
@@ -47,7 +47,6 @@ from .decompose import (
 from .generators import complete, connected_bipartite, connected_gnp, cycle, gnp, grid, random_bipartite
 from .graph import Graph, GraphError, connected_components
 from .graph_io import FORMATS, format_edgelist, load_graph, load_json
-from .oracle import BudgetExceeded, OracleBudget, has_odd_expansion
 from .spanner import OnMove
 
 EXIT_OK = 0
@@ -173,31 +172,39 @@ def cmd_color(args: argparse.Namespace) -> int:
     return result.exit_code
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    g = load_graph(args.input, args.format)
-    obj = load_json(args.artifact)
+def _load_artifact(path: str) -> OddExpansionCertificate | ClusteredColoring:
+    """The one reader of artifact files for `verify` and `dot`: a JSON object
+    holding "trees" is a certificate, one holding "colors" a coloring, and
+    anything else raises GraphError."""
+    obj = load_json(path)
     if not isinstance(obj, dict):
         raise GraphError("artifact JSON must be an object")
     if "trees" in obj:
-        cert = certificate_from_json(obj)
-        reason = verify_certificate(g, cert)
+        return certificate_from_json(obj)
+    if "colors" in obj:
+        return coloring_from_json(obj)
+    raise GraphError("artifact is neither a coloring nor a certificate")
+
+
+def cmd_verify(args: argparse.Namespace) -> int:
+    g = load_graph(args.input, args.format)
+    artifact = _load_artifact(args.artifact)
+    if isinstance(artifact, OddExpansionCertificate):
+        reason = verify_certificate(g, artifact)
         if reason is not None:
             _emit({"accepted": False, "reason": reason})
             return EXIT_REJECT
-        _emit({"accepted": True, "kind": "certificate", "t": cert.t})
+        _emit({"accepted": True, "kind": "certificate", "t": artifact.t})
         return EXIT_OK
-    if "colors" in obj:
-        coloring = coloring_from_json(obj)
-        if len(coloring.colors) != g.n:
-            _emit({"accepted": False, "reason": f"coloring covers {len(coloring.colors)} of {g.n} vertices"})
-            return EXIT_REJECT
-        checked = verify_coloring(g, coloring, coloring.t)
-        if isinstance(checked, ColoringRejection):
-            _emit({"accepted": False, "reason": checked.reason, "component": list(checked.component)})
-            return EXIT_REJECT
-        _emit({"accepted": True, "kind": "coloring", "report": report_to_json(checked)})
-        return EXIT_OK
-    raise GraphError("artifact is neither a coloring nor a certificate")
+    if len(artifact.colors) != g.n:
+        _emit({"accepted": False, "reason": f"coloring covers {len(artifact.colors)} of {g.n} vertices"})
+        return EXIT_REJECT
+    checked = verify_coloring(g, artifact, artifact.t)
+    if isinstance(checked, ColoringRejection):
+        _emit({"accepted": False, "reason": checked.reason, "component": list(checked.component)})
+        return EXIT_REJECT
+    _emit({"accepted": True, "kind": "coloring", "report": report_to_json(checked)})
+    return EXIT_OK
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -234,43 +241,42 @@ _PALETTE = (
 )
 
 
-def render_dot(g: Graph, artifact: dict | None = None) -> str:
+def render_dot(g: Graph, artifact: OddExpansionCertificate | ClusteredColoring | None = None) -> str:
     """DOT text for the graph, tinting vertices by coloring or grouping
-    certificate trees into clusters. Purely presentational."""
+    certificate trees into clusters. Purely presentational: the artifact is
+    not verified, only checked to name the graph's vertices."""
     lines = ["graph G {", "  node [style=filled, fillcolor=white];"]
     drawn: set[tuple[int, int]] = set()
-    if artifact is not None and "trees" in artifact:
-        cert = certificate_from_json(artifact)
-        for v in cert.coloring:
+    if isinstance(artifact, OddExpansionCertificate):
+        for v in artifact.coloring:
             if not 0 <= v < g.n:
                 raise GraphError(f"certificate vertex {v} out of range for n={g.n}")
-        for tree in cert.trees:
+        for tree in artifact.trees:
             for v in tree.vertices:
-                if v not in cert.coloring:
+                if v not in artifact.coloring:
                     raise GraphError(f"certificate coloring misses vertex {v}")
-        for i, tree in enumerate(cert.trees):
+        for i, tree in enumerate(artifact.trees):
             lines.append(f"  subgraph cluster_{i} {{")
             lines.append(f'    label="tree {i}";')
             for v in sorted(tree.vertices):
-                fill = _PALETTE[(cert.coloring[v] - 1) % len(_PALETTE)]
+                fill = _PALETTE[(artifact.coloring[v] - 1) % len(_PALETTE)]
                 lines.append(f'    {v} [fillcolor="{fill}"];')
             for u, v in sorted(tree.edges):
                 lines.append(f"    {u} -- {v};")
                 drawn.add((u, v))
             lines.append("  }")
-        for (i, j), (u, v) in sorted(cert.joins.items()):
+        for (i, j), (u, v) in sorted(artifact.joins.items()):
             a, b = min(u, v), max(u, v)
             lines.append(f'  {a} -- {b} [penwidth=2, label="join {i}-{j}"];')
             drawn.add((a, b))
-    elif artifact is not None and "colors" in artifact:
-        coloring = coloring_from_json(artifact)
-        if len(coloring.colors) != g.n:
-            raise GraphError(f"coloring covers {len(coloring.colors)} of {g.n} vertices")
+    elif isinstance(artifact, ClusteredColoring):
+        if len(artifact.colors) != g.n:
+            raise GraphError(f"coloring covers {len(artifact.colors)} of {g.n} vertices")
         palette: dict[tuple[int, int], str] = {}
-        for pair in sorted(set(coloring.colors.values())):
+        for pair in sorted(set(artifact.colors.values())):
             palette[pair] = _PALETTE[len(palette) % len(_PALETTE)]
         for v in range(g.n):
-            pair = coloring.colors[v]
+            pair = artifact.colors[v]
             lines.append(f'  {v} [fillcolor="{palette[pair]}", label="{v} ({pair[0]},{pair[1]})"];')
     else:
         for v in range(g.n):
@@ -284,20 +290,12 @@ def render_dot(g: Graph, artifact: dict | None = None) -> str:
 
 def cmd_dot(args: argparse.Namespace) -> int:
     g = load_graph(args.input, args.format)
-    artifact = load_json(args.artifact) if args.artifact else None
+    artifact = _load_artifact(args.artifact) if args.artifact else None
     text = render_dot(g, artifact)
     if args.output:
         _write_text(args.output, text)
     else:
         _write_stdout(text)
-    return EXIT_OK
-
-
-def cmd_oracle(args: argparse.Namespace) -> int:
-    g = load_graph(args.input, args.format)
-    budget = OracleBudget(max_n=args.budget_n, max_t=args.budget_t)
-    answer = has_odd_expansion(g, args.t, budget)
-    _emit({"odd_minor": answer, "t": args.t})
     return EXIT_OK
 
 
@@ -334,13 +332,6 @@ def _build_parser() -> _Parser:
     p_dot = sub.add_parser("dot", help="render the graph (plus optional artifact) as DOT")
     add_io(p_dot, artifact=True)
     p_dot.set_defaults(func=cmd_dot)
-
-    p_oracle = sub.add_parser("oracle", help="exact odd-minor test at toy scale")
-    add_io(p_oracle)
-    p_oracle.add_argument("--t", type=int, required=True)
-    p_oracle.add_argument("--budget-n", type=int, default=9)
-    p_oracle.add_argument("--budget-t", type=int, default=4)
-    p_oracle.set_defaults(func=cmd_oracle)
     return parser
 
 
@@ -352,7 +343,7 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (GraphError, BudgetExceeded) as exc:
+    except GraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:

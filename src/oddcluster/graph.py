@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import AbstractSet, Callable, Iterable
 
 Edge = tuple[int, int]
+MAX_VERTICES = 10**7  # 100x the 10^5 scale target; the adjacency sets cost ~240 B a vertex
 
 
 class GraphError(ValueError):
@@ -30,9 +31,9 @@ def norm_edge(u: int, v: int) -> Edge:
 class Graph:
     """Simple undirected graph on vertex ids 0..n-1, immutable once built.
 
-    Self-loops, duplicate edges and out-of-range endpoints are rejected.
-    Neighbor lists are kept sorted, which makes every traversal in this
-    package deterministic.
+    Self-loops, duplicate edges, out-of-range endpoints and more than
+    MAX_VERTICES vertices are rejected. Neighbor lists are kept sorted,
+    which makes every traversal in this package deterministic.
     """
 
     __slots__ = ("n", "m", "_nbrs", "_sets")
@@ -40,6 +41,8 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[Edge] = ()) -> None:
         if n < 0:
             raise GraphError("vertex count must be nonnegative")
+        if n > MAX_VERTICES:  # checked before anything is allocated
+            raise GraphError(f"vertex count {n} above the limit of {MAX_VERTICES}")
         adj: list[set[int]] = [set() for _ in range(n)]
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):

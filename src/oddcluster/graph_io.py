@@ -108,7 +108,9 @@ def load_json(path: str | Path) -> Any:
         raise GraphError(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(text, object_pairs_hook=_unique_keys)
-    except json.JSONDecodeError as exc:
+    except GraphError:
+        raise
+    except (ValueError, RecursionError) as exc:  # bad syntax, an integer past the digit limit, too deep
         raise GraphError(f"invalid JSON in {path}: {exc}") from exc
 
 

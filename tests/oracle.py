@@ -1,9 +1,8 @@
 """Exhaustive ground truth at toy scale.
 
-Used by tests and the CLI's `oracle` subcommand only: exact odd
-clique-expansion existence by enumerating 2-colorings, and exact minimum
-connectors by subset enumeration. Everything is deterministic so failures
-reproduce.
+Used by the tests only: exact odd clique-expansion existence by
+enumerating 2-colorings, and exact minimum connectors by subset
+enumeration. Everything is deterministic so failures reproduce.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graph import Graph, GraphError, is_connected
+from oddcluster.graph import Graph, GraphError, is_connected
 
 BRUTE_N_CAP = 12
 SEARCH_NODE_LIMIT = 5_000_000  # branch-set search nodes per has_odd_expansion call

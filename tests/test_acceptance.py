@@ -23,8 +23,9 @@ from oddcluster.coloring import (
 )
 from oddcluster.decompose import StuckState, decompose, decomposition_violation
 from oddcluster.graph import Graph, InvariantViolation
-from oddcluster.oracle import OracleBudget, has_odd_expansion, min_connector_bruteforce
 from oddcluster.spanner import minimum_connector
+
+from oracle import OracleBudget, has_odd_expansion, min_connector_bruteforce
 
 N_RANDOM = 500
 N_BIPARTITE = 200

@@ -10,7 +10,7 @@ from oddcluster import cli
 from oddcluster.cli import EXIT_INTERNAL, main, run_color
 from oddcluster.coloring import ColoringRejection
 from oddcluster.decompose import decompose
-from oddcluster.graph import Graph, InvariantViolation
+from oddcluster.graph import MAX_VERTICES, Graph, InvariantViolation
 from oddcluster.graph_io import format_edgelist, load_graph
 from oddcluster import generators as gen
 
@@ -113,6 +113,17 @@ class TestColor:
         code, out, err = run_cli(capsys, *argv)
         assert code == 1 and out == ""
         assert err.startswith(f"error: cannot read {bad}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "fmt, header", [("edgelist", f"{MAX_VERTICES + 1} 0"), ("dimacs", f"p edge {MAX_VERTICES + 1} 0")]
+    )
+    def test_vertex_count_above_limit(self, tmp_path, capsys, fmt, header):
+        # refused from the header alone, before any adjacency set is allocated
+        path = tmp_path / "huge.txt"
+        path.write_text(header + "\n")
+        code, out, err = run_cli(capsys, "color", "-i", str(path), "--format", fmt, "--t", "3")
+        assert code == 1 and out == ""
+        assert err == f"error: vertex count {MAX_VERTICES + 1} above the limit of {MAX_VERTICES}\n"
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "color", "-i", "/nonexistent", "--t", "3")
@@ -295,6 +306,45 @@ class TestVerify:
         assert code == 1
 
 
+class TestArtifactReader:
+    """`verify` and `dot` share one artifact reader: what it refuses is exit 1
+    with the same single error line from both commands, and nothing on stdout."""
+
+    @pytest.mark.parametrize("command", ["verify", "dot"])
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("16", "artifact JSON must be an object"),
+            ("1.5", "artifact JSON must be an object"),
+            ("[1,2]", "artifact JSON must be an object"),
+            ("null", "artifact JSON must be an object"),
+            ("{}", "artifact is neither a coloring nor a certificate"),
+            ('{"t":3}', "artifact is neither a coloring nor a certificate"),
+        ],
+        ids=["int", "float", "list", "null", "empty-object", "t-only"],
+    )
+    def test_not_an_artifact(self, tmp_path, capsys, c6, command, text, message):
+        art = tmp_path / "art.json"
+        art.write_text(text)
+        code, out, err = run_cli(capsys, command, "-i", write_graph(tmp_path, c6), "--artifact", str(art))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("command", ["verify", "dot"])
+    @pytest.mark.parametrize(
+        "text",
+        ['{"t": ' + "9" * 4400 + ', "colors": []}', "[" * 5000 + "]" * 5000],
+        ids=["integer-past-digit-limit", "nesting-past-recursion-limit"],
+    )
+    def test_json_past_the_decoder_limits(self, tmp_path, capsys, c6, command, text):
+        # found by test_fuzz.py: the decoder raised ValueError or RecursionError,
+        # which ended in an internal error
+        art = tmp_path / "art.json"
+        art.write_text(text)
+        code, out, err = run_cli(capsys, command, "-i", write_graph(tmp_path, c6), "--artifact", str(art))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: invalid JSON in {art}: ") and err.count("\n") == 1
+
+
 class TestGen:
     def test_cycle_file(self, tmp_path, capsys):
         out_path = str(tmp_path / "c5.txt")
@@ -367,22 +417,6 @@ class TestDot:
         art_path.write_text(json.dumps(artifact))
         code, _, _ = run_cli(capsys, "dot", "-i", graph_path, "--artifact", str(art_path))
         assert code == 1
-
-
-class TestOracle:
-    def test_c5(self, tmp_path, capsys, c5):
-        graph_path = write_graph(tmp_path, c5)
-        code, out, _ = run_cli(capsys, "oracle", "-i", graph_path, "--t", "3")
-        assert code == 0
-        assert json.loads(out) == {"odd_minor": True, "t": 3}
-
-    def test_budget_flag(self, tmp_path, capsys):
-        graph_path = write_graph(tmp_path, gen.petersen())
-        code, _, _ = run_cli(capsys, "oracle", "-i", graph_path, "--t", "3")
-        assert code == 1  # default budget caps n at 9
-        code, out, _ = run_cli(capsys, "oracle", "-i", graph_path, "--t", "3", "--budget-n", "10")
-        assert code == 0
-        assert json.loads(out)["odd_minor"] is True
 
 
 class TestInternalErrors:

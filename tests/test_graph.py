@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oddcluster.graph import (
+    MAX_VERTICES,
     Graph,
     GraphError,
     bfs,
@@ -131,6 +132,12 @@ class TestConstruction:
     def test_negative_n_rejected(self):
         with pytest.raises(GraphError):
             Graph(-1, [])
+
+    # only counts above the limit: one at or below it would allocate its sets
+    @pytest.mark.parametrize("n", [MAX_VERTICES + 1, 10**12], ids=["limit-plus-one", "huge"])
+    def test_vertex_count_above_limit_rejected(self, n):
+        with pytest.raises(GraphError, match=f"vertex count {n} above the limit of {MAX_VERTICES}"):
+            Graph(n)
 
     def test_neighbors_sorted(self):
         g = Graph(4, [(2, 0), (2, 3), (2, 1)])

@@ -2,17 +2,17 @@ import pytest
 from hypothesis import given, settings
 
 from oddcluster.graph import Graph, GraphError
-from oddcluster.oracle import (
-    BudgetExceeded,
-    OracleBudget,
-    has_odd_expansion,
-    min_connector_bruteforce,
-)
 from oddcluster.spanner import minimum_connector
 from oddcluster import generators as gen
 
 from conftest import connected_graphs, graphs, graphs_with_terminals
 from helpers import OddClosedWalk, bipartition_or_odd_cycle
+from oracle import (
+    BudgetExceeded,
+    OracleBudget,
+    has_odd_expansion,
+    min_connector_bruteforce,
+)
 
 
 class TestHasOddExpansion:

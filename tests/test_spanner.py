@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oddcluster.graph import Graph, GraphError, InvariantViolation, bfs, connected_components
-from oddcluster.oracle import min_connector_bruteforce
 from oddcluster.spanner import (
     SpannerRequest,
     Triple,
@@ -33,6 +32,7 @@ from helpers import (
     refine_triple_reference,
     triple_violation_reference,
 )
+from oracle import min_connector_bruteforce
 
 
 def refine_both(req, start):

@@ -2,11 +2,14 @@
 
 import ast
 import importlib
+import importlib.util
 import inspect
 from pathlib import Path
 
 import oddcluster
-from oddcluster.cli import run_color
+from oddcluster import generators as gen
+from oddcluster.cli import main, run_color
+from oddcluster.graph_io import format_edgelist
 
 WORKER = Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
 
@@ -44,3 +47,19 @@ def test_decompose_is_the_submodule():
 def test_all_names_resolve():
     for name in oddcluster.__all__:
         assert getattr(oddcluster, name) is not None, name
+
+
+def test_oracle_is_not_shipped():
+    # the brute-force oracle is test code (tests/oracle.py), not package code
+    assert importlib.util.find_spec("oddcluster.oracle") is None
+
+
+def test_subcommands_are_the_contract(tmp_path, capsys):
+    path = tmp_path / "c5.txt"
+    path.write_text(format_edgelist(gen.cycle(5)))
+    assert main(["oracle", "-i", str(path), "--t", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: ") and captured.err.count("\n") == 1
+    choices = captured.err.split("(choose from ")[1].rsplit(")", 1)[0]
+    assert [c.strip(" '") for c in choices.split(",")] == ["color", "verify", "gen", "dot"]
