@@ -13,9 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, GraphError, InvariantViolation, TreeSubgraph, bfs, spanning_tree
+from .graph import Graph, GraphError, InvariantViolation, TreeSubgraph, bfs, norm_edge
 from .graph_io import json_int, json_pair
 from .decompose import StuckState, parts_adjacent
+from .spanner import cross_bfs
 
 
 @dataclass(frozen=True)
@@ -53,19 +54,16 @@ def extract_certificate(g: Graph, t: int, stuck: StuckState) -> OddExpansionCert
     trees: list[TreeSubgraph] = []
     coloring: dict[int, int] = {}
     for p in parts:
-        side_a, side_b = p.side_a, p.side_b
-
-        def crossing(u: int, v: int, _a=side_a, _b=side_b) -> bool:
-            return (u in _a and v in _b) or (u in _b and v in _a)
-
-        trees.append(spanning_tree(g, p.vertices, crossing))
-        for v in side_a:
+        walk = dict(zip(*cross_bfs(g, min(p.vertices), set(p.vertices), p.side_a, p.side_b)))
+        trees.append(_tree(walk, p.vertices, f"part {p.index}'s crossing edges do not span it"))
+        for v in p.side_a:
             coloring[v] = 1
-        for v in side_b:
+        for v in p.side_b:
             coloring[v] = 2
 
-    trees.append(spanning_tree(g, comp))
-    for v, p in bfs(g, min(comp), comp).items():
+    walk = bfs(g, min(comp), comp)
+    trees.append(_tree(walk, comp, "the stuck component is not connected"))
+    for v, p in walk.items():
         coloring[v] = 1 if v == p else 3 - coloring[p]
 
     joins: dict[tuple[int, int], tuple[int, int]] = {}
@@ -83,6 +81,13 @@ def extract_certificate(g: Graph, t: int, stuck: StuckState) -> OddExpansionCert
                 )
             joins[(i, j)] = (min(anchors), y)
     return OddExpansionCertificate(t, tuple(trees), coloring, joins)
+
+
+def _tree(parent: dict[int, int], vertices: frozenset[int], error: str) -> TreeSubgraph:
+    """The tree of a BFS parent map; GraphError(error) unless it reaches all of `vertices`."""
+    if len(parent) != len(vertices):
+        raise GraphError(error)
+    return TreeSubgraph(vertices, frozenset(norm_edge(v, p) for v, p in parent.items() if v != p))
 
 
 def verify_certificate(g: Graph, cert: OddExpansionCertificate) -> str | None:

@@ -248,7 +248,9 @@ def render_dot(g: Graph, artifact: OddExpansionCertificate | ClusteredColoring |
     lines = ["graph G {", "  node [style=filled, fillcolor=white];"]
     drawn: set[tuple[int, int]] = set()
     if isinstance(artifact, OddExpansionCertificate):
-        for v in artifact.coloring:
+        ends = [v for tree in artifact.trees for e in tree.edges for v in e]
+        ends += [v for e in artifact.joins.values() for v in e]
+        for v in [*artifact.coloring, *ends]:  # tree vertices must be colored, below
             if not 0 <= v < g.n:
                 raise GraphError(f"certificate vertex {v} out of range for n={g.n}")
         for tree in artifact.trees:
@@ -303,21 +305,20 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="oddcluster", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def add_io(p: _Parser, artifact: bool = False) -> None:
+    def add_input(p: _Parser) -> None:
         p.add_argument("--input", "-i", required=True, help="graph file")
         p.add_argument("--format", choices=FORMATS, default="edgelist")
-        p.add_argument("--output", "-o", default=None)
-        if artifact:
-            p.add_argument("--artifact", help="coloring or certificate JSON file")
 
     p_color = sub.add_parser("color", help="color the graph or emit an odd-minor certificate")
-    add_io(p_color)
+    add_input(p_color)
+    p_color.add_argument("--output", "-o", default=None)
     p_color.add_argument("--t", type=int, required=True, help="clique parameter, at least 3")
     p_color.add_argument("--verbose", "-v", action="store_true", help="include decompositions in output")
     p_color.set_defaults(func=cmd_color)
 
     p_verify = sub.add_parser("verify", help="check an artifact against a graph")
-    add_io(p_verify, artifact=True)
+    add_input(p_verify)  # and no --output: verify only prints its verdict
+    p_verify.add_argument("--artifact", required=True, help="coloring or certificate JSON file")
     p_verify.set_defaults(func=cmd_verify)
 
     p_gen = sub.add_parser("gen", help="write a deterministic graph in edge-list format")
@@ -330,7 +331,9 @@ def _build_parser() -> _Parser:
     p_gen.set_defaults(func=cmd_gen)
 
     p_dot = sub.add_parser("dot", help="render the graph (plus optional artifact) as DOT")
-    add_io(p_dot, artifact=True)
+    add_input(p_dot)
+    p_dot.add_argument("--output", "-o", default=None)
+    p_dot.add_argument("--artifact", help="coloring or certificate JSON file to draw")
     p_dot.set_defaults(func=cmd_dot)
     return parser
 

@@ -1,16 +1,16 @@
 """Immutable simple-graph core: construction and traversal primitives.
 
-`bfs` is the construction side's one breadth-first search: from a root,
-inside a vertex set, optionally along the edges a predicate accepts,
-neighbors in ascending order. Its parent map, in visit order, gives the
-reached set, the visit order, tree edges and depth parity. Components,
-connectivity and spanning trees below are built on it.
+`bfs` is the construction side's one breadth-first search over induced
+subgraphs: from a root, inside a vertex set, neighbors in ascending order.
+Its parent map, in visit order, gives the reached set, the visit order,
+tree edges and depth parity. Components and connectivity below are built
+on it. The walk along side-crossing edges only is `spanner.cross_bfs`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import AbstractSet, Callable, Iterable
+from typing import AbstractSet, Iterable
 
 Edge = tuple[int, int]
 MAX_VERTICES = 10**7  # 100x the 10^5 scale target; the adjacency sets cost ~240 B a vertex
@@ -107,75 +107,40 @@ def _checked_set(g: Graph, within: Iterable[int]) -> frozenset[int]:
     return ws
 
 
-def bfs(
-    g: Graph,
-    root: int,
-    within: AbstractSet[int],
-    allowed: Callable[[int, int], bool] | None = None,
-) -> dict[int, int]:
+def bfs(g: Graph, root: int, within: AbstractSet[int]) -> dict[int, int]:
     """Breadth-first search from `root`: the parent of every vertex reached,
     in visit order, with the root as its own parent.
 
-    Neighbors are visited in ascending order. The search enters only
-    vertices of `within` and, when `allowed` is given, follows only the
-    edges (x, y) it accepts.
+    Neighbors are visited in ascending order, and the search enters only
+    vertices of `within`.
     """
     parent = {root: root}
     order = [root]
     for x in order:
         for y in g.neighbors(x):
-            if y in within and y not in parent and (allowed is None or allowed(x, y)):
+            if y in within and y not in parent:
                 parent[y] = x
                 order.append(y)
     return parent
 
 
-def connected_components(
-    g: Graph,
-    within: Iterable[int] | None = None,
-    allowed: Callable[[int, int], bool] | None = None,
-) -> list[frozenset[int]]:
-    """Maximal connected pieces of the (restricted) vertex set, optionally
-    using only the edges (x, y) the `allowed` predicate accepts.
-
-    Pieces are ordered by their minimum contained vertex.
-    """
-    pool = frozenset(range(g.n)) if within is None else _checked_set(g, within)
+def connected_components(g: Graph) -> list[frozenset[int]]:
+    """Maximal connected pieces of g, ordered by their minimum vertex."""
     out: list[frozenset[int]] = []
-    unseen = set(pool)
-    for s in sorted(pool):
+    unseen = set(range(g.n))
+    for s in range(g.n):
         if s in unseen:
-            comp = frozenset(bfs(g, s, unseen, allowed))
+            comp = frozenset(bfs(g, s, unseen))
             unseen -= comp
             out.append(comp)
     return out
 
 
-def is_connected(g: Graph, within: Iterable[int] | None = None) -> bool:
-    ws = frozenset(range(g.n)) if within is None else _checked_set(g, within)
+def is_connected(g: Graph, within: Iterable[int]) -> bool:
+    ws = _checked_set(g, within)
     return not ws or len(bfs(g, min(ws), ws)) == len(ws)
 
 
 def induced_edge_count(g: Graph, vertices: Iterable[int]) -> int:
     vs = frozenset(vertices)
     return sum(len(g.adj(v) & vs) for v in vs) // 2
-
-
-def spanning_tree(
-    g: Graph,
-    within: Iterable[int],
-    allowed: Callable[[int, int], bool] | None = None,
-) -> TreeSubgraph:
-    """Deterministic BFS tree covering `within`.
-
-    Rooted at the minimum vertex, neighbors visited in ascending order,
-    optionally restricted to edges the `allowed` predicate accepts.
-    """
-    ws = _checked_set(g, within)
-    if not ws:
-        raise GraphError("within must be nonempty")
-    parent = bfs(g, min(ws), ws, allowed)
-    if len(parent) != len(ws):
-        raise GraphError("restricted subgraph on `within` is disconnected")
-    edges = frozenset(norm_edge(v, p) for v, p in parent.items() if v != p)
-    return TreeSubgraph(ws, edges)

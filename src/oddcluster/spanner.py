@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import AbstractSet, Callable, Iterable
 
 from .graph import (
     Graph,
@@ -197,33 +197,43 @@ def count_cross_edges(host: Graph, side_a: Iterable[int], side_b: Iterable[int])
     return sum(len(host.adj(v) & b) for v in side_a)
 
 
+def cross_bfs(
+    host: Graph, root: int, unseen: set[int], side_a: AbstractSet[int], side_b: AbstractSet[int]
+) -> tuple[list[int], list[int]]:
+    """Breadth-first search of the crossing subgraph from `root`: the vertices
+    reached in visit order, and the parent of each, the root being its own.
+
+    From x the walk enters a neighbor that is still in `unseen`, in
+    ascending order, on the side x is not on, and removes from `unseen`
+    every vertex it enters, the root included. Both tests are set lookups
+    made in the loop, with no predicate call per edge. Two lists rather
+    than `bfs`'s parent map, because the spanner checks need only the
+    order and a list append costs less than a dict store.
+    """
+    unseen.discard(root)
+    order = [root]
+    parents = [root]
+    for x in order:
+        other = side_b if x in side_a else side_a
+        for y in host.neighbors(x):
+            if y in other and y in unseen:
+                unseen.discard(y)
+                order.append(y)
+                parents.append(x)
+    return order, parents
+
+
 def cross_components(
     host: Graph, h_vertices: Iterable[int], side_a: Iterable[int], side_b: Iterable[int]
 ) -> list[frozenset[int]]:
     """Components of the crossing subgraph: vertices of H, side-crossing edges
-    only, ordered by their minimum vertex.
-
-    Each piece is walked from its minimum vertex. From x the walk enters an
-    unseen neighbor on the side x is not on; both tests are set lookups made
-    in the loop, with no predicate call per edge.
-    """
+    only, ordered by their minimum vertex. Each is one `cross_bfs` from its
+    minimum vertex, sharing one unseen set."""
     hs = _checked_set(host, h_vertices)
     sa = frozenset(side_a)
     sb = frozenset(side_b)
     unseen = set(hs)
-    out: list[frozenset[int]] = []
-    for s in sorted(hs):
-        if s in unseen:
-            unseen.discard(s)
-            piece = [s]
-            for x in piece:
-                other = sb if x in sa else sa
-                for y in host.neighbors(x):
-                    if y in other and y in unseen:
-                        unseen.discard(y)
-                        piece.append(y)
-            out.append(frozenset(piece))
-    return out
+    return [frozenset(cross_bfs(host, s, unseen, sa, sb)[0]) for s in sorted(hs) if s in unseen]
 
 
 def max_side_component(host: Graph, side: Iterable[int]) -> int:

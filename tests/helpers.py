@@ -11,11 +11,13 @@ seed. The `*_reference` functions are earlier versions of pipeline
 functions, kept so differential tests can compare the rewrites against
 them:
 
-* `connected_components_reference`, `is_connected_reference`,
-  `spanning_tree_reference` and `tree_depth_parity_reference`: the deque
-  loops that `graph.bfs` replaced, the last being the second BFS, over the
-  component's tree, that colored the stuck component in certificate
-  extraction;
+* `connected_components_reference`, `is_connected_reference` and
+  `tree_depth_parity_reference`: the deque loops that `graph.bfs`
+  replaced, the last being the second BFS, over the component's tree, that
+  colored the stuck component in certificate extraction;
+* `spanning_tree_reference`: the reference for the trees certificate
+  extraction builds, from `spanner.cross_bfs` for each part (with a
+  crossing-edge predicate) and from `graph.bfs` for the stuck component;
 * `cross_components_reference`: the seed's stack-based crossing-subgraph
   traversal;
 * `max_side_component_reference` and `triple_violation_reference`: the

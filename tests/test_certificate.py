@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,8 +11,8 @@ from oddcluster.certificate import (
     extract_certificate,
     verify_certificate,
 )
-from oddcluster.decompose import StuckState, decompose
-from oddcluster.generators import complete
+from oddcluster.decompose import Part, StuckState, decompose
+from oddcluster.generators import complete, gnp
 from oddcluster.graph import Graph, GraphError, TreeSubgraph
 
 from conftest import connected_graphs
@@ -38,6 +40,17 @@ def clique_with_tail(draw):
 STUCK_GRAPHS = st.one_of(connected_graphs(min_n=3, max_n=14), clique_with_tail())
 
 
+def assert_part_trees_match_reference(g, t, stuck):
+    """Each part tree extraction takes from the crossing walk is the
+    reference BFS tree over the part's side-crossing edges."""
+    cert = extract_certificate(g, t, stuck)
+    parts = sorted(stuck.adjacent_parts, key=lambda p: p.index)[: t - 1]
+    for p, tree in zip(parts, cert.trees):
+        a, b = p.side_a, p.side_b
+        crossing = lambda x, y: (x in a and y in b) or (x in b and y in a)  # noqa: E731
+        assert tree == spanning_tree_reference(g, p.vertices, crossing)
+
+
 @pytest.fixture
 def k5_certificate(k5):
     stuck = decompose(k5, 3)
@@ -60,6 +73,24 @@ class TestExtraction:
         stuck = decompose(k5, 3)
         with pytest.raises(GraphError, match="adjacent parts"):
             extract_certificate(k5, 4, stuck)
+
+    def test_part_without_spanning_crossing_edges_rejected(self, k5):
+        # part 1 is {0,1}; with both vertices on side A no edge of it crosses
+        stuck = decompose(k5, 3)
+        first = stuck.adjacent_parts[0]
+        assert first == Part(1, frozenset({0, 1}), frozenset({0}), frozenset({1}))
+        bad = replace(first, side_a=first.vertices, side_b=frozenset())
+        stuck = replace(stuck, adjacent_parts=(bad,) + stuck.adjacent_parts[1:])
+        with pytest.raises(GraphError, match="part 1's crossing edges do not span it"):
+            extract_certificate(k5, 3, stuck)
+
+    def test_disconnected_component_rejected(self):
+        # K5 plus a vertex 5 on 0..3 but not on 4: the parts of K5 stay
+        # adjacent to {4, 5}, which is not connected
+        g = Graph(6, complete(5).edges() + [(v, 5) for v in range(4)])
+        stuck = replace(decompose(complete(5), 3), component=frozenset({4, 5}))
+        with pytest.raises(GraphError, match="the stuck component is not connected"):
+            extract_certificate(g, 3, stuck)
 
 
 class TestVerifier:
@@ -162,6 +193,25 @@ class TestRoundTripProperty:
         assert {v: cert.coloring[v] for v in tree.vertices} == {
             v: 1 if p == 0 else 2 for v, p in parity.items()
         }
+
+    @pytest.mark.parametrize("t", [3, 4, 5])
+    @given(g=STUCK_GRAPHS)
+    @settings(max_examples=60, deadline=None)
+    def test_part_trees_match_reference(self, t, g):
+        outcome = decompose(g, t)
+        if isinstance(outcome, StuckState):
+            assert_part_trees_match_reference(g, t, outcome)
+
+    def test_part_trees_match_reference_on_dense_gnp(self):
+        stuck = 0
+        for seed in range(60):
+            g = gnp(10 + seed % 9, 0.5 + (seed % 5) / 10, seed)
+            t = 3 + seed % 3
+            outcome = decompose(g, t)
+            if isinstance(outcome, StuckState):
+                stuck += 1
+                assert_part_trees_match_reference(g, t, outcome)
+        assert stuck >= 30
 
     @given(STUCK_GRAPHS)
     @settings(max_examples=120, deadline=None)

@@ -305,6 +305,22 @@ class TestVerify:
         code, _, _ = run_cli(capsys, "verify", "-i", graph_path, "--artifact", str(art_path))
         assert code == 1
 
+    def test_output_flag_rejected(self, tmp_path, capsys, k5):
+        # verify prints its verdict and writes no file
+        art_path = tmp_path / "cert.json"
+        art_path.write_text(json.dumps(run_color(k5, 3).artifact))
+        target = tmp_path / "x"
+        argv = ["verify", "-i", write_graph(tmp_path, k5), "--artifact", str(art_path), "-o", str(target)]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == f"usage error: unrecognized arguments: -o {target}\n"
+        assert not target.exists()
+
+    def test_missing_artifact_is_a_usage_error(self, tmp_path, capsys, k5):
+        code, out, err = run_cli(capsys, "verify", "-i", write_graph(tmp_path, k5))
+        assert (code, out) == (1, "")
+        assert err == "usage error: the following arguments are required: --artifact\n"
+
 
 class TestArtifactReader:
     """`verify` and `dot` share one artifact reader: what it refuses is exit 1
@@ -417,6 +433,25 @@ class TestDot:
         art_path.write_text(json.dumps(artifact))
         code, _, _ = run_cli(capsys, "dot", "-i", graph_path, "--artifact", str(art_path))
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "edit, vertex",
+        [
+            (lambda art: art["trees"][0].update(edges=[[0, 77]]), 77),
+            (lambda art: art["joins"][0].update(edge=[0, 99]), 99),
+        ],
+        ids=["tree-edge", "join"],
+    )
+    def test_certificate_edge_out_of_range(self, tmp_path, capsys, k5, edit, vertex):
+        # K5 at t=3: tree 0 is {0,1}, and join 0-1 is the first join
+        artifact = json.loads(json.dumps(run_color(k5, 3).artifact))
+        assert artifact["trees"][0]["edges"] == [[0, 1]] and artifact["joins"][0]["pair"] == [0, 1]
+        edit(artifact)
+        art_path = tmp_path / "cert.json"
+        art_path.write_text(json.dumps(artifact))
+        code, out, err = run_cli(capsys, "dot", "-i", write_graph(tmp_path, k5), "--artifact", str(art_path))
+        assert (code, out) == (1, "")
+        assert err == f"error: certificate vertex {vertex} out of range for n=5\n"
 
 
 class TestInternalErrors:

@@ -6,12 +6,14 @@ from oddcluster.graph import (
     MAX_VERTICES,
     Graph,
     GraphError,
+    TreeSubgraph,
     bfs,
     connected_components,
     induced_edge_count,
     is_connected,
-    spanning_tree,
+    norm_edge,
 )
+from oddcluster.spanner import cross_bfs
 
 from conftest import graphs, connected_graphs
 from helpers import (
@@ -26,12 +28,22 @@ from helpers import (
 
 @st.composite
 def graphs_with_regions(draw):
-    """A graph, a vertex subset, and a crossing-edge predicate: the edges
-    whose endpoints got different labels, as in a part's crossing subgraph."""
+    """A graph, a vertex subset, and a side A; the rest of the graph is side
+    B, and the edges between the sides form the crossing subgraph."""
     g = draw(graphs(min_n=1, max_n=14))
-    region = draw(st.sets(st.integers(min_value=0, max_value=g.n - 1)))
-    labels = draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n))
-    return g, region, lambda x, y: labels[x] != labels[y]
+    vertex_sets = st.sets(st.integers(min_value=0, max_value=g.n - 1))
+    return g, draw(vertex_sets), frozenset(draw(vertex_sets))
+
+
+def sides_and_predicate(g, side_a):
+    """The two sides, and the crossing-edge predicate the references take."""
+    side_b = frozenset(range(g.n)) - side_a
+    return side_a, side_b, lambda x, y: (x in side_a) != (y in side_a)
+
+
+def parent_tree(parent):
+    """The tree a BFS parent map spans: its vertices and parent edges."""
+    return TreeSubgraph(frozenset(parent), frozenset(norm_edge(v, p) for v, p in parent.items() if v != p))
 
 
 class TestBfs:
@@ -47,24 +59,26 @@ class TestBfs:
         assert list(bfs(g, 1, {0, 1, 3, 4}).items()) == [(1, 1), (0, 1), (4, 0)]
 
     def test_follows_allowed_edges_only(self):
-        g = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-        assert bfs(g, 0, frozenset(range(4)), lambda x, y: {x, y} != {0, 3}) == {
-            0: 0,
-            1: 0,
-            2: 1,
-            3: 2,
-        }
+        # the crossing walk: on C5 with sides {0,2,4} and {1,3}, the edge
+        # (4,0) stays on side A, so 4 is reached the long way round
+        g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+        assert cross_bfs(g, 0, set(range(5)), {0, 2, 4}, {1, 3}) == ([0, 1, 2, 3, 4], [0, 0, 1, 2, 3])
 
     @given(graphs_with_regions())
     @settings(max_examples=200)
     def test_is_a_shortest_path_tree_of_the_root_component(self, case):
-        g, region, allowed = case
+        # the crossing walk, against the reference's components of the
+        # crossing subgraph
+        g, region, side_a = case
         if not region:
             return
+        side_a, side_b, allowed = sides_and_predicate(g, side_a)
         root = min(region)
-        parent = bfs(g, root, region, allowed)
+        unseen = set(region)
+        parent = dict(zip(*cross_bfs(g, root, unseen, side_a, side_b)))
         comps = connected_components_reference(g, region, allowed)
         assert set(parent) == next(c for c in comps if root in c)
+        assert unseen == region - set(parent)
         depth = {}
         for v, p in parent.items():
             if v == root:
@@ -82,29 +96,34 @@ class TestAgainstReference:
     @given(graphs_with_regions())
     @settings(max_examples=300)
     def test_connected_components(self, case):
-        g, region, allowed = case
-        for within in (None, region):
-            assert connected_components(g, within) == connected_components_reference(g, within)
-            assert connected_components(g, within, allowed) == connected_components_reference(
-                g, within, allowed
-            )
+        g, _, _ = case
+        assert connected_components(g) == connected_components_reference(g)
 
     @given(graphs_with_regions())
     @settings(max_examples=300)
     def test_is_connected(self, case):
         g, region, _ = case
-        for within in (None, region, region | {g.n}):
+        for within in (range(g.n), region, region | {g.n}):
             assert outcome(is_connected, g, within) == outcome(is_connected_reference, g, within)
 
     @given(graphs_with_regions())
     @settings(max_examples=300)
     def test_spanning_tree(self, case):
-        g, region, allowed = case
-        for within in (range(g.n), region):
-            assert outcome(spanning_tree, g, within) == outcome(spanning_tree_reference, g, within)
-            assert outcome(spanning_tree, g, within, allowed) == outcome(
-                spanning_tree_reference, g, within, allowed
-            )
+        # the trees certificate extraction takes from `bfs` and `cross_bfs`
+        # against the reference BFS trees, plain and crossing-only
+        g, region, side_a = case
+        side_a, side_b, allowed = sides_and_predicate(g, side_a)
+        for within in (frozenset(range(g.n)), frozenset(region)):
+            if not within:
+                continue
+            root = min(within)
+            crossing = dict(zip(*cross_bfs(g, root, set(within), side_a, side_b)))
+            for parent, allow in ((bfs(g, root, within), None), (crossing, allowed)):
+                reference = outcome(spanning_tree_reference, g, within, allow)
+                if len(parent) == len(within):
+                    assert parent_tree(parent) == reference
+                else:
+                    assert reference == (GraphError, "restricted subgraph on `within` is disconnected")
 
 
 class TestConstruction:
@@ -155,11 +174,12 @@ class TestComponents:
 
     def test_c4_opposite_restriction(self):
         g = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-        assert connected_components(g, {0, 2}) == [frozenset({0}), frozenset({2})]
+        assert bfs(g, 0, {0, 2}) == {0: 0}
+        assert not is_connected(g, {0, 2})
 
     def test_restriction_out_of_range(self):
-        with pytest.raises(GraphError):
-            connected_components(Graph(2, []), {5})
+        with pytest.raises(GraphError, match="vertex 5 out of range"):
+            is_connected(Graph(2, []), {5})
 
     @given(graphs(max_n=12))
     def test_partition_properties(self, g):
@@ -214,27 +234,28 @@ class TestBipartition:
 
 
 class TestSpanningTree:
+    """The BFS parent maps that certificate extraction turns into trees."""
+
     def test_cycle(self):
         g = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-        tree = spanning_tree(g, range(4))
+        tree = parent_tree(bfs(g, 0, frozenset(range(4))))
         assert len(tree.edges) == 3
         assert tree.vertices == frozenset(range(4))
 
     def test_tree_is_itself(self):
         g = Graph(4, [(0, 1), (1, 2), (1, 3)])
-        tree = spanning_tree(g, range(4))
+        tree = parent_tree(bfs(g, 0, frozenset(range(4))))
         assert tree.edges == frozenset({(0, 1), (1, 2), (1, 3)})
 
     def test_restricted_disconnected(self):
+        # sides {0,3} and {1,2}: only the edges (0,1) and (2,3) cross
         g = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-        horizontal = {(0, 1), (2, 3)}
-        with pytest.raises(GraphError, match="disconnected"):
-            spanning_tree(g, range(4), lambda u, v: tuple(sorted((u, v))) in horizontal)
+        assert cross_bfs(g, 0, set(range(4)), {0, 3}, {1, 2}) == ([0, 1], [0, 0])
 
     @given(connected_graphs(min_n=1, max_n=10))
     @settings(max_examples=60)
     def test_invariants(self, g):
-        tree = spanning_tree(g, range(g.n))
+        tree = parent_tree(bfs(g, 0, frozenset(range(g.n))))
         assert len(tree.edges) == len(tree.vertices) - 1
         for u, v in tree.edges:
             assert g.has_edge(u, v)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oddcluster.graph import Graph, GraphError, InvariantViolation, bfs, connected_components
+from oddcluster.graph import Graph, GraphError, InvariantViolation, bfs
 from oddcluster.spanner import (
     SpannerRequest,
     Triple,
@@ -26,6 +26,7 @@ from oddcluster import spanner
 from conftest import graphs, graphs_with_terminals
 from helpers import (
     bounded_bipartition_reference,
+    connected_components_reference,
     cross_components_reference,
     max_side_component_reference,
     outcome,
@@ -54,8 +55,8 @@ def splits_within_bound(g, vertices, bound):
     for bits in product((0, 1), repeat=len(vs)):
         a = frozenset(v for v, b in zip(vs, bits) if b == 0)
         b = frozenset(v for v, bb in zip(vs, bits) if bb == 1)
-        if all(len(c) <= bound for c in connected_components(g, a)) and all(
-            len(c) <= bound for c in connected_components(g, b)
+        if all(len(c) <= bound for c in connected_components_reference(g, a)) and all(
+            len(c) <= bound for c in connected_components_reference(g, b)
         ):
             out.append((a, b))
     return out
@@ -181,7 +182,7 @@ class TestBoundedBipartition:
         assert side_a | side_b == connector and not side_a & side_b
         assert (side_a, side_b) in splits_within_bound(g, connector, bound) or len(connector) > 12
         for side in (side_a, side_b):
-            assert all(len(c) <= bound for c in connected_components(g, side))
+            assert all(len(c) <= bound for c in connected_components_reference(g, side))
 
     def test_matches_recursive_reference(self):
         # dense enough that many splits need backtracking and many fail
@@ -265,7 +266,7 @@ class TestRefine:
             h = frozenset(v for v in range(n) if rng.random() < 0.6) or frozenset({0})
             side_a = frozenset(v for v in h if rng.random() < 0.5)
             side_b = h - side_a
-            pieces = connected_components(g, side_a) + connected_components(g, side_b)
+            pieces = connected_components_reference(g, side_a) + connected_components_reference(g, side_b)
             bound = max([1] + [len(c) for c in pieces])
             terms = frozenset(v for v in h if rng.random() < 0.3)
             req = SpannerRequest(g, frozenset(range(n)), terms, bound)
