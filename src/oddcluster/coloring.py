@@ -43,7 +43,9 @@ def build_auxiliary(g: Graph, d: Decomposition) -> Graph:
     Raises InvariantViolation if some position sees more than t-2 earlier
     ones, which would break the greedy hue bound.
     """
-    owner = {v: pos for pos, p in enumerate(d.parts) for v in p.vertices}
+    owner: dict[int, int] = {}
+    for pos, p in enumerate(d.parts):
+        owner.update(dict.fromkeys(p.vertices, pos))
     pairs: set[tuple[int, int]] = set()
     for pos, p in enumerate(d.parts):
         boundary = g.neighborhood(p.vertices) - p.vertices
@@ -76,10 +78,8 @@ def product_coloring(g: Graph, d: Decomposition, part_hues: dict[int, int]) -> C
     colors: dict[int, tuple[int, int]] = {}
     for p in d.parts:
         hue = part_hues[p.index]
-        for v in p.side_a:
-            colors[v] = (hue, 1)
-        for v in p.side_b:
-            colors[v] = (hue, 2)
+        colors.update(dict.fromkeys(p.side_a, (hue, 1)))
+        colors.update(dict.fromkeys(p.side_b, (hue, 2)))
     return ClusteredColoring(d.t, colors)
 
 
@@ -100,8 +100,18 @@ def verify_coloring(g: Graph, coloring: ClusteredColoring, t: int) -> ColoringRe
 
     Shares nothing with the construction. The defect (maximum degree inside
     a monochromatic component) is reported but not enforced.
+
+    Each vertex's color is validated on its own (a check per class would let
+    a float hue (1.0, 1) pass under the class (1, 1)) in the pass that
+    groups the vertices by color. Per class, one union of neighbor sets,
+    intersected with the class, finds the vertices with a same-color
+    neighbor. Only those are walked, in ascending order, so each component
+    starts at its minimum vertex and the first oversize one is found as in a
+    walk of every vertex. Every other vertex is a component of its own, so
+    below t=3, where the bound is 0, the offender is vertex 0's component.
     """
     colors = coloring.colors
+    classes: dict[tuple[int, int], list[int]] = {}
     for v in range(g.n):
         pair = colors.get(v)
         if pair is None:
@@ -111,10 +121,14 @@ def verify_coloring(g: Graph, coloring: ClusteredColoring, t: int) -> ColoringRe
         hue, side = pair
         if not (isinstance(hue, int) and 1 <= hue <= t - 1) or side not in (1, 2):
             return ColoringRejection(f"vertex {v} color {pair} out of range")
+        classes.setdefault(pair, []).append(v)
 
-    comps: list[list[int]] = []
-    unseen = set(range(g.n))
-    for s in range(g.n):
+    linked: set[int] = set()  # vertices with a neighbor of their own color
+    for members in classes.values():
+        linked.update(g.neighborhood(members).intersection(members))
+    comps: list[list[int]] = []  # the components of two or more vertices
+    unseen = set(linked)
+    for s in sorted(linked):
         if s not in unseen:
             continue
         unseen.discard(s)
@@ -127,19 +141,21 @@ def verify_coloring(g: Graph, coloring: ClusteredColoring, t: int) -> ColoringRe
                     comp.append(y)
         comps.append(comp)
 
-    used = len({colors[v] for v in range(g.n)})
-    max_component = max(map(len, comps), default=0)
+    used = len(classes)
+    max_component = max(map(len, comps), default=min(g.n, 1))
     max_defect = 0
     for comp in comps:
-        if len(comp) > 1:  # a single vertex has defect 0
-            members = frozenset(comp)
-            max_defect = max(max_defect, max(len(g.adj(v) & members) for v in comp))
+        members = frozenset(comp)
+        max_defect = max(max_defect, max(len(g.adj(v) & members) for v in comp))
 
     if used > 2 * t - 2:
         return ColoringRejection(f"{used} colors used, above the 2t-2 = {2 * t - 2} limit")
     limit = (t - 1) // 2  # ceil((t-2)/2)
     if max_component > limit:
-        offender = next(c for c in comps if len(c) > limit)
+        if limit >= 1:
+            offender = next(c for c in comps if len(c) > limit)
+        else:  # every component is oversize: the first is vertex 0's
+            offender = comps[0] if comps and comps[0][0] == 0 else [0]
         return ColoringRejection(
             f"monochromatic component of size {len(offender)} exceeds {limit}",
             tuple(sorted(offender)),
@@ -148,12 +164,10 @@ def verify_coloring(g: Graph, coloring: ClusteredColoring, t: int) -> ColoringRe
 
 
 def coloring_to_json(coloring: ClusteredColoring, n: int) -> dict:
-    rows = []
-    for v in range(n):
-        pair = coloring.colors.get(v)
-        if pair is None:
-            raise GraphError(f"vertex {v} is uncolored")
-        rows.append([pair[0], pair[1]])
+    try:
+        rows = list(map(list, map(coloring.colors.__getitem__, range(n))))
+    except KeyError as exc:  # the first vertex without a color
+        raise GraphError(f"vertex {exc.args[0]} is uncolored") from None
     return {"t": coloring.t, "colors": rows}
 
 

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress
+from operator import not_
 from typing import AbstractSet, Iterable, Sequence, Union
 
-from .graph import Graph, GraphError, InvariantViolation, bfs, is_connected
+from .graph import Graph, GraphError, InvariantViolation, _checked_set, bfs, is_connected
 from .spanner import (
     OnMove,
     SpannerRequest,
@@ -87,9 +88,10 @@ def pick_component(
     pending: deque[int],
     owner: dict[int, int],
     parts: Sequence[Part],
-) -> tuple[frozenset[int], list[Part]]:
-    """Component of `uncovered` holding its minimum vertex, plus every part
-    adjacent to it in ascending index order.
+) -> tuple[frozenset[int], list[Part], list[int]]:
+    """Component of `uncovered` holding its minimum vertex, every part
+    adjacent to it in ascending index order, and per adjacent part its
+    terminal: the minimum component vertex next to that part.
 
     The caller keeps the state across calls: `uncovered`, the region minus
     the parts; `pending`, a sorted queue holding every uncovered vertex,
@@ -97,6 +99,7 @@ def pick_component(
     that only moves forward; `owner`, the position in `parts` of every
     covered vertex. One BFS walks the component alone; its covered
     neighbors are the boundary, and the adjacent parts are their owners.
+    Each terminal takes one C-level scan of the component's neighbor sets.
     """
     while pending and pending[0] not in uncovered:
         pending.popleft()
@@ -104,7 +107,12 @@ def pick_component(
         raise GraphError("nothing left to pick: parts cover the region")
     comp = frozenset(bfs(g, pending[0], uncovered))
     boundary = g.neighborhood(comp) & owner.keys()  # its covered neighbors
-    return comp, [parts[i] for i in sorted(set(map(owner.__getitem__, boundary)))]
+    adjacent = [parts[i] for i in sorted(set(map(owner.__getitem__, boundary)))]
+    terminals = [  # per part, the least component vertex with a neighbor in it
+        min(compress(comp, map(not_, map(p.vertices.isdisjoint, map(g.adj, comp)))))
+        for p in adjacent
+    ]
+    return comp, adjacent, terminals
 
 
 def decompose(
@@ -116,29 +124,33 @@ def decompose(
     """Build parts until the region is covered, or halt with a StuckState
     when a component sees t-1 earlier parts.
 
-    The region must induce a connected subgraph (callers split disconnected
-    graphs beforehand); that test also checks, once, that its vertices are
-    in range, so pick_component need not. Every picked component's adjacent parts must be
-    pairwise adjacent; a miss is a bug, not an input problem. A completed
-    run is rechecked from scratch by decomposition_violation before it is
-    returned.
+    The region must induce a connected subgraph; its vertices are
+    range-checked once, here, so pick_component need not. A completed run
+    proves it connected without a walk: part 1 is connected, and every later
+    part is connected and holds a terminal next to an earlier part, so the
+    parts, which cover the region, form a connected union. A picked
+    component that touches no part proves the region disconnected; only a
+    stuck run, which covers less, walks the region before it returns.
+
+    Every picked component's adjacent parts must be pairwise adjacent; a
+    miss is a bug, not an input problem. A completed run is rechecked from
+    scratch by decomposition_violation before it is returned.
     """
     if t < 3:
         raise GraphError("t must be >= 3")
-    pool = frozenset(range(g.n)) if within is None else frozenset(within)
+    pool = frozenset(range(g.n)) if within is None else _checked_set(g, within)
     if not pool:
         raise GraphError("empty region")
-    if not is_connected(g, pool):
-        raise GraphError("region must induce a connected subgraph")
+    disconnected = "region must induce a connected subgraph"
 
     parts = [maximal_bipartite_part(g, pool)]
     owner = dict.fromkeys(parts[0].vertices, 0)
     uncovered = set(pool) - parts[0].vertices
     pending = deque(sorted(uncovered))
     while uncovered:
-        comp, adjacent = pick_component(g, uncovered, pending, owner, parts)
+        comp, adjacent, terminals = pick_component(g, uncovered, pending, owner, parts)
         if not adjacent:
-            raise InvariantViolation("uncovered component with no adjacent part")
+            raise GraphError(disconnected)
         for i, p in enumerate(adjacent):
             for q in adjacent[i + 1 :]:
                 if not parts_adjacent(g, p, q):
@@ -146,11 +158,11 @@ def decompose(
                         f"adjacent parts {p.index} and {q.index} are not pairwise adjacent"
                     )
         if len(adjacent) >= t - 1:
+            if not is_connected(g, pool):
+                raise GraphError(disconnected)
             return StuckState(comp, tuple(adjacent), tuple(parts))
-        terminals = {
-            min(v for v in comp if g.adj(v) & p.vertices) for p in adjacent
-        }
-        req = SpannerRequest(g, comp, frozenset(terminals), (len(terminals) + 1) // 2)
+        terms = frozenset(terminals)
+        req = SpannerRequest(g, comp, terms, (len(terms) + 1) // 2)
         triple = build_spanner(req, on_move=on_move)
         owner.update(dict.fromkeys(triple.h_vertices, len(parts)))  # the new part's position
         parts.append(Part(len(parts) + 1, triple.h_vertices, triple.side_a, triple.side_b))

@@ -74,10 +74,12 @@ def minimum_connector(host: Graph, component: Iterable[int], terminals: Iterable
     Exact dynamic program over (terminal subset, anchor vertex) states with
     unit vertex weights, exponential in the terminal count, hence the cap.
     States carry witness sets; ties fall to the smaller sorted vertex list,
-    so the result is deterministic.
+    so the result is deterministic. The component need not be connected;
+    GraphError is raised when no connected set inside it holds every
+    terminal, which the search finds out without a walk of its own.
     """
     comp = frozenset(component)
-    terms = sorted(set(terminals))
+    terms = sorted(_checked_set(host, terminals))
     if not terms:
         raise GraphError("terminals must be nonempty")
     if len(terms) > TERMINAL_CAP:
@@ -85,8 +87,6 @@ def minimum_connector(host: Graph, component: Iterable[int], terminals: Iterable
     for t in terms:
         if t not in comp:
             raise GraphError(f"terminal {t} outside component")
-    if not is_connected(host, comp):
-        raise GraphError("component is not connected")
     k = len(terms)
     if k == 1:
         return frozenset(terms)
@@ -137,8 +137,8 @@ def minimum_connector(host: Graph, component: Iterable[int], terminals: Iterable
                     heapq.heappush(heap, (key[0], key[1], w))
 
     final = best[full]
-    if not final:
-        raise InvariantViolation("connector search found nothing on a connected component")
+    if not final:  # no connected set inside the component holds every terminal
+        raise GraphError("terminals are not connected inside the component")
     winner = min(final.values(), key=lambda e: e[:2])
     return winner[2]
 

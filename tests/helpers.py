@@ -46,7 +46,7 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import AbstractSet, Callable, Iterable
 
 from oddcluster.coloring import ClusteredColoring, ColoringRejection, ColoringReport
 from oddcluster.decompose import Decomposition, Part, parts_adjacent
@@ -338,6 +338,12 @@ def pick_component_reference(
     comp = connected_components_reference(g, uncovered)[0]
     adjacent = [p for p in parts if any(g.adj(v) & p.vertices for v in comp)]
     return comp, adjacent
+
+
+def terminals_reference(g: Graph, comp: AbstractSet[int], adjacent: Iterable[Part]) -> list[int]:
+    """Per adjacent part, the minimum component vertex next to it: the scan
+    decompose ran before pick_component returned the terminals."""
+    return [min(v for v in comp if g.adj(v) & p.vertices) for p in adjacent]
 
 
 def refine_triple_reference(req: SpannerRequest, start: Triple, on_move: OnMove | None = None) -> Triple:

@@ -18,7 +18,7 @@ from oddcluster.coloring import (
     verify_coloring,
 )
 from oddcluster.decompose import Decomposition, Part, decompose
-from oddcluster.graph import Graph
+from oddcluster.graph import Graph, GraphError
 from oddcluster import generators as gen
 
 from conftest import connected_graphs, graphs
@@ -169,6 +169,12 @@ class TestJson:
         assert obj == {"t": 3, "colors": [[1, 1], [1, 2], [2, 1], [2, 2]]}
         assert coloring_from_json(obj) == coloring
 
+    def test_uncolored_vertex_rejected(self):
+        coloring = ClusteredColoring(3, {0: (1, 1), 2: (1, 2)})
+        with pytest.raises(GraphError) as exc:
+            coloring_to_json(coloring, 4)
+        assert str(exc.value) == "vertex 1 is uncolored"
+
     def test_report_json(self):
         assert report_to_json(ColoringReport(4, 1, 0)) == {
             "colors_used": 4,
@@ -177,8 +183,6 @@ class TestJson:
         }
 
     def test_merge_rejects_overlap(self):
-        from oddcluster.graph import GraphError
-
         a = ClusteredColoring(3, {0: (1, 1)})
         with pytest.raises(GraphError, match="overlap"):
             merge_colorings(3, [a, a])
@@ -264,3 +268,65 @@ class TestVerifierAgainstReference:
             "vertex color out of range",
             "monochromatic component of size exceeds",
         }
+
+
+# (graph, colors, t, expected verdict); each is also checked against the reference
+NAMED_VERIFIER_CASES = [
+    pytest.param(
+        Graph(3, [(0, 1), (1, 2)]), {0: (1, 1), 1: (1.0, 1), 2: (1, 1)}, 3,
+        ColoringRejection("vertex 1 color (1.0, 1) out of range"),
+        id="float-hue-beside-its-valid-class",
+    ),
+    pytest.param(
+        Graph(3, [(0, 1), (1, 2)]), {0: (True, 1), 1: (1, 1), 2: (2, 2)}, 3,
+        ColoringRejection("monochromatic component of size 2 exceeds 1", (0, 1)),
+        id="bool-hue-joins-the-class-it-equals",
+    ),
+    pytest.param(
+        Graph(3, [(0, 1), (1, 2)]), {0: (1, 1), 1: (1, 2), 2: (1, 1)}, 2,
+        ColoringRejection("monochromatic component of size 1 exceeds 0", (0,)),
+        id="t2-singletons",
+    ),
+    pytest.param(
+        Graph(3, [(0, 1), (1, 2)]), {0: (1, 2), 1: (1, 2), 2: (1, 1)}, 2,
+        ColoringRejection("monochromatic component of size 2 exceeds 0", (0, 1)),
+        id="t2-vertex-0-in-a-pair",
+    ),
+    pytest.param(
+        # class (1, 1) is {0, 3, 5} and holds {3, 5}; class (1, 2) is {1, 2, 4}
+        # and holds {2, 4}, which has the smaller minimum though its class
+        # comes second and starts with the singleton 1
+        Graph(6, [(0, 1), (2, 4), (3, 5), (4, 5)]),
+        {0: (1, 1), 1: (1, 2), 2: (1, 2), 3: (1, 1), 4: (1, 2), 5: (1, 1)}, 3,
+        ColoringRejection("monochromatic component of size 2 exceeds 1", (2, 4)),
+        id="oversize-minimum-not-first-of-its-class",
+    ),
+    pytest.param(
+        Graph(40, [(2 * i, 2 * i + 1) for i in range(20)] + [(2 * i + 1, 2 * i + 2) for i in range(19)]),
+        {v: (1 + v // 2 % 4, 1) for v in range(40)}, 5,
+        ColoringReport(colors_used=4, max_component=2, max_defect=1),
+        id="t5-many-two-vertex-components",
+    ),
+]
+
+
+class TestVerifierNamedCases:
+    @pytest.mark.parametrize("g, colors, t, expected", NAMED_VERIFIER_CASES)
+    def test_verdict(self, g, colors, t, expected):
+        coloring = ClusteredColoring(t, colors)
+        assert verify_coloring_reference(g, coloring, t) == expected
+        assert verify_coloring(g, coloring, t) == expected
+
+    def test_grid_coloring_and_a_tampered_copy(self):
+        g = gen.grid(100, 100)
+        d = decompose(g, 4)
+        coloring = product_coloring(g, d, color_parts(build_auxiliary(g, d), 4))
+        expected = ColoringReport(colors_used=2, max_component=1, max_defect=0)
+        assert verify_coloring(g, coloring, 4) == verify_coloring_reference(g, coloring, 4) == expected
+        # vertex 5050 takes the color of its neighbors: a star of five
+        colors = dict(coloring.colors)
+        colors[5050] = colors[5051]
+        tampered = ClusteredColoring(4, colors)
+        star = (4950, 5049, 5050, 5051, 5150)
+        expected = ColoringRejection("monochromatic component of size 5 exceeds 1", star)
+        assert verify_coloring(g, tampered, 4) == verify_coloring_reference(g, tampered, 4) == expected

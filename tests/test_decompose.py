@@ -27,6 +27,7 @@ from helpers import (
     maximal_bipartite_part_reference,
     outcome,
     pick_component_reference,
+    terminals_reference,
 )
 
 
@@ -43,6 +44,13 @@ def pick(g, parts, pool=None):
     region = range(g.n) if pool is None else pool
     owner = {v: i for i, p in enumerate(parts) for v in p.vertices}
     return pick_component(g, uncovered_by(g, parts, pool), deque(sorted(region)), owner, parts)
+
+
+def pick_reference(g, parts, pool=None):
+    """The reference component and adjacent parts, with each part's terminal
+    found by the scan decompose used to run."""
+    comp, adjacent = pick_component_reference(g, parts, pool)
+    return comp, adjacent, terminals_reference(g, comp, adjacent)
 
 
 @st.composite
@@ -111,16 +119,26 @@ class TestMaximalBipartitePart:
 class TestPickComponent:
     def test_k5_after_first_part(self, k5):
         first = maximal_bipartite_part(k5)
-        comp, adjacent = pick(k5, [first])
+        comp, adjacent, terminals = pick(k5, [first])
         assert comp == frozenset({2, 3, 4})
         assert adjacent == [first]
+        assert terminals == [2]
 
     def test_lowest_vertex_component_first(self):
         g = Graph(5, [(0, 1), (2, 3)])
         part = Part(1, frozenset({0, 1}), frozenset({0}), frozenset({1}))
-        comp, adjacent = pick(g, [part])
+        comp, adjacent, terminals = pick(g, [part])
         assert comp == frozenset({2, 3})
-        assert adjacent == []
+        assert adjacent == terminals == []
+
+    def test_terminal_per_adjacent_part(self):
+        # path 0-1-2-3-4-5-6: parts {0} and {6}, component {1..5}
+        g = Graph(7, [(i, i + 1) for i in range(6)])
+        parts = [Part(1, frozenset({0}), frozenset({0}), frozenset()),
+                 Part(2, frozenset({6}), frozenset({6}), frozenset())]
+        comp, adjacent, terminals = pick(g, parts)
+        assert comp == frozenset(range(1, 6))
+        assert adjacent == parts and terminals == [1, 5]
 
     def test_all_covered_rejected(self, c6):
         part = maximal_bipartite_part(c6)
@@ -131,7 +149,7 @@ class TestPickComponent:
     @settings(max_examples=300)
     def test_matches_reference_on_random_parts(self, case):
         g, parts, pool = case
-        assert outcome(pick, g, parts, pool) == outcome(pick_component_reference, g, parts, pool)
+        assert outcome(pick, g, parts, pool) == outcome(pick_reference, g, parts, pool)
 
     @pytest.mark.parametrize("t", [3, 4, 5])
     @given(g=connected_graphs(max_n=20))
@@ -140,7 +158,19 @@ class TestPickComponent:
         parts = decompose(g, t).parts
         for k in range(1, len(parts) + 1):
             prefix = parts[:k]
-            assert outcome(pick, g, prefix) == outcome(pick_component_reference, g, prefix)
+            assert outcome(pick, g, prefix) == outcome(pick_reference, g, prefix)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_terminals_match_the_scan_on_larger_graphs(self, seed):
+        # every prefix of n=150 runs at t=3..6, whole and on a connected sub-region
+        rng = random.Random(seed)
+        g = gen.connected_gnp(150, rng.uniform(0.01, 0.04), seed)
+        sub = frozenset(bfs(g, 0, frozenset(v for v in range(g.n) if rng.random() < 0.7) | {0}))
+        for pool in (None, sub):
+            parts = decompose(g, 3 + seed, pool).parts
+            for k in range(1, len(parts) + 1):
+                prefix = parts[:k]
+                assert outcome(pick, g, prefix, pool) == outcome(pick_reference, g, prefix, pool)
 
 
 @pytest.mark.parametrize(
@@ -157,6 +187,40 @@ class TestPickComponent:
 def test_out_of_range_region_rejected(c6, call):
     with pytest.raises(GraphError, match="out of range"):
         call(c6)
+
+
+def test_out_of_range_region_message(c6):
+    with pytest.raises(GraphError) as exc:
+        decompose(c6, 3, {0, 1, 7})
+    assert str(exc.value) == "vertex 7 out of range for n=6"
+
+
+# A completed run proves its region connected, and a stuck one walks it; so
+# a disconnected region is refused however the run would have gone on.
+DISCONNECTED_REGIONS = [
+    pytest.param(
+        # triangle {0, 2, 3}: part 1 is {0, 2}, and the stray vertex 1 is the
+        # minimum uncovered vertex, picked with no adjacent part
+        Graph(5, [(0, 2), (0, 3), (2, 3), (1, 4)]), 3, None,
+        id="stray-piece-picked-first",
+    ),
+    pytest.param(
+        # K5 gets stuck at t=3 on {4} before the stray edge 5-6 is reached
+        Graph(7, [*gen.complete(5).edges(), (5, 6)]), 3, None,
+        id="root-piece-stuck-first",
+    ),
+    pytest.param(
+        # the same, as a sub-region that leaves out vertex 7, the only link
+        Graph(8, [*gen.complete(5).edges(), (5, 6), (4, 7), (6, 7)]), 3, set(range(7)),
+        id="root-piece-stuck-first-in-a-sub-region",
+    ),
+]
+
+
+@pytest.mark.parametrize("g, t, within", DISCONNECTED_REGIONS)
+def test_disconnected_region_rejected(g, t, within):
+    with pytest.raises(GraphError, match="connected"):
+        decompose(g, t, within)
 
 
 class TestDecompose:

@@ -139,6 +139,19 @@ class TestMinimumConnector:
         with pytest.raises(GraphError, match="outside"):
             minimum_connector(c6, {0, 1, 2}, {0, 4})
 
+    def test_terminals_in_different_pieces_rejected(self, c6):
+        # {0, 1} and {3, 4} are the pieces of the component; the search finds no connector
+        with pytest.raises(GraphError, match="terminals are not connected inside the component"):
+            minimum_connector(c6, {0, 1, 3, 4}, {0, 3})
+
+    def test_terminals_in_one_piece_connected(self, c6):
+        # the component need not be connected, only its terminals within it
+        assert minimum_connector(c6, {0, 1, 3, 4}, {0, 1}) == frozenset({0, 1})
+
+    def test_terminal_out_of_range_rejected(self, c6):
+        with pytest.raises(GraphError, match="vertex 9 out of range for n=6"):
+            minimum_connector(c6, {0, 9}, {0, 9})
+
     def test_terminal_budget(self):
         g = gen.complete(14)
         with pytest.raises(GraphError, match="budget"):
