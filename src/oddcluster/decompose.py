@@ -21,7 +21,7 @@ from .spanner import (
     SpannerRequest,
     Triple,
     build_spanner,
-    cross_components,
+    cross_connected,
     max_side_component,
     refine_triple,
 )
@@ -188,15 +188,18 @@ def decomposition_violation(
     prefix, side checks before component checks, then by vertex or by the
     component's minimum vertex.
 
-    Each distinct component needs one check. While C is a component of the
-    uncovered rest, all its neighbors outside C are covered, so the parts it
-    touches, the owners of N(C) minus C, stay the same at every prefix where
-    C exists; its check at the earliest of them decides them all. So the
-    parts are added back from last to first into a union-find over the
-    uncovered vertices, and each component is checked just before it merges
-    with the part being added back: that part's prefix is its earliest.
-    Part 1 is never added back; the components left are those after it.
-    The side checks and the part adjacency come from one pass over the edges.
+    The per-part and cover checks come first, so the parts are disjoint,
+    connected and cover the region: the rest after prefix k is the union of
+    the whole parts k+1..l, and its components are unions of whole parts.
+    One pass from the last part to the first grows the rest. Its vertices
+    that see one side of H_k only are the symmetric difference of N(A_k)
+    and N(B_k) within it; the parts holding their union are the later parts
+    adjacent to H_k. A component of the rest touches the same parts at every
+    prefix where it exists, as its outside neighbors are all covered, so one
+    check, at the earliest, decides them all: the parts are added back from
+    last to first into a union-find over part indices, and each component is
+    checked just before it merges with the part being added back. Part 1 is
+    never added back; the components left are those after it.
     """
     pool = frozenset(range(g.n)) if within is None else frozenset(within)
     bound = (d.t - 1) // 2  # ceil((t-2)/2)
@@ -210,45 +213,40 @@ def decomposition_violation(
             return f"part {p.index}: overlaps an earlier part"
         seen |= p.vertices
         # the crossing subgraph spans the part: when it is connected, so is the part
-        pieces = len(cross_components(g, p.vertices, p.side_a, p.side_b))
-        if pieces > 1 and not is_connected(g, p.vertices):
+        crossing = cross_connected(g, p.vertices, p.side_a, p.side_b)
+        if not crossing and not is_connected(g, p.vertices):
             return f"part {p.index}: not connected"
         if max_side_component(g, p.side_a) > bound or max_side_component(g, p.side_b) > bound:
             return f"part {p.index}: same-side component exceeds {bound}"
-        if pieces > 1:
+        if not crossing:
             return f"part {p.index}: crossing subgraph disconnected"
     if seen != pool:
         return "parts do not cover the region"
 
-    # tag[v] = 2 * (index of the part holding v) + (1 if v is on side B)
-    tag: dict[int, int] = {}
-    for p in d.parts:
-        tag.update(dict.fromkeys(p.side_a, 2 * p.index))
-        tag.update(dict.fromkeys(p.side_b, 2 * p.index + 1))
-    adjacent: set[tuple[int, int]] = set()  # parts (j, k), j < k, joined by an edge
-    touched: dict[int, set[int]] = {}  # per union-find root: the parts its component touches
-    first_miss = None  # (prefix, vertex) of the first side check that fails
-    for p in d.parts[1:]:
-        for v in p.vertices:
-            sides: dict[int, int] = {}  # earlier part -> bit 1 side A seen, bit 2 side B seen
-            for w in g.adj(v):
-                tw = tag.get(w)
-                if tw is not None and tw >> 1 < p.index:
-                    sides[tw >> 1] = sides.get(tw >> 1, 0) | 1 << (tw & 1)
-            for j, seen_sides in sides.items():
-                adjacent.add((j, p.index))
-                if seen_sides != 3 and (first_miss is None or (j, v) < first_miss):
-                    first_miss = (j, v)
-            touched[v] = set(sides)
+    owner: dict[int, int] = {}  # the part holding each vertex of the rest: its keys are the rest
+    later: dict[int, set[int]] = {}  # per part: the later parts adjacent to it
+    touched: dict[int, set[int]] = {p.index: set() for p in d.parts}  # earlier parts adjacent: per part, then per root
+    first = None  # (prefix, message) of the first failure found so far
+    for p in reversed(d.parts):
+        sees_a = sees_b = set()
+        if owner:  # else the rest is empty: nothing after the last part
+            sees_a = g.neighborhood(p.side_a) & owner.keys()
+            sees_b = g.neighborhood(p.side_b) & owner.keys()
+        if sees_a != sees_b:
+            first = (p.index, f"vertex {min(sees_a ^ sees_b)} adjacent to part {p.index} misses a side")
+        later[p.index] = set(map(owner.__getitem__, sees_a | sees_b))
+        for j in later[p.index]:
+            touched[j].add(p.index)
+        owner.update(dict.fromkeys(p.vertices, p.index))
 
     parent: dict[int, int] = {}
     low: dict[int, int] = {}  # per root: the component's minimum vertex
 
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]  # path halving
-            v = parent[v]
-        return v
+    def find(k: int) -> int:
+        while parent[k] != k:
+            parent[k] = parent[parent[k]]  # path halving
+            k = parent[k]
+        return k
 
     def first_failure(roots: Iterable[int], k: int) -> str | None:
         # components whose earliest prefix is k, checked by minimum vertex
@@ -256,37 +254,30 @@ def decomposition_violation(
             if len(touched[r]) > d.t - 2:
                 return f"a component after part {k} touches {len(touched[r])} parts"
             for a, b in combinations(sorted(touched[r]), 2):
-                if (a, b) not in adjacent:
+                if b not in later[a]:
                     return f"parts {a} and {b} touch one component but are not adjacent"
         return None
 
-    failed = None  # (prefix, reason) of the first failing component so far
-    for p in reversed(d.parts[1:]):
-        roots = {find(w) for v in p.vertices for w in g.adj(v) if w in parent}
-        reason = first_failure(roots, p.index)
-        if reason is not None:
-            failed = (p.index, reason)
-        for v in p.vertices:
-            parent[v] = low[v] = v
-        for v in p.vertices:
-            for w in g.adj(v):
-                if w in parent:
-                    a, b = find(v), find(w)
-                    if a != b:
-                        if len(touched[a]) < len(touched[b]):
-                            a, b = b, a
-                        parent[b] = a
-                        touched[a] |= touched.pop(b)
-                        low[a] = min(low[a], low.pop(b))
-        for r in roots:
-            touched[find(r)].discard(p.index)
+    for p in reversed([q for q in d.parts[1:] if q.vertices]):  # an empty part is in no component
+        k = p.index
+        roots = {find(j) for j in later[k]}
+        reason = first_failure(roots, k)
+        if reason is not None and (first is None or k < first[0]):  # a side check at k comes first
+            first = (k, reason)
+        parent[k] = k
+        low[k] = min(p.vertices)
+        for b in roots:
+            a = find(k)
+            if len(touched[a]) < len(touched[b]):
+                a, b = b, a
+            parent[b] = a
+            touched[a] |= touched.pop(b)
+            low[a] = min(low[a], low.pop(b))
+        touched[find(k)].discard(k)
     reason = first_failure(low, 1)  # the roots left: the components after part 1
-    if reason is not None:
-        failed = (1, reason)
-
-    if first_miss is not None and (failed is None or first_miss[0] <= failed[0]):
-        return f"vertex {first_miss[1]} adjacent to part {first_miss[0]} misses a side"
-    return None if failed is None else failed[1]
+    if reason is not None and (first is None or 1 < first[0]):
+        first = (1, reason)
+    return None if first is None else first[1]
 
 
 def decomposition_to_json(d: Decomposition) -> dict:

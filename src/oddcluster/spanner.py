@@ -236,6 +236,13 @@ def cross_components(
     return [frozenset(cross_bfs(host, s, unseen, sa, sb)[0]) for s in sorted(hs) if s in unseen]
 
 
+def cross_connected(host: Graph, h_vertices: Iterable[int], side_a: AbstractSet[int], side_b: AbstractSet[int]) -> bool:
+    """Whether the crossing subgraph on H is connected (the empty one is): one
+    `cross_bfs` from the minimum vertex of H, range-checked, reaches all of H."""
+    hs = _checked_set(host, h_vertices)
+    return not hs or len(cross_bfs(host, min(hs), set(hs), side_a, side_b)[0]) == len(hs)
+
+
 def max_side_component(host: Graph, side: Iterable[int]) -> int:
     """Size of the largest component that `side` induces; 0 when it is empty.
 
@@ -264,14 +271,14 @@ def triple_violation(req: SpannerRequest, triple: Triple) -> str | None:
     if not h <= req.component:
         return "H leaves the component"
     # the crossing subgraph spans H: when it is connected, so is H
-    pieces = len(cross_components(g, h, a, b))
-    if pieces > 1 and not is_connected(g, h):
+    crossing = cross_connected(g, h, a, b)
+    if not crossing and not is_connected(g, h):
         return "H is not connected"
     if triple.cross_edges != count_cross_edges(g, a, b):
         return "crossing edge count is wrong"
     if max_side_component(g, a) > req.bound or max_side_component(g, b) > req.bound:
         return "a same-side component exceeds the bound"
-    if pieces > 1:
+    if not crossing:
         return "crossing subgraph is disconnected"
     # only region vertices adjacent to H can fail; the rest pass vacuously
     for v in sorted((g.neighborhood(h) & req.component) - h):

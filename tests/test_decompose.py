@@ -1,5 +1,6 @@
 import random
 from collections import deque
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -509,6 +510,90 @@ class TestRecheckAgainstReference:
             for t in range(3, 7):
                 case = (g, Decomposition(t, d.parts), region)
                 assert decomposition_violation(*case) == decomposition_violation_reference(*case)
+
+
+def flip_vertex(p, v):
+    """Part p with vertex v moved to its other side."""
+    if v in p.side_a:
+        return replace(p, side_a=p.side_a - {v}, side_b=p.side_b | {v})
+    return replace(p, side_a=p.side_a | {v}, side_b=p.side_b - {v})
+
+
+@pytest.fixture(scope="module")
+def benchmark_size_decomposition():
+    """The size of the benchmark's sparse_gnp workload: n=3000, average degree 6, t=4."""
+    g = gen.connected_gnp(3000, 6 / 2999, 0)
+    d = decompose(g, 4)
+    assert isinstance(d, Decomposition) and len(d.parts) > 100
+    return g, d
+
+
+def benchmark_size_case(d, kind):
+    """The decomposition rechecked as is or at t=3, or tampered with."""
+    if kind == "clean":
+        return d
+    if kind == "t=3":
+        return Decomposition(3, d.parts)
+    if kind == "late-vertex-flipped":  # in the last part with two vertices or more
+        i = max(i for i, p in enumerate(d.parts) if len(p.vertices) > 1)
+        flipped = flip_vertex(d.parts[i], min(d.parts[i].vertices))
+        return Decomposition(d.t, d.parts[:i] + (flipped,) + d.parts[i + 1 :])
+    if kind == "late-part-dropped":
+        return Decomposition(d.t, d.parts[:-1])
+    # parts 2 and 3 swapped: the only check left to fail is a side check
+    p2, p3 = d.parts[1:3]
+    return Decomposition(d.t, (d.parts[0], replace(p3, index=2), replace(p2, index=3)) + d.parts[3:])
+
+
+class TestRecheckAtBenchmarkSize:
+    @pytest.mark.parametrize(
+        "kind, message",
+        [
+            ("clean", None),
+            ("t=3", "a component after part 2 touches 2 parts"),
+            ("late-vertex-flipped", "part 166: same-side component exceeds 1"),
+            ("late-part-dropped", "parts do not cover the region"),
+            ("parts-2-and-3-swapped", "vertex 967 adjacent to part 2 misses a side"),
+        ],
+    )
+    def test_matches_reference(self, benchmark_size_decomposition, kind, message):
+        g, d = benchmark_size_decomposition
+        case = benchmark_size_case(d, kind)
+        assert decomposition_violation(g, case) == decomposition_violation_reference(g, case) == message
+
+    def test_grid_matches_reference(self):
+        g = gen.grid(100, 100)
+        d = decompose(g, 4)
+        assert len(d.parts) == 1
+        flipped = Decomposition(4, (flip_vertex(d.parts[0], 5050),))
+        for case, message in ((d, None), (flipped, "part 1: same-side component exceeds 1")):
+            assert decomposition_violation(g, case) == decomposition_violation_reference(g, case) == message
+
+
+class TestRecheckGuards:
+    def test_out_of_range_vertex_in_a_part(self):
+        # PATH3 has no vertex 5; the first per-part walk meets it
+        d = Decomposition(3, (split_part(1, {0, 2, 5}, {1}),))
+        with pytest.raises(GraphError) as exc:
+            decomposition_violation(PATH3, d, {0, 1, 2, 5})
+        assert str(exc.value) == "vertex 5 out of range for n=3"
+        assert outcome(decomposition_violation_reference, PATH3, d, {0, 1, 2, 5}) == (GraphError, str(exc.value))
+
+    @pytest.mark.parametrize("position", [0, 1, 2, 3])
+    @pytest.mark.parametrize("t", [3, 4])
+    def test_empty_part_keeps_the_verdict(self, position, t):
+        # an empty part passes every per-part check and lies in no component
+        parts = list(HUB_PARTS)
+        parts.insert(position, Part(0, frozenset(), frozenset(), frozenset()))
+        d = Decomposition(t, tuple(replace(p, index=i + 1) for i, p in enumerate(parts)))
+        assert decomposition_violation(TWO_EDGES_AND_HUB, d) == decomposition_violation_reference(TWO_EDGES_AND_HUB, d)
+
+    def test_only_empty_parts_over_an_empty_region(self):
+        empty = Part(1, frozenset(), frozenset(), frozenset())
+        for t in (1, 3):
+            d = Decomposition(t, (empty, replace(empty, index=2)))
+            assert decomposition_violation(PATH3, d, ()) is None
+            assert decomposition_violation_reference(PATH3, d, ()) is None
 
 
 def test_json_round_trip(k4):

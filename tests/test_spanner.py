@@ -15,6 +15,7 @@ from oddcluster.spanner import (
     build_spanner,
     count_cross_edges,
     cross_components,
+    cross_connected,
     max_side_component,
     minimum_connector,
     refine_triple,
@@ -102,6 +103,38 @@ class TestCrossComponents:
     def test_out_of_range_rejected(self, c6):
         with pytest.raises(GraphError, match="vertex 6 out of range"):
             cross_components(c6, {0, 6}, {0}, {6})
+
+
+class TestCrossConnected:
+    @given(st.one_of(two_sided_splits(), loose_sides()))
+    @settings(max_examples=400)
+    def test_matches_reference_count(self, case):
+        # the one walk from the minimum vertex against the reference's count of pieces
+        g, h, side_a, side_b = case
+        assert cross_connected(g, h, side_a, side_b) == (len(cross_components_reference(g, h, side_a, side_b)) <= 1)
+
+    def test_out_of_range_rejected(self, c6):
+        with pytest.raises(GraphError) as exc:
+            cross_connected(c6, {0, 6}, {0}, {6})
+        assert str(exc.value) == "vertex 6 out of range for n=6"
+
+
+class TestTripleViolationGuards:
+    def test_out_of_range_vertex_in_h(self, c6):
+        # H inside a component that holds a vertex c6 does not have
+        req = SpannerRequest(c6, frozenset({0, 1, 6}), frozenset({0}), 1)
+        triple = Triple(frozenset({0, 1, 6}), frozenset({0, 6}), frozenset({1}), 1)
+        with pytest.raises(GraphError) as exc:
+            triple_violation(req, triple)
+        assert str(exc.value) == "vertex 6 out of range for n=6"
+        assert outcome(triple_violation_reference, req, triple) == (GraphError, str(exc.value))
+
+    @pytest.mark.parametrize("component", [frozenset(), frozenset({0, 1})])
+    def test_empty_h_keeps_the_verdict(self, c6, component):
+        req = SpannerRequest(c6, component, frozenset(), 1)
+        triple = Triple(frozenset(), frozenset(), frozenset(), 0)
+        assert triple_violation(req, triple) is None
+        assert triple_violation_reference(req, triple) is None
 
 
 class TestMaxSideComponent:
