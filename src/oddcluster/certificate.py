@@ -54,7 +54,7 @@ def extract_certificate(g: Graph, t: int, stuck: StuckState) -> OddExpansionCert
     trees: list[TreeSubgraph] = []
     coloring: dict[int, int] = {}
     for p in parts:
-        walk = dict(zip(*cross_bfs(g, min(p.vertices), set(p.vertices), p.side_a, p.side_b)))
+        walk = dict(zip(*cross_bfs(g, p.vertices, p.side_a, p.side_b)))
         trees.append(_tree(walk, p.vertices, f"part {p.index}'s crossing edges do not span it"))
         for v in p.side_a:
             coloring[v] = 1

@@ -71,13 +71,10 @@ def maximal_bipartite_part(g: Graph, within: Iterable[int] | None = None) -> Par
     one side joins the other, so H stays bipartite, and the per-move checks
     apply. With one vertex in H no reconnect fires. Side A holds the root.
     """
-    pool = frozenset(range(g.n)) if within is None else frozenset(within)
+    pool = frozenset(range(g.n)) if within is None else _checked_set(g, within)
     if not pool:
         raise GraphError("empty region")
-    root = min(pool)
-    if root < 0 or max(pool) >= g.n:
-        raise GraphError(f"region vertex out of range for n={g.n}")
-    seed = frozenset((root,))
+    seed = frozenset((min(pool),))
     grown = refine_triple(SpannerRequest(g, pool, seed, 1), Triple(seed, seed, frozenset(), 0))
     return Part(1, grown.h_vertices, grown.side_a, grown.side_b)
 

@@ -4,7 +4,8 @@
 subgraphs: from a root, inside a vertex set, neighbors in ascending order.
 Its parent map, in visit order, gives the reached set, the visit order,
 tree edges and depth parity. Components and connectivity below are built
-on it. The walk along side-crossing edges only is `spanner.cross_bfs`.
+on it. `spanner.cross_bfs(host, H, A, B)` walks side-crossing edges only,
+from the minimum vertex of H.
 """
 
 from __future__ import annotations

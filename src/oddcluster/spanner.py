@@ -198,18 +198,20 @@ def count_cross_edges(host: Graph, side_a: Iterable[int], side_b: Iterable[int])
 
 
 def cross_bfs(
-    host: Graph, root: int, unseen: set[int], side_a: AbstractSet[int], side_b: AbstractSet[int]
+    host: Graph, h_vertices: Iterable[int], side_a: AbstractSet[int], side_b: AbstractSet[int]
 ) -> tuple[list[int], list[int]]:
-    """Breadth-first search of the crossing subgraph from `root`: the vertices
-    reached in visit order, and the parent of each, the root being its own.
+    """Breadth-first search of the crossing subgraph on a nonempty H from its
+    minimum vertex: the vertices of that vertex's piece in visit order, and
+    the parent of each, the root being its own.
 
-    From x the walk enters a neighbor that is still in `unseen`, in
-    ascending order, on the side x is not on, and removes from `unseen`
-    every vertex it enters, the root included. Both tests are set lookups
-    made in the loop, with no predicate call per edge. Two lists rather
-    than `bfs`'s parent map, because the spanner checks need only the
-    order and a list append costs less than a dict store.
+    From x the walk enters an unreached vertex of H (its own copy of H) on
+    the side x is not on, among x's neighbors in ascending order: two set
+    lookups in the loop, no predicate call per edge. Two lists rather than
+    `bfs`'s parent map, because the spanner checks need only the order and
+    a list append costs less than a dict store. H is not range-checked.
     """
+    unseen = set(h_vertices)
+    root = min(unseen)
     unseen.discard(root)
     order = [root]
     parents = [root]
@@ -223,24 +225,11 @@ def cross_bfs(
     return order, parents
 
 
-def cross_components(
-    host: Graph, h_vertices: Iterable[int], side_a: Iterable[int], side_b: Iterable[int]
-) -> list[frozenset[int]]:
-    """Components of the crossing subgraph: vertices of H, side-crossing edges
-    only, ordered by their minimum vertex. Each is one `cross_bfs` from its
-    minimum vertex, sharing one unseen set."""
-    hs = _checked_set(host, h_vertices)
-    sa = frozenset(side_a)
-    sb = frozenset(side_b)
-    unseen = set(hs)
-    return [frozenset(cross_bfs(host, s, unseen, sa, sb)[0]) for s in sorted(hs) if s in unseen]
-
-
 def cross_connected(host: Graph, h_vertices: Iterable[int], side_a: AbstractSet[int], side_b: AbstractSet[int]) -> bool:
-    """Whether the crossing subgraph on H is connected (the empty one is): one
-    `cross_bfs` from the minimum vertex of H, range-checked, reaches all of H."""
+    """Whether the crossing subgraph on H is connected (the empty one is): H is
+    range-checked, and one `cross_bfs` from its minimum vertex reaches all of it."""
     hs = _checked_set(host, h_vertices)
-    return not hs or len(cross_bfs(host, min(hs), set(hs), side_a, side_b)[0]) == len(hs)
+    return not hs or len(cross_bfs(host, hs, side_a, side_b)[0]) == len(hs)
 
 
 def max_side_component(host: Graph, side: Iterable[int]) -> int:
@@ -293,7 +282,9 @@ def refine_triple(req: SpannerRequest, start: Triple, on_move: OnMove | None = N
 
     Reconnect: while the crossing subgraph is disconnected, swap the side
     labels on the piece holding the minimum vertex of H against the rest;
-    same-side edges between the pieces become crossing edges.
+    same-side edges between the pieces become crossing edges. That piece is
+    the walk `cross_bfs(host, H, A, B)`, which misses a vertex of H exactly
+    when the subgraph is disconnected; the start checks range-check H.
 
     Extend: the smallest outside vertex adjacent to H that misses side A
     (else side B) joins that side; all its edges into H become crossing.
@@ -353,10 +344,10 @@ def refine_triple(req: SpannerRequest, start: Triple, on_move: OnMove | None = N
             on_move(MoveEvent(kind, cross, new_cross, moves, cap))
         cross = new_cross
 
-    while len(comps := cross_components(g, h, a, b)) > 1:
-        x = comps[0]  # pieces come ordered by minimum vertex
+    while h and len(piece := cross_bfs(g, h, a, b)[0]) < len(h):
+        x = set(piece)  # the piece holding min(H)
         y = h - x
-        a, b = set((x & a) | (y & b)), set((x & b) | (y & a))
+        a, b = (x & a) | (y & b), (x & b) | (y & a)
         bound_holds = max(max_side_component(g, a), max_side_component(g, b)) <= req.bound
         commit("reconnect", count_cross_edges(g, a, b), bound_holds)
 

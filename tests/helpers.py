@@ -16,10 +16,13 @@ them:
   replaced, the last being the second BFS, over the component's tree, that
   colored the stuck component in certificate extraction;
 * `spanning_tree_reference`: the reference for the trees certificate
-  extraction builds, from `spanner.cross_bfs` for each part (with a
-  crossing-edge predicate) and from `graph.bfs` for the stuck component;
+  extraction builds, from `spanner.cross_bfs(g, H, A, B)` for each part
+  (with a crossing-edge predicate) and from `graph.bfs` for the stuck
+  component;
 * `cross_components_reference`: the seed's stack-based crossing-subgraph
-  traversal;
+  traversal, listing every piece by minimum vertex; `spanner.cross_bfs`
+  walks only the first, the piece of min(H), which is what
+  `cross_connected` tests and what `refine_triple`'s reconnect swaps;
 * `max_side_component_reference` and `triple_violation_reference`: the
   side check that traverses from every vertex of the side, and the spanner
   postcondition that runs the BFS connectivity test on every H and sweeps

@@ -62,7 +62,7 @@ class TestBfs:
         # the crossing walk: on C5 with sides {0,2,4} and {1,3}, the edge
         # (4,0) stays on side A, so 4 is reached the long way round
         g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
-        assert cross_bfs(g, 0, set(range(5)), {0, 2, 4}, {1, 3}) == ([0, 1, 2, 3, 4], [0, 0, 1, 2, 3])
+        assert cross_bfs(g, range(5), {0, 2, 4}, {1, 3}) == ([0, 1, 2, 3, 4], [0, 0, 1, 2, 3])
 
     @given(graphs_with_regions())
     @settings(max_examples=200)
@@ -74,11 +74,9 @@ class TestBfs:
             return
         side_a, side_b, allowed = sides_and_predicate(g, side_a)
         root = min(region)
-        unseen = set(region)
-        parent = dict(zip(*cross_bfs(g, root, unseen, side_a, side_b)))
+        parent = dict(zip(*cross_bfs(g, region, side_a, side_b)))
         comps = connected_components_reference(g, region, allowed)
         assert set(parent) == next(c for c in comps if root in c)
-        assert unseen == region - set(parent)
         depth = {}
         for v, p in parent.items():
             if v == root:
@@ -117,7 +115,7 @@ class TestAgainstReference:
             if not within:
                 continue
             root = min(within)
-            crossing = dict(zip(*cross_bfs(g, root, set(within), side_a, side_b)))
+            crossing = dict(zip(*cross_bfs(g, within, side_a, side_b)))
             for parent, allow in ((bfs(g, root, within), None), (crossing, allowed)):
                 reference = outcome(spanning_tree_reference, g, within, allow)
                 if len(parent) == len(within):
@@ -250,7 +248,7 @@ class TestSpanningTree:
     def test_restricted_disconnected(self):
         # sides {0,3} and {1,2}: only the edges (0,1) and (2,3) cross
         g = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-        assert cross_bfs(g, 0, set(range(4)), {0, 3}, {1, 2}) == ([0, 1], [0, 0])
+        assert cross_bfs(g, range(4), {0, 3}, {1, 2}) == ([0, 1], [0, 0])
 
     @given(connected_graphs(min_n=1, max_n=10))
     @settings(max_examples=60)

@@ -14,7 +14,6 @@ from oddcluster.spanner import (
     bounded_bipartition,
     build_spanner,
     count_cross_edges,
-    cross_components,
     cross_connected,
     max_side_component,
     minimum_connector,
@@ -79,30 +78,6 @@ def loose_sides(draw):
     g = draw(graphs(max_n=14))
     vertex_sets = st.sets(st.integers(min_value=0, max_value=g.n - 1))
     return g, draw(vertex_sets), draw(vertex_sets), draw(vertex_sets)
-
-
-class TestCrossComponents:
-    def test_c4_alternating_and_same_side(self):
-        g = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-        assert cross_components(g, range(4), {0, 2}, {1, 3}) == [frozenset(range(4))]
-        assert cross_components(g, range(4), {0, 1}, {2, 3}) == [frozenset({0, 3}), frozenset({1, 2})]
-        assert cross_components(g, range(4), {0, 1, 2, 3}, ()) == [frozenset({v}) for v in range(4)]
-
-    @given(two_sided_splits())
-    @settings(max_examples=200)
-    def test_matches_reference_traversal(self, case):
-        g, h, side_a, side_b = case
-        assert cross_components(g, h, side_a, side_b) == cross_components_reference(g, h, side_a, side_b)
-
-    @given(loose_sides())
-    @settings(max_examples=200)
-    def test_matches_reference_on_loose_sides(self, case):
-        g, h, side_a, side_b = case
-        assert cross_components(g, h, side_a, side_b) == cross_components_reference(g, h, side_a, side_b)
-
-    def test_out_of_range_rejected(self, c6):
-        with pytest.raises(GraphError, match="vertex 6 out of range"):
-            cross_components(c6, {0, 6}, {0}, {6})
 
 
 class TestCrossConnected:
@@ -283,6 +258,20 @@ class TestRefine:
         assert got == Triple(frozenset(range(4)), frozenset({0, 2}), frozenset({1, 3}), 3)
         assert [(e.kind, e.cross_after) for e in events] == [("reconnect", 2), ("extend", 3)]
 
+    def test_three_reconnects_each_swap_the_piece_of_the_minimum(self):
+        # the piece of min(H) = 0 keeps its labels: {0}, then {0, 4, 6}, then all but 2
+        g = Graph(7, [(0, 4), (1, 3), (2, 3), (3, 5), (3, 6), (4, 6)])
+        req = SpannerRequest(g, frozenset(range(7)), frozenset({0}), 3)
+        side_a = frozenset({0, 1, 4, 5})
+        start = Triple(frozenset(range(7)), side_a, frozenset(range(7)) - side_a, 3)
+        new, ref = refine_both(req, start)
+        assert new == ref
+        got, events = new
+        assert [(e.kind, e.cross_before, e.cross_after) for e in events] == [
+            ("reconnect", 3, 4), ("reconnect", 4, 5), ("reconnect", 5, 6)
+        ]
+        assert got == Triple(frozenset(range(7)), frozenset({0, 1, 2, 5, 6}), frozenset({3, 4}), 6)
+
     def test_single_vertex_fixpoint(self):
         g = Graph(1, [])
         req = SpannerRequest(g, frozenset({0}), frozenset({0}), 1)
@@ -330,7 +319,7 @@ class TestRefine:
         # connects: move 7 passes the 6 edges of C6, with or without the hook
         counts = iter(range(1, 100))
         monkeypatch.setattr(spanner, "count_cross_edges", lambda *args: next(counts))
-        monkeypatch.setattr(spanner, "cross_components", lambda *args: [frozenset({0}), frozenset({1})])
+        monkeypatch.setattr(spanner, "cross_bfs", lambda *args: ([0], [0]))
         g = gen.cycle(6)
         req = SpannerRequest(g, frozenset(range(6)), frozenset({0}), 2)
         start = Triple(frozenset({0, 1}), frozenset({0}), frozenset({1}), 1)
