@@ -38,27 +38,24 @@ class ColoringRejection:
 def build_auxiliary(g: Graph, d: Decomposition) -> Graph:
     """Graph on 0-based part positions, adjacent iff the parts are adjacent in g.
 
-    The pairs are read off each part's boundary, its neighbors outside it,
-    which the parts' disjointness makes the same as reading every edge of g.
-    Raises InvariantViolation if some position sees more than t-2 earlier
-    ones, which would break the greedy hue bound.
+    The pairs are read off each part's neighbors in the earlier parts,
+    which disjoint parts and symmetric adjacency make the same as reading
+    every edge of g. Raises InvariantViolation if some position sees more
+    than t-2 earlier ones, which would break the greedy hue bound.
     """
-    owner: dict[int, int] = {}
+    owner: dict[int, int] = {}  # the position of every vertex of the earlier parts
+    pairs: list[tuple[int, int]] = []
     for pos, p in enumerate(d.parts):
-        owner.update(dict.fromkeys(p.vertices, pos))
-    pairs: set[tuple[int, int]] = set()
-    for pos, p in enumerate(d.parts):
-        boundary = g.neighborhood(p.vertices) - p.vertices
-        owners = set(map(owner.__getitem__, boundary & owner.keys()))
-        pairs.update((q, pos) for q in owners if q < pos)
-    aux = Graph(len(d.parts), sorted(pairs))
-    for pos in range(aux.n):
-        back = sum(1 for q in aux.neighbors(pos) if q < pos)
-        if back > d.t - 2:
-            raise InvariantViolation(
-                f"part {pos + 1} adjacent to {back} earlier parts, above t-2 = {d.t - 2}"
-            )
-    return aux
+        if owner:
+            back = set(map(owner.__getitem__, g.neighborhood(p.vertices) & owner.keys()))
+            if len(back) > d.t - 2:
+                raise InvariantViolation(
+                    f"part {pos + 1} adjacent to {len(back)} earlier parts, above t-2 = {d.t - 2}"
+                )
+            pairs.extend((q, pos) for q in back)
+        if pos < len(d.parts) - 1:
+            owner.update(dict.fromkeys(p.vertices, pos))
+    return Graph(len(d.parts), pairs)
 
 
 def color_parts(aux: Graph, t: int) -> dict[int, int]:

@@ -59,7 +59,7 @@ DecomposeOutcome = Union[Decomposition, StuckState]
 
 def parts_adjacent(g: Graph, p: Part, q: Part) -> bool:
     small, large = (p, q) if len(p.vertices) <= len(q.vertices) else (q, p)
-    return any(g.adj(v) & large.vertices for v in small.vertices)
+    return not all(map(large.vertices.isdisjoint, map(g.adj, small.vertices)))
 
 
 def maximal_bipartite_part(g: Graph, within: Iterable[int] | None = None) -> Part:
@@ -126,12 +126,17 @@ def decompose(
     proves it connected without a walk: part 1 is connected, and every later
     part is connected and holds a terminal next to an earlier part, so the
     parts, which cover the region, form a connected union. A picked
-    component that touches no part proves the region disconnected; only a
-    stuck run, which covers less, walks the region before it returns.
+    component that touches no part proves the region disconnected. A stuck
+    run walks only the uncovered vertices outside its component: the parts
+    and that component form a connected union that no edge joins to them,
+    so the region is connected iff each of their pieces touches a part.
 
     Every picked component's adjacent parts must be pairwise adjacent; a
-    miss is a bug, not an input problem. A completed run is rechecked from
-    scratch by decomposition_violation before it is returned.
+    miss is a bug, not an input problem. A completed run is rechecked by
+    decomposition_violation before it is returned, with `spanner_checked`:
+    on parts 2..l, triple_violation already made the same pure calls on the
+    same frozen sets and passed them, under a side bound (k+1)//2 with
+    k <= t-2 terminals, no larger than the recheck's (t-1)//2.
     """
     if t < 3:
         raise GraphError("t must be >= 3")
@@ -155,8 +160,12 @@ def decompose(
                         f"adjacent parts {p.index} and {q.index} are not pairwise adjacent"
                     )
         if len(adjacent) >= t - 1:
-            if not is_connected(g, pool):
-                raise GraphError(disconnected)
+            rest = uncovered - comp
+            while rest:  # each piece of the other uncovered vertices must touch a part
+                piece = bfs(g, next(iter(rest)), rest).keys()
+                if owner.keys().isdisjoint(g.neighborhood(piece)):
+                    raise GraphError(disconnected)
+                rest -= piece
             return StuckState(comp, tuple(adjacent), tuple(parts))
         terms = frozenset(terminals)
         req = SpannerRequest(g, comp, terms, (len(terms) + 1) // 2)
@@ -166,19 +175,24 @@ def decompose(
         uncovered -= triple.h_vertices
 
     result = Decomposition(t, tuple(parts))
-    reason = decomposition_violation(g, result, pool)
+    reason = decomposition_violation(g, result, pool, spanner_checked=True)
     if reason is not None:
         raise InvariantViolation(f"completed decomposition failed recheck: {reason}")
     return result
 
 
 def decomposition_violation(
-    g: Graph, d: Decomposition, within: Iterable[int] | None = None
+    g: Graph, d: Decomposition, within: Iterable[int] | None = None, *, spanner_checked: bool = False
 ) -> str | None:
     """First violated decomposition guarantee, recomputed from scratch; None if clean.
 
     Checks, for every part: sides partition it, it is connected, same-side
     components respect ceil((t-2)/2), and the crossing subgraph is connected.
+    With `spanner_checked`, set by decompose alone, parts 2..l skip the last
+    three: build_spanner's triple_violation made the same pure calls on the
+    same frozen sets and passed them, under a side bound (k+1)//2 with
+    k <= t-2 terminals, at most (t-1)//2, so they cannot fail here and the
+    first failure stays the same. The other checks run on every part.
     Then, for every prefix H_1..H_k: uncovered neighbors of H_k see both its
     sides, and every uncovered component touches at most t-2 parts which are
     pairwise adjacent. The first failure in that order is reported: by
@@ -209,6 +223,8 @@ def decomposition_violation(
         if p.vertices & seen:
             return f"part {p.index}: overlaps an earlier part"
         seen |= p.vertices
+        if i and spanner_checked:
+            continue
         # the crossing subgraph spans the part: when it is connected, so is the part
         crossing = cross_connected(g, p.vertices, p.side_a, p.side_b)
         if not crossing and not is_connected(g, p.vertices):

@@ -3,9 +3,9 @@
 `bfs` is the construction side's one breadth-first search over induced
 subgraphs: from a root, inside a vertex set, neighbors in ascending order.
 Its parent map, in visit order, gives the reached set, the visit order,
-tree edges and depth parity. Components and connectivity below are built
-on it. `spanner.cross_bfs(host, H, A, B)` walks side-crossing edges only,
-from the minimum vertex of H.
+tree edges and depth parity. `is_connected` is built on it, but not
+`connected_components`, which needs only each piece's vertex set.
+`spanner.cross_bfs(host, H, A, B)` walks side-crossing edges only, from min(H).
 """
 
 from __future__ import annotations
@@ -126,14 +126,27 @@ def bfs(g: Graph, root: int, within: AbstractSet[int]) -> dict[int, int]:
 
 
 def connected_components(g: Graph) -> list[frozenset[int]]:
-    """Maximal connected pieces of g, ordered by their minimum vertex."""
+    """Maximal connected pieces of g, ordered by their minimum vertex. Each
+    is one breadth-first walk into a set of its own, with no filter: a piece
+    is closed under neighbors. The root scan stops once the pieces cover g."""
     out: list[frozenset[int]] = []
-    unseen = set(range(g.n))
+    seen: set[int] = set()  # the vertices of the pieces found so far
+    left = g.n
     for s in range(g.n):
-        if s in unseen:
-            comp = frozenset(bfs(g, s, unseen))
-            unseen -= comp
-            out.append(comp)
+        if s in seen:
+            continue
+        comp = {s}
+        order = [s]
+        for x in order:
+            for y in g.neighbors(x):
+                if y not in comp:
+                    comp.add(y)
+                    order.append(y)
+        out.append(frozenset(comp))
+        left -= len(comp)
+        if not left:
+            break
+        seen |= comp
     return out
 
 

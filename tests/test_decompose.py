@@ -1,3 +1,4 @@
+import importlib
 import random
 from collections import deque
 from dataclasses import replace
@@ -17,7 +18,7 @@ from oddcluster.decompose import (
     parts_adjacent,
     pick_component,
 )
-from oddcluster.graph import Graph, GraphError, bfs
+from oddcluster.graph import Graph, GraphError, InvariantViolation, bfs
 from oddcluster import generators as gen
 
 from conftest import connected_graphs, graphs
@@ -25,11 +26,14 @@ from helpers import (
     OddClosedWalk,
     bipartition_or_odd_cycle,
     decomposition_violation_reference,
+    is_connected_reference,
     maximal_bipartite_part_reference,
     outcome,
     pick_component_reference,
     terminals_reference,
 )
+
+decompose_module = importlib.import_module("oddcluster.decompose")  # the package exports a function of that name
 
 
 def uncovered_by(g, parts, pool=None):
@@ -222,6 +226,58 @@ DISCONNECTED_REGIONS = [
 def test_disconnected_region_rejected(g, t, within):
     with pytest.raises(GraphError, match="connected"):
         decompose(g, t, within)
+
+
+# K5 gets stuck at t=3 on {4} after the parts {0,1} and {2,3}. Two other
+# pieces are left uncovered: {5}, next to part 1, and {6,7}, whose minimum
+# sees no part but whose 7 sees part 2.
+K5_AND_TWO_PIECES = [*gen.complete(5).edges(), (0, 5), (1, 5), (6, 7), (2, 7), (3, 7)]
+
+
+class TestStuckRegionWalk:
+    """A stuck run walks only the uncovered vertices outside its component."""
+
+    @pytest.mark.parametrize(
+        "g, within",
+        [
+            (Graph(8, K5_AND_TWO_PIECES), None),
+            # vertex 8, outside the sub-region, hangs off 4
+            (Graph(9, K5_AND_TWO_PIECES + [(4, 8)]), set(range(8))),
+            # the stray edge 8-9 is linked to 4 through 10
+            (Graph(11, K5_AND_TWO_PIECES + [(8, 9), (9, 10), (4, 10)]), None),
+        ],
+        ids=["whole-graph", "sub-region", "long-stuck-component"],
+    )
+    def test_pieces_that_touch_parts_keep_the_stuck_state(self, g, within):
+        stuck = decompose(g, 3, within)
+        assert isinstance(stuck, StuckState)
+        assert [sorted(p.vertices) for p in stuck.parts] == [[0, 1], [2, 3]]
+        assert 4 in stuck.component and [p.index for p in stuck.adjacent_parts] == [1, 2]
+
+    @pytest.mark.parametrize(
+        "g, within",
+        [
+            (Graph(10, K5_AND_TWO_PIECES + [(8, 9)]), None),
+            # vertex 10, the only link of the stray edge, is left out
+            (Graph(11, K5_AND_TWO_PIECES + [(8, 9), (9, 10), (4, 10)]), set(range(10))),
+        ],
+        ids=["whole-graph", "sub-region"],
+    )
+    def test_a_piece_that_touches_no_part_is_refused(self, g, within):
+        with pytest.raises(GraphError) as exc:
+            decompose(g, 3, within)
+        assert str(exc.value) == "region must induce a connected subgraph"
+
+    @pytest.mark.parametrize("t", [3, 4, 5])
+    @given(case=graphs_with_pools())
+    @settings(max_examples=200, deadline=None)
+    def test_refused_exactly_when_the_region_is_disconnected(self, t, case):
+        g, pool = case
+        region = range(g.n) if pool is None else pool
+        if not region:
+            return
+        refused = outcome(decompose, g, t, pool) == (GraphError, "region must induce a connected subgraph")
+        assert refused == (not is_connected_reference(g, region))
 
 
 class TestDecompose:
@@ -568,6 +624,76 @@ class TestRecheckAtBenchmarkSize:
         flipped = Decomposition(4, (flip_vertex(d.parts[0], 5050),))
         for case, message in ((d, None), (flipped, "part 1: same-side component exceeds 1")):
             assert decomposition_violation(g, case) == decomposition_violation_reference(g, case) == message
+
+
+class TestRecheckOfSpannerParts:
+    """decompose rechecks parts 2..l without the part-local checks that
+    build_spanner's triple_violation made on them; part 1, which has no
+    postcondition, and every direct call keep them all."""
+
+    @pytest.mark.parametrize(
+        "g, t, part, message",
+        [
+            # part 2 is {3}; part 1 has the same-side edge 0-1
+            (PATH4, 3, split_part(1, {0, 1}, {2}), "part 1: same-side component exceeds 1"),
+            # part 2 is {4}; part 1's crossing edges 0-1 and 2-3 are two pieces
+            (
+                Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)]), 5, split_part(1, {0, 3}, {1, 2}),
+                "part 1: crossing subgraph disconnected",
+            ),
+        ],
+        ids=["oversize-side", "disconnected-crossing-subgraph"],
+    )
+    def test_bad_first_part_fails_the_recheck(self, monkeypatch, g, t, part, message):
+        monkeypatch.setattr(decompose_module, "maximal_bipartite_part", lambda g, within: part)
+        with pytest.raises(InvariantViolation) as exc:
+            decompose(g, t)
+        assert str(exc.value) == f"completed decomposition failed recheck: {message}"
+
+    def test_direct_call_checks_every_part(self):
+        # part 2 has the same-side edge 2-3: only decompose may vouch for it
+        d = Decomposition(3, (split_part(1, {0}, {1}), split_part(2, {2, 3}, ())))
+        assert decomposition_violation(PATH4, d) == "part 2: same-side component exceeds 1"
+        assert decomposition_violation_reference(PATH4, d) == "part 2: same-side component exceeds 1"
+        # vouched for, part 2 still faces the prefix checks: 2 sees side B of part 1 only
+        assert decomposition_violation(PATH4, d, spanner_checked=True) == "vertex 2 adjacent to part 1 misses a side"
+
+    @pytest.mark.parametrize(
+        "parts, message",
+        [
+            ((split_part(1, {0}, {1}), split_part(3, {2}, {3})), "part at position 1 has index 3"),
+            (
+                (split_part(1, {0}, {1}), Part(2, frozenset({2, 3}), frozenset({2, 3}), frozenset({3}))),
+                "part 2: sides do not partition its vertices",
+            ),
+            ((split_part(1, {0}, {1}), split_part(2, {1}, {2, 3})), "part 2: overlaps an earlier part"),
+            ((split_part(1, {0}, {1}), split_part(2, {2}, ())), "parts do not cover the region"),
+        ],
+        ids=["index", "partition", "overlap", "cover"],
+    )
+    def test_vouched_parts_keep_the_other_checks(self, parts, message):
+        d = Decomposition(3, parts)
+        assert decomposition_violation(PATH4, d, spanner_checked=True) == message
+        assert decomposition_violation(PATH4, d) == message
+
+    def test_benchmark_size_outputs_pass_the_full_recheck(self, benchmark_size_decomposition):
+        g, d = benchmark_size_decomposition
+        assert decomposition_violation(g, d) is None
+        g = gen.grid(100, 100)
+        assert decomposition_violation(g, decompose(g, 4)) is None
+
+    def test_dense_outputs_pass_the_full_recheck(self):
+        # the benchmark's dense batch: n in 80..160, p in 0.03..0.15, t 3..6;
+        # at t=3 every run gets stuck, at t=6 almost none
+        completed = 0
+        for seed in range(80):
+            rng = random.Random(seed)
+            g = gen.connected_gnp(rng.randint(80, 160), rng.uniform(0.03, 0.15), seed)
+            d = decompose(g, 3 + seed % 4)
+            if isinstance(d, Decomposition):
+                assert decomposition_violation(g, d) is None
+                completed += 1
+        assert completed >= 20
 
 
 class TestRecheckGuards:

@@ -13,6 +13,7 @@ from oddcluster.graph import (
     is_connected,
     norm_edge,
 )
+from oddcluster import generators as gen
 from oddcluster.spanner import cross_bfs
 
 from conftest import graphs, connected_graphs
@@ -23,6 +24,7 @@ from helpers import (
     is_connected_reference,
     outcome,
     spanning_tree_reference,
+    sparse_gnp,
 )
 
 
@@ -89,12 +91,31 @@ class TestBfs:
 
 
 class TestAgainstReference:
-    """The bfs-based traversals against the queue loops they replaced."""
+    """The traversals against the queue loops they replaced."""
 
     @given(graphs_with_regions())
     @settings(max_examples=300)
     def test_connected_components(self, case):
         g, _, _ = case
+        assert connected_components(g) == connected_components_reference(g)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: gen.connected_gnp(3000, 6 / 2999, 0),
+            lambda: gen.grid(100, 100),
+            lambda: gen.chain_components(sparse_gnp(10**4, 6 / 10**4)),
+            lambda: Graph(5000),
+            # paths of 1, 2, 3 and 4 vertices, over and over
+            lambda: Graph(3000, [(v, v + 1) for v in range(2999) if v % 10 not in (0, 2, 5, 9)]),
+            lambda: Graph(0),
+            lambda: Graph(1),
+        ],
+        ids=["connected-gnp-3000", "grid-100x100", "chained-sparse-gnp-10k", "edgeless-5000",
+             "forest-of-short-paths", "n=0", "n=1"],
+    )
+    def test_connected_components_at_benchmark_sizes(self, make):
+        g = make()
         assert connected_components(g) == connected_components_reference(g)
 
     @given(graphs_with_regions())
