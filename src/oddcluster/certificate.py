@@ -12,10 +12,8 @@ the host graph and the certificate itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
-from operator import not_
 
-from .graph import Graph, GraphError, InvariantViolation, TreeSubgraph, bfs, norm_edge
+from .graph import Graph, GraphError, InvariantViolation, TreeSubgraph, bfs, norm_edge, touching
 from .graph_io import json_int, json_pair
 from .decompose import StuckState, parts_adjacent
 from .spanner import cross_bfs
@@ -47,7 +45,7 @@ def extract_certificate(g: Graph, t: int, stuck: StuckState) -> OddExpansionCert
     parts = parts[: t - 1]
     comp = stuck.component
     for i, p in enumerate(parts):
-        if all(map(p.vertices.isdisjoint, map(g.adj, comp))):
+        if next(touching(g, comp, p.vertices), None) is None:
             raise GraphError(f"part {p.index} is not adjacent to the component")
         for q in parts[i + 1 :]:
             if not parts_adjacent(g, p, q):
@@ -73,8 +71,7 @@ def extract_certificate(g: Graph, t: int, stuck: StuckState) -> OddExpansionCert
         for j in range(i + 1, len(trees)):
             earlier = parts[i]
             later_vertices = parts[j].vertices if j < len(parts) else comp
-            touching = map(not_, map(earlier.vertices.isdisjoint, map(g.adj, later_vertices)))
-            y = min(compress(later_vertices, touching))
+            y = min(touching(g, later_vertices, earlier.vertices))
             same_side = earlier.side_a if coloring[y] == 1 else earlier.side_b
             anchors = g.adj(y) & same_side
             if not anchors:

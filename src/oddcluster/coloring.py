@@ -53,8 +53,7 @@ def build_auxiliary(g: Graph, d: Decomposition) -> Graph:
                     f"part {pos + 1} adjacent to {len(back)} earlier parts, above t-2 = {d.t - 2}"
                 )
             pairs.extend((q, pos) for q in back)
-        if pos < len(d.parts) - 1:
-            owner.update(dict.fromkeys(p.vertices, pos))
+        owner.update(dict.fromkeys(p.vertices, pos))
     return Graph(len(d.parts), pairs)
 
 

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations, compress
-from operator import not_
+from itertools import combinations
 from typing import AbstractSet, Iterable, Sequence, Union
 
-from .graph import Graph, GraphError, InvariantViolation, _checked_set, bfs, is_connected
+from .graph import Graph, GraphError, InvariantViolation, _checked_set, bfs, is_connected, touching
 from .spanner import (
     OnMove,
     SpannerRequest,
@@ -59,7 +58,7 @@ DecomposeOutcome = Union[Decomposition, StuckState]
 
 def parts_adjacent(g: Graph, p: Part, q: Part) -> bool:
     small, large = (p, q) if len(p.vertices) <= len(q.vertices) else (q, p)
-    return not all(map(large.vertices.isdisjoint, map(g.adj, small.vertices)))
+    return next(touching(g, small.vertices, large.vertices), None) is not None
 
 
 def maximal_bipartite_part(g: Graph, within: Iterable[int] | None = None) -> Part:
@@ -105,10 +104,8 @@ def pick_component(
     comp = frozenset(bfs(g, pending[0], uncovered))
     boundary = g.neighborhood(comp) & owner.keys()  # its covered neighbors
     adjacent = [parts[i] for i in sorted(set(map(owner.__getitem__, boundary)))]
-    terminals = [  # per part, the least component vertex with a neighbor in it
-        min(compress(comp, map(not_, map(p.vertices.isdisjoint, map(g.adj, comp)))))
-        for p in adjacent
-    ]
+    # per part, the least component vertex with a neighbor in it
+    terminals = [min(touching(g, comp, p.vertices)) for p in adjacent]
     return comp, adjacent, terminals
 
 
@@ -162,10 +159,10 @@ def decompose(
         if len(adjacent) >= t - 1:
             rest = uncovered - comp
             while rest:  # each piece of the other uncovered vertices must touch a part
-                piece = bfs(g, next(iter(rest)), rest).keys()
+                piece = bfs(g, rest.pop(), rest)
                 if owner.keys().isdisjoint(g.neighborhood(piece)):
                     raise GraphError(disconnected)
-                rest -= piece
+                rest.difference_update(piece)
             return StuckState(comp, tuple(adjacent), tuple(parts))
         terms = frozenset(terminals)
         req = SpannerRequest(g, comp, terms, (len(terms) + 1) // 2)
@@ -184,7 +181,8 @@ def decompose(
 def decomposition_violation(
     g: Graph, d: Decomposition, within: Iterable[int] | None = None, *, spanner_checked: bool = False
 ) -> str | None:
-    """First violated decomposition guarantee, recomputed from scratch; None if clean.
+    """First violated decomposition guarantee, or None if clean; with
+    `spanner_checked`, parts 2..l take their local guarantees from triple_violation.
 
     Checks, for every part: sides partition it, it is connected, same-side
     components respect ceil((t-2)/2), and the crossing subgraph is connected.

@@ -5,13 +5,16 @@ subgraphs: from a root, inside a vertex set, neighbors in ascending order.
 Its parent map, in visit order, gives the reached set, the visit order,
 tree edges and depth parity. `is_connected` is built on it, but not
 `connected_components`, which needs only each piece's vertex set.
+`touching` is the one scan for the vertices with a neighbor in a set.
 `spanner.cross_bfs(host, H, A, B)` walks side-crossing edges only, from min(H).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import AbstractSet, Iterable
+from itertools import compress
+from operator import not_
+from typing import AbstractSet, Collection, Iterable, Iterator
 
 Edge = tuple[int, int]
 MAX_VERTICES = 10**7  # 100x the 10^5 scale target; the adjacency sets cost ~240 B a vertex
@@ -128,26 +131,27 @@ def bfs(g: Graph, root: int, within: AbstractSet[int]) -> dict[int, int]:
 def connected_components(g: Graph) -> list[frozenset[int]]:
     """Maximal connected pieces of g, ordered by their minimum vertex. Each
     is one breadth-first walk into a set of its own, with no filter: a piece
-    is closed under neighbors. The root scan stops once the pieces cover g."""
+    is closed under neighbors."""
     out: list[frozenset[int]] = []
     seen: set[int] = set()  # the vertices of the pieces found so far
-    left = g.n
     for s in range(g.n):
-        if s in seen:
-            continue
-        comp = {s}
-        order = [s]
-        for x in order:
-            for y in g.neighbors(x):
-                if y not in comp:
-                    comp.add(y)
-                    order.append(y)
-        out.append(frozenset(comp))
-        left -= len(comp)
-        if not left:
-            break
-        seen |= comp
+        if s not in seen:
+            comp = {s}
+            order = [s]
+            for x in order:
+                for y in g.neighbors(x):
+                    if y not in comp:
+                        comp.add(y)
+                        order.append(y)
+            seen |= comp
+            out.append(frozenset(comp))
     return out
+
+
+def touching(g: Graph, xs: Collection[int], ys: AbstractSet[int]) -> Iterator[int]:
+    """The vertices of `xs` with a neighbor in `ys`, in the order of `xs`, by
+    one C-level scan of their neighbor sets that stops when the caller does."""
+    return compress(xs, map(not_, map(ys.isdisjoint, map(g.adj, xs))))
 
 
 def is_connected(g: Graph, within: Iterable[int]) -> bool:

@@ -1,5 +1,6 @@
 import importlib
 import random
+import time
 from collections import deque
 from dataclasses import replace
 
@@ -18,7 +19,7 @@ from oddcluster.decompose import (
     parts_adjacent,
     pick_component,
 )
-from oddcluster.graph import Graph, GraphError, InvariantViolation, bfs
+from oddcluster.graph import Graph, GraphError, InvariantViolation, bfs, connected_components
 from oddcluster import generators as gen
 
 from conftest import connected_graphs, graphs
@@ -278,6 +279,29 @@ class TestStuckRegionWalk:
             return
         refused = outcome(decompose, g, t, pool) == (GraphError, "region must induce a connected subgraph")
         assert refused == (not is_connected_reference(g, region))
+
+    def test_thousands_of_pieces_take_one_walk(self):
+        # K5 plus 20,000 vertices next to 0 and 1: at t=3 the run gets stuck
+        # on {4} and leaves 20,000 singleton pieces, each touching part 1.
+        # A walk that copied the rest of the uncovered vertices once per piece
+        # would take about 150 times one component walk of the graph; a walk
+        # that visits each vertex once takes 6-10.
+        n = 20_005
+        g = Graph(n, [*gen.complete(5).edges(), *((v, u) for u in range(5, n) for v in (0, 1))])
+
+        def best_of_3(f, *args):
+            times = []
+            for _ in range(3):
+                start = time.perf_counter()
+                out = f(*args)
+                times.append(time.perf_counter() - start)
+            return out, min(times)
+
+        stuck, run = best_of_3(decompose, g, 3)
+        _, walk = best_of_3(connected_components, g)
+        assert isinstance(stuck, StuckState) and stuck.component == {4}
+        assert [sorted(p.vertices) for p in stuck.parts] == [[0, 1], [2, 3]]
+        assert run < 40 * walk
 
 
 class TestDecompose:

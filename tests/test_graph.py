@@ -12,6 +12,7 @@ from oddcluster.graph import (
     induced_edge_count,
     is_connected,
     norm_edge,
+    touching,
 )
 from oddcluster import generators as gen
 from oddcluster.spanner import cross_bfs
@@ -117,6 +118,14 @@ class TestAgainstReference:
     def test_connected_components_at_benchmark_sizes(self, make):
         g = make()
         assert connected_components(g) == connected_components_reference(g)
+
+    @given(graphs_with_regions())
+    @settings(max_examples=300)
+    def test_touching(self, case):
+        # the generator scans the three certificate-path callers used before
+        g, region, side_a = case
+        for xs, ys in ((region, side_a), (side_a, region), (frozenset(range(g.n)), region)):
+            assert list(touching(g, xs, ys)) == [v for v in xs if g.adj(v) & ys]
 
     @given(graphs_with_regions())
     @settings(max_examples=300)
