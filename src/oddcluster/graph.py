@@ -1,5 +1,9 @@
 """Immutable simple-graph core: construction and traversal primitives.
 
+Construction is bulk, over one flat list of endpoints (`Graph.from_ends`):
+a range check, per-vertex lists filled in edge order, each vertex frozen
+once. A failed check rescans the edges in order for the first bad one.
+
 `bfs` is the construction side's one breadth-first search over induced
 subgraphs: from a root, inside a vertex set, neighbors in ascending order.
 Its parent map, in visit order, gives the reached set, the visit order,
@@ -17,7 +21,9 @@ from operator import not_
 from typing import AbstractSet, Collection, Iterable, Iterator
 
 Edge = tuple[int, int]
-MAX_VERTICES = 10**7  # 100x the 10^5 scale target; the adjacency sets cost ~240 B a vertex
+# 100x the 10^5 scale target; building peaks at ~95 B a vertex (10^6 edgeless: 92 MiB)
+MAX_VERTICES = 10**7  # and a vertex with a neighbor keeps a frozenset of 216 B or more
+_EMPTY: frozenset[int] = frozenset()  # the adjacency set of every degree-0 vertex
 
 
 class GraphError(ValueError):
@@ -32,37 +38,62 @@ def norm_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+def _raise_first_offender(n: int, ends: list[int]) -> None:
+    """Raise for the first edge that is out of range, a loop or a repeat."""
+    seen: set[Edge] = set()
+    for u, v in zip(ends[::2], ends[1::2]):
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphError(f"edge ({u},{v}) out of range for n={n}")
+        if u == v:
+            raise GraphError(f"self-loop at vertex {u}")
+        if norm_edge(u, v) in seen:
+            raise GraphError(f"duplicate edge ({u},{v})")
+        seen.add(norm_edge(u, v))
+    raise InvariantViolation("a bulk edge check failed, but no edge fails it")
+
+
 class Graph:
     """Simple undirected graph on vertex ids 0..n-1, immutable once built.
 
     Self-loops, duplicate edges, out-of-range endpoints and more than
-    MAX_VERTICES vertices are rejected. Neighbor lists are kept sorted,
-    which makes every traversal in this package deterministic.
+    MAX_VERTICES vertices are rejected, naming the first bad edge. Neighbor
+    lists are kept sorted, which makes every traversal in this package
+    deterministic. Each adjacency set's table, and so its iteration order,
+    follows the edge order; vertices of degree 0 share one empty set.
     """
 
     __slots__ = ("n", "m", "_nbrs", "_sets")
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()) -> None:
+        self._build(n, [x for u, v in edges for x in (u, v)])
+
+    @classmethod
+    def from_ends(cls, n: int, ends: list[int]) -> Graph:
+        """Graph(n, edges) with edge i from ends[2i] to ends[2i+1], and no tuple per edge."""
+        g = cls.__new__(cls)
+        g._build(n, ends)
+        return g
+
+    def _build(self, n: int, ends: list[int]) -> None:
         if n < 0:
             raise GraphError("vertex count must be nonnegative")
-        if n > MAX_VERTICES:  # checked before anything is allocated
+        if n > MAX_VERTICES:  # checked before any vertex is allocated
             raise GraphError(f"vertex count {n} above the limit of {MAX_VERTICES}")
-        adj: list[set[int]] = [set() for _ in range(n)]
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphError(f"edge ({u},{v}) out of range for n={n}")
-            if u == v:
-                raise GraphError(f"self-loop at vertex {u}")
-            if v in adj[u]:
-                raise GraphError(f"duplicate edge ({u},{v})")
-            adj[u].add(v)
-            adj[v].add(u)
-        for v in range(n):  # in place: each set is freed as its frozen copy is made
-            adj[v] = frozenset(adj[v])
+        if ends and (min(ends) < 0 or max(ends) >= n):
+            _raise_first_offender(n, ends)
+        lists: list[list[int]] = [[] for _ in range(n)]
+        pairs = iter(ends)
+        for u, v in zip(pairs, pairs):  # in edge order: a set's table depends on it
+            lists[u].append(v)
+            lists[v].append(u)
+        # frozenset(list) would grow larger tables, in another iteration order
+        sets = tuple([frozenset(set(a)) if a else _EMPTY for a in lists])
+        if sum(map(len, sets)) != len(ends):  # some list repeats a vertex
+            _raise_first_offender(n, ends)
         self.n = n
-        self.m = sum(map(len, adj)) // 2
-        self._nbrs = tuple(tuple(sorted(a)) for a in adj)
-        self._sets = tuple(adj)
+        self.m = len(ends) // 2
+        self._nbrs = tuple([tuple(a.sort() or a) for a in lists])
+        self._sets = sets
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         """Neighbors of v in ascending order."""

@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 from typing import Any
 
 from .graph import Edge, Graph, GraphError
 
 FORMATS = ("edgelist", "dimacs")
+# A plain line: subn() leaves "" of plain text and counts its lines, `^` trying each line once.
+# int() reads 640 digits under any limit that sys.set_int_max_str_digits can set.
+_PLAIN_LINE = re.compile(r"^[0-9]{1,640} [0-9]{1,640}(?:\n|\Z)", re.MULTILINE)
 
 
 def _int_pair(parts: list[str], context: str) -> Edge:
@@ -19,7 +23,17 @@ def _int_pair(parts: list[str], context: str) -> Edge:
 
 
 def read_edgelist(text: str) -> Graph:
-    """Parse "n m" header followed by m lines "u v" with 0-based vertices."""
+    """Parse "n m" header followed by m lines "u v" with 0-based vertices: in bulk if
+    the text is plain, else by the line loop, with the same graph or error."""
+    rest, lines = _PLAIN_LINE.subn("", text)
+    if lines and not rest:
+        n, m, *ends = map(int, text.split())
+        if m == lines - 1:
+            return Graph.from_ends(n, ends)
+    return _read_lines(text)
+
+
+def _read_lines(text: str) -> Graph:
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines:

@@ -39,21 +39,32 @@ them:
   graph read off every edge of g, and the coloring verifier that sorts
   every monochromatic component and scans every one for its defect.
 
+* `graph_reference` and `read_edgelist_reference`: the per-edge `Graph`
+  construction, which checked each edge and added it to two growing sets,
+  and the line loop that parsed every edge-list text into one tuple per
+  edge; `graph_layout` is what they must match in the bulk versions, down
+  to each adjacency set's table.
+
 The references call each other rather than the rewritten functions, so a
-differential test compares two independent computations.
+differential test compares two independent computations. `load_workloads`
+loads the benchmark's input generator from `perfbench/workloads.py`.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import sys
+import types
 from collections import deque
 from dataclasses import dataclass
+from pathlib import Path
 from typing import AbstractSet, Callable, Iterable
 
 from oddcluster.coloring import ClusteredColoring, ColoringRejection, ColoringReport
 from oddcluster.decompose import Decomposition, Part, parts_adjacent
 from oddcluster.graph import (
+    MAX_VERTICES,
     Edge,
     Graph,
     GraphError,
@@ -113,6 +124,83 @@ def format_dimacs(g: Graph) -> str:
     out = [f"p edge {g.n} {g.m}"]
     out.extend(f"e {u + 1} {v + 1}" for u, v in g.edges())
     return "\n".join(out) + "\n"
+
+
+def load_workloads() -> types.ModuleType:
+    """`perfbench/workloads.py`, compiled in memory, so nothing is written
+    next to the benchmark's files."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    module = types.ModuleType("perfbench_workloads")
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    return module
+
+
+def graph_reference(n: int, edges: Iterable[Edge] = ()) -> Graph:
+    """A Graph built edge by edge: each edge checked, then added to two
+    growing sets, and every set frozen at the end."""
+    if n < 0:
+        raise GraphError("vertex count must be nonnegative")
+    if n > MAX_VERTICES:
+        raise GraphError(f"vertex count {n} above the limit of {MAX_VERTICES}")
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphError(f"edge ({u},{v}) out of range for n={n}")
+        if u == v:
+            raise GraphError(f"self-loop at vertex {u}")
+        if v in adj[u]:
+            raise GraphError(f"duplicate edge ({u},{v})")
+        adj[u].add(v)
+        adj[v].add(u)
+    frozen = [frozenset(a) for a in adj]
+    g = Graph.__new__(Graph)
+    g.n = n
+    g.m = sum(map(len, frozen)) // 2
+    g._nbrs = tuple(tuple(sorted(a)) for a in frozen)
+    g._sets = tuple(frozen)
+    return g
+
+
+def _int_pair_reference(parts: list[str], context: str) -> Edge:
+    try:
+        return int(parts[0]), int(parts[1])
+    except ValueError as exc:
+        raise GraphError(f"bad {context} line: {' '.join(parts)!r}") from exc
+
+
+def read_edgelist_reference(text: str) -> Graph:
+    """The line loop: strip every line, drop blanks and `#` comments, split
+    each line and parse it into an edge tuple."""
+    lines = [ln.strip() for ln in text.splitlines()]
+    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    if not lines:
+        raise GraphError("empty edge-list input")
+    head = lines[0].split()
+    if len(head) != 2:
+        raise GraphError(f"bad header {lines[0]!r}, expected 'n m'")
+    n, m = _int_pair_reference(head, "header")
+    if len(lines) - 1 != m:
+        raise GraphError(f"expected {m} edge lines, found {len(lines) - 1}")
+    edges = []
+    for ln in lines[1:]:
+        parts = ln.split()
+        if len(parts) != 2:
+            raise GraphError(f"bad edge line {ln!r}")
+        edges.append(_int_pair_reference(parts, "edge"))
+    return graph_reference(n, edges)
+
+
+def graph_layout(g: Graph) -> tuple:
+    """n, m, the sorted neighbors, and the iteration order and the size of
+    every adjacency set: equal for two graphs built with the same tables."""
+    sets = [g.adj(v) for v in range(g.n)]
+    return (
+        g.n,
+        g.m,
+        [g.neighbors(v) for v in range(g.n)],
+        [list(s) for s in sets],
+        [sys.getsizeof(s) for s in sets],
+    )
 
 
 def bipartition_or_odd_cycle(

@@ -8,7 +8,6 @@ benchmark hashes.
 
 import hashlib
 import json
-import types
 from pathlib import Path
 
 import pytest
@@ -16,16 +15,10 @@ import pytest
 from oddcluster.cli import run_color
 from oddcluster.graph_io import read_edgelist
 
+from helpers import load_workloads
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 GOLDEN = json.loads((PERFBENCH / "golden.json").read_text(encoding="utf-8"))
-
-
-def load_workloads() -> types.ModuleType:
-    # compiled in memory, so nothing is written next to the benchmark's files
-    path = PERFBENCH / "workloads.py"
-    module = types.ModuleType("perfbench_workloads")
-    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
-    return module
 
 
 def sha256(text: str) -> str:

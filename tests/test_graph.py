@@ -22,6 +22,8 @@ from helpers import (
     OddClosedWalk,
     bipartition_or_odd_cycle,
     connected_components_reference,
+    graph_layout,
+    graph_reference,
     is_connected_reference,
     outcome,
     spanning_tree_reference,
@@ -92,7 +94,24 @@ class TestBfs:
 
 
 class TestAgainstReference:
-    """The traversals against the queue loops they replaced."""
+    """The traversals against the queue loops they replaced, and the bulk
+    construction against the per-edge one."""
+
+    @given(st.integers(min_value=-1, max_value=9).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.tuples(*[st.integers(-1, n + 1)] * 2), max_size=14))
+    ))
+    @settings(max_examples=500)
+    def test_construction(self, case):
+        n, edges = case
+        got, want = outcome(Graph, n, edges), outcome(graph_reference, n, edges)
+        if isinstance(want, Graph):
+            assert isinstance(got, Graph) and graph_layout(got) == graph_layout(want)
+        else:
+            assert got == want
+
+    def test_construction_at_benchmark_size(self):
+        g = gen.connected_gnp(3000, 6 / 2999, 0)
+        assert graph_layout(g) == graph_layout(graph_reference(g.n, g.edges()))
 
     @given(graphs_with_regions())
     @settings(max_examples=300)
@@ -185,6 +204,11 @@ class TestConstruction:
     def test_vertex_count_above_limit_rejected(self, n):
         with pytest.raises(GraphError, match=f"vertex count {n} above the limit of {MAX_VERTICES}"):
             Graph(n)
+
+    @pytest.mark.parametrize("edges", [[(0, 1, 2), (3,)], [(0,), (1, 2, 3)]])
+    def test_edge_that_is_not_a_pair_rejected(self, edges):
+        with pytest.raises(ValueError):
+            Graph(4, edges)
 
     def test_neighbors_sorted(self):
         g = Graph(4, [(2, 0), (2, 3), (2, 1)])

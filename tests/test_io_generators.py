@@ -1,12 +1,27 @@
+import sys
+import time
+from unittest import mock
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oddcluster import generators as gen
-from oddcluster.graph import Graph, GraphError, connected_components
+from oddcluster import graph_io
+from oddcluster.graph import MAX_VERTICES, Graph, GraphError, connected_components
 from oddcluster.graph_io import format_edgelist, read_dimacs, read_edgelist
 
 from conftest import graphs
-from helpers import OddClosedWalk, bipartition_or_odd_cycle, format_dimacs
+from helpers import (
+    OddClosedWalk,
+    bipartition_or_odd_cycle,
+    format_dimacs,
+    graph_layout,
+    load_workloads,
+    outcome,
+    read_edgelist_reference,
+    sparse_gnp,
+)
 
 
 class TestEdgelist:
@@ -33,6 +48,130 @@ class TestEdgelist:
     @given(graphs(max_n=12))
     def test_round_trip_property(self, g):
         assert read_edgelist(format_edgelist(g)) == g
+
+
+# Edits to one token: a sign, an underscore, a non-ASCII digit, a token past
+# the int digit limit, a minus and a vertex count above the limit. All but
+# the last make the text one that only the line loop reads.
+TOKEN_EDITS = (
+    lambda tok: "+" + tok,
+    lambda tok: tok[0] + "_" + tok[1:] if len(tok) > 1 else "1_0",
+    lambda tok: tok.replace("3", "\u0663") if "3" in tok else "\u0663",
+    lambda tok: "1" * 4400,
+    lambda tok: "-" + tok,
+    lambda tok: str(MAX_VERTICES + 1),
+)
+
+# Edits to the lines of a text: CRLF line ends, a tab, a line split in two,
+# a double space, a leading or trailing space, a blank line and a `#` comment.
+LINE_EDITS = (
+    lambda ln: ln + "\r",
+    lambda ln: ln.replace(" ", "\t", 1),
+    lambda ln: ln.replace(" ", "\n", 1),
+    lambda ln: ln.replace(" ", "  ", 1),
+    lambda ln: " " + ln,
+    lambda ln: ln + " ",
+    lambda ln: "\n" + ln,
+    lambda ln: "# a comment\n" + ln,
+)
+
+
+@st.composite
+def edge_list_texts(draw):
+    """Plain edge lists, some with out-of-range endpoints, self-loops,
+    duplicates in either orientation or a wrong edge count, and some edited
+    by TOKEN_EDITS and LINE_EDITS, or with no final newline, or empty."""
+    n = draw(st.integers(min_value=0, max_value=8))
+    vertex = st.integers(min_value=0, max_value=n + 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=10))
+    if edges and draw(st.booleans()):  # repeat an edge, maybe reversed
+        u, v = draw(st.sampled_from(edges))
+        edges.insert(draw(st.integers(0, len(edges))), draw(st.sampled_from([(u, v), (v, u)])))
+    m = len(edges) + draw(st.sampled_from([0, 0, 0, -1, 1]))
+    rows = [[str(n), str(m)]] + [[str(u), str(v)] for u, v in edges]
+    for _ in range(draw(st.integers(0, 2))):
+        row = draw(st.sampled_from(rows))
+        i = draw(st.integers(0, 1))
+        row[i] = draw(st.sampled_from(TOKEN_EDITS))(row[i])
+    lines = [" ".join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(lines) - 1))
+        lines[i] = draw(st.sampled_from(LINE_EDITS))(lines[i])
+    text = "\n".join(lines) + draw(st.sampled_from(["\n", "\n", ""]))
+    return draw(st.sampled_from([text] * 9 + [""]))
+
+
+def line_loop_forbidden(text):
+    raise AssertionError("a plain text reached the line loop")
+
+
+class TestBulkParse:
+    """read_edgelist against the line loop and per-edge construction it
+    replaced: the same graph, down to each adjacency set's table, or the
+    same GraphError message."""
+
+    @staticmethod
+    def assert_same(text):
+        got, want = outcome(read_edgelist, text), outcome(read_edgelist_reference, text)
+        if isinstance(want, Graph):
+            assert isinstance(got, Graph) and graph_layout(got) == graph_layout(want)
+        else:
+            assert got == want
+
+    @settings(max_examples=1000)
+    @given(edge_list_texts())
+    def test_matches_line_loop(self, text):
+        self.assert_same(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["", "\n", "0 0", "0 0\n", "2 1\n0 1", "2 1\n0 1\n\n", "3 1\n0 1\n1 2\n", "3 2\n0 1\n1 0\n",
+         "3 2\n0 1\n2 2\n", "2 1\n0 2\n", f"{MAX_VERTICES + 1} 0\n", "1 2\n", "2 1\n" + "0" * 700 + "1 0\n"],
+    )
+    def test_matches_line_loop_on_edge_cases(self, text):
+        self.assert_same(text)
+
+    @pytest.mark.parametrize("name", ["sparse_gnp", "grid_bipartite", "dense_batch"])
+    def test_benchmark_inputs_take_bulk_path(self, name, monkeypatch):
+        monkeypatch.setattr(graph_io, "_read_lines", line_loop_forbidden)
+        for text, _ in load_workloads().build(name, 0):
+            self.assert_same(text)
+
+    @given(graphs(max_n=12))
+    def test_format_edgelist_takes_bulk_path(self, g):
+        with mock.patch.object(graph_io, "_read_lines", line_loop_forbidden):
+            assert graph_layout(read_edgelist(format_edgelist(g))) == graph_layout(g)
+
+    @pytest.mark.slow
+    def test_matches_line_loop_at_scale(self, monkeypatch):
+        text = format_edgelist(sparse_gnp(10**5, 6 / 10**5))
+        monkeypatch.setattr(graph_io, "_read_lines", line_loop_forbidden)
+        self.assert_same(text)
+
+    def test_long_digit_run_rejected_in_linear_time(self):
+        # an unanchored search for plain lines would try the run from each of
+        # its digits: seconds at this length, against milliseconds
+        text = "1" * 10**6 + "\n"
+        start = time.perf_counter()
+        with pytest.raises(GraphError, match="bad header"):
+            read_edgelist(text)
+        assert time.perf_counter() - start < 1.0
+
+    def test_tokens_at_the_lowest_digit_limit(self):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)  # the lowest limit it accepts, bar 0 for none
+        try:
+            for digits in (640, 641):  # the second fails int(), in the line loop only
+                self.assert_same("0" * (digits - 1) + "2 1\n0 1\n")
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    def test_edgeless_vertices_share_one_empty_set(self):
+        g = read_edgelist("1000 1\n0 1\n")
+        assert len({id(g.adj(v)) for v in range(2, g.n)}) == 1
+        assert len({id(g.neighbors(v)) for v in range(2, g.n)}) == 1
+        assert g.adj(2) == frozenset() and g.neighbors(2) == ()
+        assert Graph(3).adj(0) is g.adj(2)
 
 
 class TestDimacs:
