@@ -38,22 +38,18 @@ class ColoringRejection:
 def build_auxiliary(g: Graph, d: Decomposition) -> Graph:
     """Graph on 0-based part positions, adjacent iff the parts are adjacent in g.
 
-    The pairs are read off each part's neighbors in the earlier parts,
-    which disjoint parts and symmetric adjacency make the same as reading
-    every edge of g. Raises InvariantViolation if some position sees more
-    than t-2 earlier ones, which would break the greedy hue bound.
+    The pairs are read off `Part.earlier`, which decompose records and the
+    recheck checks: `d` must have passed decomposition_violation, as every
+    decomposition from decompose has. Raises InvariantViolation if some
+    position sees more than t-2 earlier ones, breaking the greedy hue bound.
     """
-    owner: dict[int, int] = {}  # the position of every vertex of the earlier parts
     pairs: list[tuple[int, int]] = []
     for pos, p in enumerate(d.parts):
-        if owner:
-            back = set(map(owner.__getitem__, g.neighborhood(p.vertices) & owner.keys()))
-            if len(back) > d.t - 2:
-                raise InvariantViolation(
-                    f"part {pos + 1} adjacent to {len(back)} earlier parts, above t-2 = {d.t - 2}"
-                )
-            pairs.extend((q, pos) for q in back)
-        owner.update(dict.fromkeys(p.vertices, pos))
+        if len(p.earlier) > d.t - 2:
+            raise InvariantViolation(
+                f"part {pos + 1} adjacent to {len(p.earlier)} earlier parts, above t-2 = {d.t - 2}"
+            )
+        pairs.extend((q - 1, pos) for q in p.earlier)  # an index is its position plus one
     return Graph(len(d.parts), pairs)
 
 

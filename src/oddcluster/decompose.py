@@ -28,12 +28,13 @@ from .spanner import (
 
 @dataclass(frozen=True)
 class Part:
-    """One decomposition piece: 1-based construction index, vertices, and sides."""
+    """One decomposition piece: 1-based construction index, vertices, sides, earlier neighbors."""
 
     index: int
     vertices: frozenset[int]
     side_a: frozenset[int]
     side_b: frozenset[int]
+    earlier: frozenset[int] = frozenset()  # the indices of the earlier parts adjacent to it
 
 
 @dataclass(frozen=True)
@@ -54,11 +55,6 @@ class StuckState:
 
 
 DecomposeOutcome = Union[Decomposition, StuckState]
-
-
-def parts_adjacent(g: Graph, p: Part, q: Part) -> bool:
-    small, large = (p, q) if len(p.vertices) <= len(q.vertices) else (q, p)
-    return next(touching(g, small.vertices, large.vertices), None) is not None
 
 
 def maximal_bipartite_part(g: Graph, within: Iterable[int] | None = None) -> Part:
@@ -128,12 +124,15 @@ def decompose(
     and that component form a connected union that no edge joins to them,
     so the region is connected iff each of their pieces touches a part.
 
-    Every picked component's adjacent parts must be pairwise adjacent; a
-    miss is a bug, not an input problem. A completed run is rechecked by
-    decomposition_violation before it is returned, with `spanner_checked`:
-    on parts 2..l, triple_violation already made the same pure calls on the
-    same frozen sets and passed them, under a side bound (k+1)//2 with
-    k <= t-2 terminals, no larger than the recheck's (t-1)//2.
+    A new part records the parts next to its component as `earlier`, its
+    earlier neighbors: triple_violation checked that it lies in the
+    component and holds a terminal next to each. A picked component's
+    adjacent parts must be pairwise adjacent by their records; a miss is a
+    bug, not an input problem. A completed run is rechecked, records
+    included, by decomposition_violation before it is returned, with
+    `spanner_checked`: on parts 2..l, triple_violation already made the same
+    pure calls on the same frozen sets and passed them, under a side bound
+    (k+1)//2 with k <= t-2 terminals, no larger than the recheck's (t-1)//2.
     """
     if t < 3:
         raise GraphError("t must be >= 3")
@@ -152,7 +151,7 @@ def decompose(
             raise GraphError(disconnected)
         for i, p in enumerate(adjacent):
             for q in adjacent[i + 1 :]:
-                if not parts_adjacent(g, p, q):
+                if p.index not in q.earlier:
                     raise InvariantViolation(
                         f"adjacent parts {p.index} and {q.index} are not pairwise adjacent"
                     )
@@ -168,7 +167,8 @@ def decompose(
         req = SpannerRequest(g, comp, terms, (len(terms) + 1) // 2)
         triple = build_spanner(req, on_move=on_move)
         owner.update(dict.fromkeys(triple.h_vertices, len(parts)))  # the new part's position
-        parts.append(Part(len(parts) + 1, triple.h_vertices, triple.side_a, triple.side_b))
+        earlier = frozenset(p.index for p in adjacent)
+        parts.append(Part(len(parts) + 1, triple.h_vertices, triple.side_a, triple.side_b, earlier))
         uncovered -= triple.h_vertices
 
     result = Decomposition(t, tuple(parts))
@@ -195,7 +195,7 @@ def decomposition_violation(
     sides, and every uncovered component touches at most t-2 parts which are
     pairwise adjacent. The first failure in that order is reported: by
     prefix, side checks before component checks, then by vertex or by the
-    component's minimum vertex.
+    component's minimum vertex; the records `earlier` are checked last.
 
     The per-part and cover checks come first, so the parts are disjoint,
     connected and cover the region: the rest after prefix k is the union of
@@ -203,12 +203,13 @@ def decomposition_violation(
     One pass from the last part to the first grows the rest. Its vertices
     that see one side of H_k only are the symmetric difference of N(A_k)
     and N(B_k) within it; the parts holding their union are the later parts
-    adjacent to H_k. A component of the rest touches the same parts at every
-    prefix where it exists, as its outside neighbors are all covered, so one
-    check, at the earliest, decides them all: the parts are added back from
-    last to first into a union-find over part indices, and each component is
-    checked just before it merges with the part being added back. Part 1 is
-    never added back; the components left are those after it.
+    adjacent to H_k, which also gives each part its earlier neighbors for
+    the record check. A component of the rest touches the same parts at
+    every prefix where it exists, as its outside neighbors are all covered,
+    so one check, at the earliest, decides them all: the parts are added
+    back from last to first into a union-find over part indices, and each
+    component is checked just before it merges with the part being added
+    back. Part 1 is never added back; the components left are those after it.
     """
     pool = frozenset(range(g.n)) if within is None else frozenset(within)
     bound = (d.t - 1) // 2  # ceil((t-2)/2)
@@ -249,6 +250,7 @@ def decomposition_violation(
         for j in later[p.index]:
             touched[j].add(p.index)
         owner.update(dict.fromkeys(p.vertices, p.index))
+    stale = next((p.index for p in d.parts if touched[p.index] != p.earlier), None)  # before the merges
 
     parent: dict[int, int] = {}
     low: dict[int, int] = {}  # per root: the component's minimum vertex
@@ -288,6 +290,8 @@ def decomposition_violation(
     reason = first_failure(low, 1)  # the roots left: the components after part 1
     if reason is not None and (first is None or 1 < first[0]):
         first = (1, reason)
+    if first is None and stale is not None:
+        return f"part {stale}: recorded earlier parts differ from those it touches"
     return None if first is None else first[1]
 
 

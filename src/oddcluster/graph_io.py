@@ -63,7 +63,7 @@ def read_dimacs(text: str) -> Graph:
     """Parse DIMACS: one "p edge n m" header plus "e u v" lines (1-based)."""
     n = None
     m = 0
-    edges: list[Edge] = []
+    ends: list[int] = []  # 0-based, two per edge, as Graph.from_ends takes them
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -81,14 +81,14 @@ def read_dimacs(text: str) -> Graph:
             if len(parts) != 3:
                 raise GraphError(f"bad edge line {line!r}")
             u, v = _int_pair(parts[1:], "edge")
-            edges.append((u - 1, v - 1))
+            ends += u - 1, v - 1
         else:
             raise GraphError(f"unrecognized line {line!r}")
     if n is None:
         raise GraphError("missing 'p edge n m' line")
-    if len(edges) != m:
-        raise GraphError(f"expected {m} edges, found {len(edges)}")
-    return Graph(n, edges)
+    if len(ends) != 2 * m:
+        raise GraphError(f"expected {m} edges, found {len(ends) // 2}")
+    return Graph.from_ends(n, ends)
 
 
 def load_graph(path: str | Path, fmt: str = "edgelist") -> Graph:

@@ -34,7 +34,13 @@ them:
   frame per vertex;
 * `decomposition_violation_reference`: the recheck that recomputes the
   uncovered components at every prefix and scans every earlier part for
-  each of them, cubic in the worst case;
+  each of them, cubic in the worst case, and then every pair of parts for
+  the records;
+* `parts_adjacent_reference`: the graph scan that tested two parts for
+  adjacency, which decompose ran on every pair of a picked component's
+  adjacent parts before each part recorded its earlier neighbors;
+  `with_records` uses it to give hand-built or random parts the records
+  decompose gives its own;
 * `build_auxiliary_reference` and `verify_coloring_reference`: the part
   graph read off every edge of g, and the coloring verifier that sorts
   every monochromatic component and scans every one for its defect.
@@ -57,12 +63,12 @@ import random
 import sys
 import types
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import AbstractSet, Callable, Iterable
 
 from oddcluster.coloring import ClusteredColoring, ColoringRejection, ColoringReport
-from oddcluster.decompose import Decomposition, Part, parts_adjacent
+from oddcluster.decompose import Decomposition, Part
 from oddcluster.graph import (
     MAX_VERTICES,
     Edge,
@@ -590,7 +596,8 @@ def decomposition_violation_reference(
     components respect ceil((t-2)/2), and the crossing subgraph is connected.
     Then, for every prefix: uncovered neighbors of the last part see both its
     sides, and every uncovered component touches at most t-2 parts which are
-    pairwise adjacent.
+    pairwise adjacent. Last, every part's record `earlier` must hold exactly
+    the earlier parts adjacent to it.
     """
     pool = frozenset(range(g.n)) if within is None else frozenset(within)
     bound = (d.t - 1) // 2  # ceil((t-2)/2)
@@ -629,12 +636,30 @@ def decomposition_violation_reference(
                 return f"a component after part {p.index} touches {len(touched)} parts"
             for j, q1 in enumerate(touched):
                 for q2 in touched[j + 1 :]:
-                    if not parts_adjacent(g, q1, q2):
+                    if not parts_adjacent_reference(g, q1, q2):
                         return (
                             f"parts {q1.index} and {q2.index} touch one component "
                             "but are not adjacent"
                         )
+    for i, p in enumerate(d.parts):
+        if {q.index for q in d.parts[:i] if parts_adjacent_reference(g, q, p)} != p.earlier:
+            return f"part {p.index}: recorded earlier parts differ from those it touches"
     return None
+
+
+def parts_adjacent_reference(g: Graph, p: Part, q: Part) -> bool:
+    """Whether some vertex of p has a neighbor in q."""
+    return any(g.adj(v) & q.vertices for v in p.vertices)
+
+
+def with_records(g: Graph, parts: Iterable[Part]) -> tuple[Part, ...]:
+    """The parts, each with `earlier` set to the indices of the parts before
+    it that are adjacent to it: the record decompose gives its parts."""
+    parts = tuple(parts)
+    return tuple(
+        replace(p, earlier=frozenset(q.index for q in parts[:i] if parts_adjacent_reference(g, q, p)))
+        for i, p in enumerate(parts)
+    )
 
 
 def build_auxiliary_reference(g: Graph, d: Decomposition) -> Graph:

@@ -22,16 +22,17 @@ from oddcluster.graph import Graph, GraphError
 from oddcluster import generators as gen
 
 from conftest import connected_graphs, graphs
-from helpers import build_auxiliary_reference, outcome, verify_coloring_reference
+from helpers import build_auxiliary_reference, outcome, verify_coloring_reference, with_records
 
 
-def path_of_parts():
-    """Three parts in a path of adjacencies: {0,1} - {2,3} - {4,5}."""
+def path_of_parts(earlier=({1}, {2})):
+    """Three parts in a path of adjacencies: {0,1} - {2,3} - {4,5}; parts 2
+    and 3 record `earlier` as given, by default their true records."""
     g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
     parts = (
         Part(1, frozenset({0, 1}), frozenset({0}), frozenset({1})),
-        Part(2, frozenset({2, 3}), frozenset({2}), frozenset({3})),
-        Part(3, frozenset({4, 5}), frozenset({4}), frozenset({5})),
+        Part(2, frozenset({2, 3}), frozenset({2}), frozenset({3}), frozenset(earlier[0])),
+        Part(3, frozenset({4, 5}), frozenset({4}), frozenset({5}), frozenset(earlier[1])),
     )
     return g, Decomposition(4, parts)
 
@@ -51,6 +52,11 @@ class TestAuxiliary:
         g, d = path_of_parts()
         aux = build_auxiliary(g, d)
         assert aux.edges() == [(0, 1), (1, 2)]
+
+    def test_reads_the_records_not_the_graph(self):
+        # decomposition_violation checks the records; build_auxiliary takes them as given
+        g, d = path_of_parts(earlier=({1}, {1, 2}))
+        assert build_auxiliary(g, d).edges() == [(0, 1), (0, 2), (1, 2)]
 
 
 class TestPartHues:
@@ -211,7 +217,7 @@ class TestAuxiliaryAgainstReference:
             if vs:
                 parts.append(Part(len(parts) + 1, vs, vs, frozenset()))
         t = data.draw(st.integers(min_value=3, max_value=6))
-        d = Decomposition(t, tuple(parts))
+        d = Decomposition(t, with_records(g, parts))
         assert outcome(build_auxiliary, g, d) == outcome(build_auxiliary_reference, g, d)
 
 

@@ -16,7 +16,6 @@ from oddcluster.decompose import (
     decomposition_to_json,
     decomposition_violation,
     maximal_bipartite_part,
-    parts_adjacent,
     pick_component,
 )
 from oddcluster.graph import Graph, GraphError, InvariantViolation, bfs, connected_components
@@ -26,12 +25,16 @@ from conftest import connected_graphs, graphs
 from helpers import (
     OddClosedWalk,
     bipartition_or_odd_cycle,
+    build_auxiliary_reference,
     decomposition_violation_reference,
     is_connected_reference,
     maximal_bipartite_part_reference,
     outcome,
+    parts_adjacent_reference,
     pick_component_reference,
+    sparse_gnp,
     terminals_reference,
+    with_records,
 )
 
 decompose_module = importlib.import_module("oddcluster.decompose")  # the package exports a function of that name
@@ -324,6 +327,13 @@ class TestDecompose:
         assert isinstance(outcome, Decomposition)
         assert [sorted(p.vertices) for p in outcome.parts] == [[0, 1], [2, 3]]
 
+    def test_a_missing_record_trips_the_pairwise_check(self, monkeypatch, k5):
+        # parts built without records: the stuck component {3, 4} sees parts 1 and 2 as apart
+        monkeypatch.setattr(decompose_module, "Part", lambda *fields: Part(*fields[:4]))
+        with pytest.raises(InvariantViolation) as exc:
+            decompose(k5, 3)
+        assert str(exc.value) == "adjacent parts 1 and 2 are not pairwise adjacent"
+
     def test_small_t_rejected(self, c6):
         with pytest.raises(GraphError):
             decompose(c6, 2)
@@ -352,7 +362,9 @@ class TestDecompose:
             for i, p in enumerate(outcome.adjacent_parts):
                 assert any(g.adj(v) & p.vertices for v in outcome.component)
                 for q in outcome.adjacent_parts[i + 1 :]:
-                    assert parts_adjacent(g, p, q)
+                    assert parts_adjacent_reference(g, p, q)
+            # a stuck run is never rechecked: its records are checked here
+            assert outcome.parts == with_records(g, outcome.parts)
 
     @given(connected_graphs(max_n=20))
     @settings(max_examples=40, deadline=None)
@@ -364,8 +376,9 @@ class TestDecompose:
         assert len(outcome.parts) == 1
 
 
-def split_part(index, side_a, side_b):
-    return Part(index, frozenset(side_a) | frozenset(side_b), frozenset(side_a), frozenset(side_b))
+def split_part(index, side_a, side_b, earlier=()):
+    a, b = frozenset(side_a), frozenset(side_b)
+    return Part(index, a | b, a, b, frozenset(earlier))
 
 
 PATH3 = Graph(3, [(0, 1), (1, 2)])
@@ -456,6 +469,12 @@ PREFIXES_2_AND_3 = Graph(10, TWO_COMPONENTS_EDGES)
             Decomposition(4, TWO_COMPONENTS_PARTS),
             "parts 1 and 2 touch one component but are not adjacent",
         ),
+        (
+            # clean but for part 2, which records itself in place of part 1
+            gen.complete(4),
+            Decomposition(3, (split_part(1, {0}, {1}), split_part(2, {2}, {3}, earlier={2}))),
+            "part 2: recorded earlier parts differ from those it touches",
+        ),
     ],
     ids=[
         "index",
@@ -472,6 +491,7 @@ PREFIXES_2_AND_3 = Graph(10, TWO_COMPONENTS_EDGES)
         "smaller-component-minimum-at-one-prefix",
         "side-miss-at-prefix-1-before-prefix-3",
         "component-at-prefix-2-before-prefix-3",
+        "wrong-record",
     ],
 )
 def test_tampered_decomposition_rejected(g, d, message):
@@ -482,7 +502,8 @@ def test_tampered_decomposition_rejected(g, d, message):
 def carve_bipartite_pieces(g, region, rng):
     """Cut `region` into parts that pass the per-part checks at any t >= 3:
     each grows from a random start, in BFS order, by vertices whose
-    neighbors in the part all lie on one side, up to four vertices."""
+    neighbors in the part all lie on one side, up to four vertices. Each
+    part gets the record of its earlier neighbors that decompose would give."""
     left = set(region)
     parts = []
     while left:
@@ -497,7 +518,7 @@ def carve_bipartite_pieces(g, region, rng):
         a = frozenset(v for v in vertices if side[v] == 0)
         parts.append(Part(len(parts) + 1, vertices, a, vertices - a))
         left -= vertices
-    return tuple(parts)
+    return with_records(g, parts)
 
 
 def edge_pair_case(rng):
@@ -512,8 +533,9 @@ def edge_pair_case(rng):
             for i in range(j):
                 if rng.random() < density:
                     edges += [(2 * i, v)] + ([(2 * i + 1, v)] if rng.random() < 0.95 else [])
-    parts = tuple(split_part(i + 1, {2 * i}, {2 * i + 1}) for i in range(k))
-    return Graph(2 * k, edges), Decomposition(rng.randint(3, 6), parts), None
+    g = Graph(2 * k, edges)
+    parts = with_records(g, (split_part(i + 1, {2 * i}, {2 * i + 1}) for i in range(k)))
+    return g, Decomposition(rng.randint(3, 6), parts), None
 
 
 def connected_subregion(g, rng):
@@ -524,8 +546,10 @@ def connected_subregion(g, rng):
 
 def recheck_case(kind, rng):
     """(graph, decomposition, region) to recheck: a clean decompose output
-    rechecked at its own t or a smaller one, a random carving, or edge-pair
-    parts. About a third of the graph cases use a connected sub-region."""
+    rechecked at its own t or a smaller one, a quarter of them with one
+    index added to or dropped from one part's record, a random carving, or
+    edge-pair parts. About a third of the graph cases use a connected
+    sub-region."""
     if kind == "edge-pairs":
         return edge_pair_case(rng)
     n = rng.randint(1, 18)
@@ -538,7 +562,12 @@ def recheck_case(kind, rng):
     d = decompose(g, t, within=region)
     if not isinstance(d, Decomposition):
         return None
-    return g, Decomposition(rng.randint(3, t), d.parts), region
+    t, parts = rng.randint(3, t), d.parts
+    if rng.random() < 0.25:
+        i = rng.randrange(len(parts))
+        wrong = replace(parts[i], earlier=parts[i].earlier ^ {rng.randint(1, len(parts))})
+        parts = parts[:i] + (wrong,) + parts[i + 1 :]
+    return g, Decomposition(t, parts), region
 
 
 RECHECK_KINDS = ("decomposition", "carving", "edge-pairs")
@@ -577,7 +606,7 @@ class TestRecheckAgainstReference:
             if vs:
                 a = frozenset(v for v in vs if in_a[v])
                 parts.append(Part(len(parts) + 1, vs, a, vs - a))
-        d = Decomposition(data.draw(st.integers(min_value=3, max_value=6)), tuple(parts))
+        d = Decomposition(data.draw(st.integers(min_value=3, max_value=6)), with_records(g, parts))
         assert decomposition_violation(g, d) == decomposition_violation_reference(g, d)
 
     @pytest.mark.parametrize("seed", range(3))
@@ -620,6 +649,10 @@ def benchmark_size_case(d, kind):
         return Decomposition(d.t, d.parts[:i] + (flipped,) + d.parts[i + 1 :])
     if kind == "late-part-dropped":
         return Decomposition(d.t, d.parts[:-1])
+    if kind == "records-corrupted":  # parts 100 and l: each record gains or loses part 1
+        return Decomposition(d.t, tuple(
+            replace(p, earlier=p.earlier ^ {1}) if p.index in (100, len(d.parts)) else p for p in d.parts
+        ))
     # parts 2 and 3 swapped: the only check left to fail is a side check
     p2, p3 = d.parts[1:3]
     return Decomposition(d.t, (d.parts[0], replace(p3, index=2), replace(p2, index=3)) + d.parts[3:])
@@ -633,6 +666,7 @@ class TestRecheckAtBenchmarkSize:
             ("t=3", "a component after part 2 touches 2 parts"),
             ("late-vertex-flipped", "part 166: same-side component exceeds 1"),
             ("late-part-dropped", "parts do not cover the region"),
+            ("records-corrupted", "part 100: recorded earlier parts differ from those it touches"),
             ("parts-2-and-3-swapped", "vertex 967 adjacent to part 2 misses a side"),
         ],
     )
@@ -648,6 +682,14 @@ class TestRecheckAtBenchmarkSize:
         flipped = Decomposition(4, (flip_vertex(d.parts[0], 5050),))
         for case, message in ((d, None), (flipped, "part 1: same-side component exceeds 1")):
             assert decomposition_violation(g, case) == decomposition_violation_reference(g, case) == message
+
+
+def assert_records_match_reference(g, d):
+    """Each part's record `earlier` names its earlier neighbors in the part
+    graph that build_auxiliary_reference reads off every edge of g."""
+    aux = build_auxiliary_reference(g, d)
+    for pos, p in enumerate(d.parts):
+        assert p.earlier == {q + 1 for q in aux.neighbors(pos) if q < pos}, p.index
 
 
 class TestRecheckOfSpannerParts:
@@ -703,6 +745,7 @@ class TestRecheckOfSpannerParts:
     def test_benchmark_size_outputs_pass_the_full_recheck(self, benchmark_size_decomposition):
         g, d = benchmark_size_decomposition
         assert decomposition_violation(g, d) is None
+        assert_records_match_reference(g, d)
         g = gen.grid(100, 100)
         assert decomposition_violation(g, decompose(g, 4)) is None
 
@@ -716,8 +759,16 @@ class TestRecheckOfSpannerParts:
             d = decompose(g, 3 + seed % 4)
             if isinstance(d, Decomposition):
                 assert decomposition_violation(g, d) is None
+                assert_records_match_reference(g, d)
                 completed += 1
         assert completed >= 20
+
+    @pytest.mark.slow
+    def test_records_match_reference_at_scale(self):
+        g = gen.chain_components(sparse_gnp(10**5, 6 / (10**5 - 1)))
+        d = decompose(g, 4)
+        assert isinstance(d, Decomposition) and len(d.parts) > 1000
+        assert_records_match_reference(g, d)
 
 
 class TestRecheckGuards:
