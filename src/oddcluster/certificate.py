@@ -11,7 +11,7 @@ the host graph and the certificate itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph import Graph, GraphError, InvariantViolation, TreeSubgraph, bfs, norm_edge, touching
 from .graph_io import json_int, json_pair
@@ -19,8 +19,7 @@ from .decompose import StuckState
 from .spanner import cross_bfs
 
 
-@dataclass(frozen=True)
-class OddExpansionCertificate:
+class OddExpansionCertificate(NamedTuple):
     t: int
     trees: tuple[TreeSubgraph, ...]
     coloring: dict[int, int]  # every tree vertex -> 1 or 2
@@ -97,46 +96,47 @@ def verify_certificate(g: Graph, cert: OddExpansionCertificate) -> str | None:
     Total on arbitrary content and independent of extraction: trees are
     checked by edge count plus reachability over the given edges alone.
     """
-    t = cert.t
+    t, trees, coloring, joins = cert.t, cert.trees, cert.coloring, cert.joins  # read per vertex or edge below
     if not isinstance(t, int) or t < 1:
         return "t must be a positive integer"
-    if len(cert.trees) != t:
-        return f"expected {t} trees, found {len(cert.trees)}"
+    if len(trees) != t:
+        return f"expected {t} trees, found {len(trees)}"
     claimed: set[int] = set()
-    for idx, tree in enumerate(cert.trees):
-        if not tree.vertices:
+    for idx, tree in enumerate(trees):
+        vertices = tree.vertices
+        if not vertices:
             return f"tree {idx} is empty"
-        for v in tree.vertices:
+        for v in vertices:
             if not (isinstance(v, int) and 0 <= v < g.n):
                 return f"tree {idx} vertex {v!r} out of range"
         for e in tree.edges:
-            if not (isinstance(e, tuple) and len(e) == 2):
+            if not (type(e) is tuple and len(e) == 2):  # a record is a tuple too, but no edge
                 return f"tree {idx} has a malformed edge {e!r}"
             u, v = e
-            if u not in tree.vertices or v not in tree.vertices:
+            if u not in vertices or v not in vertices:
                 return f"tree {idx} edge ({u},{v}) leaves its vertex set"
             if not g.has_edge(u, v):
                 return f"tree {idx} edge ({u},{v}) not in graph"
-        if len(tree.edges) != len(tree.vertices) - 1:
+        if len(tree.edges) != len(vertices) - 1:
             return f"tree {idx} edge count is not |V|-1"
         if not _spans(tree):
             return f"tree {idx} is not connected"
-        if claimed & tree.vertices:
+        if claimed & vertices:
             return "trees not disjoint"
-        claimed |= tree.vertices
+        claimed |= vertices
     for v in sorted(claimed):
-        if cert.coloring.get(v) not in (1, 2):
+        if coloring.get(v) not in (1, 2):
             return f"vertex {v} lacks a color in {{1,2}}"
-    for idx, tree in enumerate(cert.trees):
+    for idx, tree in enumerate(trees):
         for u, v in tree.edges:
-            if cert.coloring[u] == cert.coloring[v]:
+            if coloring[u] == coloring[v]:
                 return f"tree {idx} edge ({u},{v}) is monochromatic"
     wanted = {(i, j) for i in range(t) for j in range(i + 1, t)}
-    if set(cert.joins) != wanted:
+    if set(joins) != wanted:
         return "joins must cover every tree pair exactly once"
     for i, j in sorted(wanted):
-        e = cert.joins[(i, j)]
-        if not (isinstance(e, tuple) and len(e) == 2):
+        e = joins[(i, j)]
+        if not (type(e) is tuple and len(e) == 2):
             return f"join for pair ({i},{j}) is malformed"
         u, v = e
         for w in (u, v):
@@ -144,10 +144,10 @@ def verify_certificate(g: Graph, cert: OddExpansionCertificate) -> str | None:
                 return f"join vertex {w!r} out of range"
         if not g.has_edge(u, v):
             return f"join edge ({u},{v}) not in graph"
-        ti, tj = cert.trees[i].vertices, cert.trees[j].vertices
+        ti, tj = trees[i].vertices, trees[j].vertices
         if not ((u in ti and v in tj) or (u in tj and v in ti)):
             return f"join edge ({u},{v}) does not link trees {i} and {j}"
-        if cert.coloring[u] != cert.coloring[v]:
+        if coloring[u] != coloring[v]:
             return "join edge not monochromatic"
     return None
 
@@ -176,7 +176,7 @@ def certificate_to_json(cert: OddExpansionCertificate) -> dict:
             {"vertices": sorted(tr.vertices), "edges": [list(e) for e in sorted(tr.edges)]}
             for tr in cert.trees
         ],
-        "coloring": {str(v): cert.coloring[v] for v in sorted(cert.coloring)},
+        "coloring": {str(v): c for v, c in sorted(cert.coloring.items())},
         "joins": [
             {"pair": [i, j], "edge": [u, v]}
             for (i, j), (u, v) in sorted(cert.joins.items())

@@ -15,8 +15,8 @@ import contextlib
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .certificate import (
     OddExpansionCertificate,
@@ -56,14 +56,13 @@ EXIT_CERT = 3
 EXIT_INTERNAL = 4
 
 
-@dataclass
-class PipelineResult:
+class PipelineResult(NamedTuple):
     """Everything one color-or-certify run produced, for callers and tests."""
 
     exit_code: int
     payload: dict
     artifact: dict | None = None
-    decompositions: list[Decomposition] = field(default_factory=list)
+    decompositions: tuple[Decomposition, ...] = ()
     coloring: ClusteredColoring | None = None
     report: ColoringReport | None = None
     certificate: OddExpansionCertificate | None = None
@@ -93,7 +92,7 @@ def run_color(
                 return PipelineResult(EXIT_INTERNAL, payload, certificate=cert)
             artifact = certificate_to_json(cert)
             payload = {"status": "certificate", "t": t, "certificate": artifact}
-            return PipelineResult(EXIT_CERT, payload, artifact, completed, certificate=cert)
+            return PipelineResult(EXIT_CERT, payload, artifact, tuple(completed), certificate=cert)
         completed.append(outcome)
 
     colorings = []
@@ -105,7 +104,7 @@ def run_color(
     checked = verify_coloring(g, merged, t)
     if isinstance(checked, ColoringRejection):
         payload = {"status": "error", "error": f"coloring self-check failed: {checked.reason}"}
-        return PipelineResult(EXIT_INTERNAL, payload, decompositions=completed, coloring=merged)
+        return PipelineResult(EXIT_INTERNAL, payload, decompositions=tuple(completed), coloring=merged)
     artifact = coloring_to_json(merged, g.n)
     payload = {
         "status": "colored",
@@ -115,7 +114,7 @@ def run_color(
     }
     if verbose:
         payload["decompositions"] = [decomposition_to_json(d) for d in completed]
-    return PipelineResult(EXIT_OK, payload, artifact, completed, merged, checked)
+    return PipelineResult(EXIT_OK, payload, artifact, tuple(completed), merged, checked)
 
 
 class _UsageError(Exception):

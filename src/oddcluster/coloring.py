@@ -8,29 +8,25 @@ so any monochromatic component stays inside one side of one part.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .graph import Graph, GraphError, InvariantViolation
 from .graph_io import json_int, json_pair
 from .decompose import Decomposition
 
 
-@dataclass(frozen=True)
-class ClusteredColoring:
+class ClusteredColoring(NamedTuple):
     t: int
     colors: dict[int, tuple[int, int]]  # vertex -> (hue in 1..t-1, side in {1,2})
 
 
-@dataclass(frozen=True)
-class ColoringReport:
+class ColoringReport(NamedTuple):
     colors_used: int
     max_component: int
     max_defect: int
 
 
-@dataclass(frozen=True)
-class ColoringRejection:
+class ColoringRejection(NamedTuple):
     reason: str
     component: tuple[int, ...] = ()
 
@@ -108,7 +104,7 @@ def verify_coloring(g: Graph, coloring: ClusteredColoring, t: int) -> ColoringRe
         pair = colors.get(v)
         if pair is None:
             return ColoringRejection(f"vertex {v} is uncolored")
-        if not (isinstance(pair, tuple) and len(pair) == 2):
+        if not (type(pair) is tuple and len(pair) == 2):  # a record is a tuple too, but no pair
             return ColoringRejection(f"vertex {v} color {pair!r} is malformed")
         hue, side = pair
         if not (isinstance(hue, int) and 1 <= hue <= t - 1) or side not in (1, 2):

@@ -10,9 +10,8 @@ is exactly what certificate extraction needs.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from itertools import combinations
-from typing import AbstractSet, Iterable, Sequence, Union
+from typing import AbstractSet, Iterable, NamedTuple, Sequence, Union
 
 from .graph import Graph, GraphError, InvariantViolation, _checked_set, bfs, is_connected, touching
 from .spanner import (
@@ -26,8 +25,7 @@ from .spanner import (
 )
 
 
-@dataclass(frozen=True)
-class Part:
+class Part(NamedTuple):
     """One decomposition piece: 1-based construction index, vertices, sides, earlier neighbors."""
 
     index: int
@@ -37,16 +35,14 @@ class Part:
     earlier: frozenset[int] = frozenset()  # the indices of the earlier parts adjacent to it
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """Completed run: ordered parts covering the region."""
 
     t: int
     parts: tuple[Part, ...]
 
 
-@dataclass(frozen=True)
-class StuckState:
+class StuckState(NamedTuple):
     """Halted run: an uncovered component adjacent to at least t-1 parts."""
 
     component: frozenset[int]

@@ -15,10 +15,9 @@ tree edges and depth parity. `is_connected` is built on it, but not
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
 from operator import not_
-from typing import AbstractSet, Collection, Iterable, Iterator
+from typing import AbstractSet, Collection, Iterable, Iterator, NamedTuple
 
 Edge = tuple[int, int]
 # 100x the 10^5 scale target; building peaks at ~95 B a vertex (10^6 edgeless: 92 MiB)
@@ -126,8 +125,7 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-@dataclass(frozen=True)
-class TreeSubgraph:
+class TreeSubgraph(NamedTuple):
     """A tree inside a host graph: its vertex set plus the |V|-1 edges."""
 
     vertices: frozenset[int]

@@ -18,8 +18,7 @@ number of moves by the region's induced edge count.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from typing import AbstractSet, Callable, Iterable
+from typing import AbstractSet, Callable, Iterable, NamedTuple
 
 from .graph import (
     Graph,
@@ -34,8 +33,7 @@ from .graph import (
 TERMINAL_CAP = 12
 
 
-@dataclass(frozen=True)
-class Triple:
+class Triple(NamedTuple):
     """A connected induced subgraph, its two-sided split, and the crossing-edge count."""
 
     h_vertices: frozenset[int]
@@ -44,8 +42,7 @@ class Triple:
     cross_edges: int
 
 
-@dataclass(frozen=True)
-class SpannerRequest:
+class SpannerRequest(NamedTuple):
     """One spanner task: host graph, connected region, terminals, side-component bound."""
 
     host: Graph
@@ -54,8 +51,7 @@ class SpannerRequest:
     bound: int
 
 
-@dataclass(frozen=True)
-class MoveEvent:
+class MoveEvent(NamedTuple):
     """One local-search move, for instrumented runs."""
 
     kind: str  # "reconnect" or "extend"
@@ -353,10 +349,11 @@ def refine_triple(req: SpannerRequest, start: Triple, on_move: OnMove | None = N
 
     queued = set(h)
     frontier: list[int] = []
+    region = req.component  # a local: it is read once per neighbor
 
     def enqueue_neighbors(x: int) -> None:
         for w in g.neighbors(x):
-            if w in req.component and w not in queued:
+            if w in region and w not in queued:
                 queued.add(w)
                 heapq.heappush(frontier, w)
 

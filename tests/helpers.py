@@ -63,7 +63,7 @@ import random
 import sys
 import types
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import AbstractSet, Callable, Iterable
 
@@ -657,7 +657,7 @@ def with_records(g: Graph, parts: Iterable[Part]) -> tuple[Part, ...]:
     it that are adjacent to it: the record decompose gives its parts."""
     parts = tuple(parts)
     return tuple(
-        replace(p, earlier=frozenset(q.index for q in parts[:i] if parts_adjacent_reference(g, q, p)))
+        p._replace(earlier=frozenset(q.index for q in parts[:i] if parts_adjacent_reference(g, q, p)))
         for i, p in enumerate(parts)
     )
 
@@ -697,7 +697,7 @@ def verify_coloring_reference(
         pair = colors.get(v)
         if pair is None:
             return ColoringRejection(f"vertex {v} is uncolored")
-        if not (isinstance(pair, tuple) and len(pair) == 2):
+        if not (type(pair) is tuple and len(pair) == 2):  # a record is a tuple, but no pair
             return ColoringRejection(f"vertex {v} color {pair!r} is malformed")
         hue, side = pair
         if not (isinstance(hue, int) and 1 <= hue <= t - 1) or side not in (1, 2):

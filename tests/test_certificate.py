@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -90,8 +88,8 @@ class TestExtraction:
         stuck = decompose(k5, 3)
         first = stuck.adjacent_parts[0]
         assert first == Part(1, frozenset({0, 1}), frozenset({0}), frozenset({1}))
-        bad = replace(first, side_a=first.vertices, side_b=frozenset())
-        stuck = replace(stuck, adjacent_parts=(bad,) + stuck.adjacent_parts[1:])
+        bad = first._replace(side_a=first.vertices, side_b=frozenset())
+        stuck = stuck._replace(adjacent_parts=(bad,) + stuck.adjacent_parts[1:])
         with pytest.raises(GraphError, match="part 1's crossing edges do not span it"):
             extract_certificate(k5, 3, stuck)
 
@@ -99,7 +97,7 @@ class TestExtraction:
         # K5 plus a vertex 5 on 0..3 but not on 4: the parts of K5 stay
         # adjacent to {4, 5}, which is not connected
         g = Graph(6, complete(5).edges() + [(v, 5) for v in range(4)])
-        stuck = replace(decompose(complete(5), 3), component=frozenset({4, 5}))
+        stuck = decompose(complete(5), 3)._replace(component=frozenset({4, 5}))
         with pytest.raises(GraphError, match="the stuck component is not connected"):
             extract_certificate(g, 3, stuck)
 
@@ -155,6 +153,20 @@ class TestVerifier:
         trees[2] = TreeSubgraph(frozenset({9}), frozenset())
         bad = OddExpansionCertificate(3, tuple(trees), k5_certificate.coloring, k5_certificate.joins)
         assert "out of range" in verify_certificate(k5, bad)
+
+    def test_record_as_join_edge_rejected(self, k5, k5_certificate):
+        # a record is a tuple of two fields, but no edge
+        joins = dict(k5_certificate.joins)
+        joins[(0, 2)] = TreeSubgraph(frozenset({0}), frozenset())
+        bad = OddExpansionCertificate(3, k5_certificate.trees, k5_certificate.coloring, joins)
+        assert verify_certificate(k5, bad) == "join for pair (0,2) is malformed"
+
+    def test_record_as_tree_edge_rejected(self, k5, k5_certificate):
+        trees = list(k5_certificate.trees)
+        record = TreeSubgraph(frozenset({0}), frozenset())
+        trees[0] = TreeSubgraph(trees[0].vertices, frozenset({record}))
+        bad = OddExpansionCertificate(3, tuple(trees), k5_certificate.coloring, k5_certificate.joins)
+        assert verify_certificate(k5, bad) == f"tree 0 has a malformed edge {record!r}"
 
 
 class TestJson:

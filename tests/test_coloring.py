@@ -313,6 +313,12 @@ NAMED_VERIFIER_CASES = [
         ColoringReport(colors_used=4, max_component=2, max_defect=1),
         id="t5-many-two-vertex-components",
     ),
+    pytest.param(
+        # a record is a tuple of two fields, with an in-range hue first
+        Graph(3, [(0, 1), (1, 2)]), {0: (1, 1), 1: ClusteredColoring(2, {0: (1, 1)}), 2: (1, 1)}, 3,
+        ColoringRejection("vertex 1 color ClusteredColoring(t=2, colors={0: (1, 1)}) is malformed"),
+        id="record-as-a-color",
+    ),
 ]
 
 

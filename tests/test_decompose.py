@@ -2,7 +2,6 @@ import importlib
 import random
 import time
 from collections import deque
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -565,7 +564,7 @@ def recheck_case(kind, rng):
     t, parts = rng.randint(3, t), d.parts
     if rng.random() < 0.25:
         i = rng.randrange(len(parts))
-        wrong = replace(parts[i], earlier=parts[i].earlier ^ {rng.randint(1, len(parts))})
+        wrong = parts[i]._replace(earlier=parts[i].earlier ^ {rng.randint(1, len(parts))})
         parts = parts[:i] + (wrong,) + parts[i + 1 :]
     return g, Decomposition(t, parts), region
 
@@ -624,8 +623,8 @@ class TestRecheckAgainstReference:
 def flip_vertex(p, v):
     """Part p with vertex v moved to its other side."""
     if v in p.side_a:
-        return replace(p, side_a=p.side_a - {v}, side_b=p.side_b | {v})
-    return replace(p, side_a=p.side_a | {v}, side_b=p.side_b - {v})
+        return p._replace(side_a=p.side_a - {v}, side_b=p.side_b | {v})
+    return p._replace(side_a=p.side_a | {v}, side_b=p.side_b - {v})
 
 
 @pytest.fixture(scope="module")
@@ -651,11 +650,11 @@ def benchmark_size_case(d, kind):
         return Decomposition(d.t, d.parts[:-1])
     if kind == "records-corrupted":  # parts 100 and l: each record gains or loses part 1
         return Decomposition(d.t, tuple(
-            replace(p, earlier=p.earlier ^ {1}) if p.index in (100, len(d.parts)) else p for p in d.parts
+            p._replace(earlier=p.earlier ^ {1}) if p.index in (100, len(d.parts)) else p for p in d.parts
         ))
     # parts 2 and 3 swapped: the only check left to fail is a side check
     p2, p3 = d.parts[1:3]
-    return Decomposition(d.t, (d.parts[0], replace(p3, index=2), replace(p2, index=3)) + d.parts[3:])
+    return Decomposition(d.t, (d.parts[0], p3._replace(index=2), p2._replace(index=3)) + d.parts[3:])
 
 
 class TestRecheckAtBenchmarkSize:
@@ -786,13 +785,13 @@ class TestRecheckGuards:
         # an empty part passes every per-part check and lies in no component
         parts = list(HUB_PARTS)
         parts.insert(position, Part(0, frozenset(), frozenset(), frozenset()))
-        d = Decomposition(t, tuple(replace(p, index=i + 1) for i, p in enumerate(parts)))
+        d = Decomposition(t, tuple(p._replace(index=i + 1) for i, p in enumerate(parts)))
         assert decomposition_violation(TWO_EDGES_AND_HUB, d) == decomposition_violation_reference(TWO_EDGES_AND_HUB, d)
 
     def test_only_empty_parts_over_an_empty_region(self):
         empty = Part(1, frozenset(), frozenset(), frozenset())
         for t in (1, 3):
-            d = Decomposition(t, (empty, replace(empty, index=2)))
+            d = Decomposition(t, (empty, empty._replace(index=2)))
             assert decomposition_violation(PATH3, d, ()) is None
             assert decomposition_violation_reference(PATH3, d, ()) is None
 

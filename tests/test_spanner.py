@@ -1,6 +1,5 @@
 import random
 import re
-from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -410,11 +409,11 @@ def tampered_case(rng):
             a.add(v)
             b.add(v)
         elif kind == "bound" and req.bound > 1:
-            req = replace(req, bound=req.bound - 1)
+            req = req._replace(bound=req.bound - 1)
         elif kind == "terminal" and outside:
-            req = replace(req, terminals=req.terminals | {rng.choice(outside)})
+            req = req._replace(terminals=req.terminals | {rng.choice(outside)})
         elif kind == "region":
-            req = replace(req, component=req.component - {v})
+            req = req._replace(component=req.component - {v})
         if kind in ("flip", "drop", "add") and rng.random() < 0.8:
             cross = count_cross_edges(g, a, b)  # so later checks get their turn
     return req, Triple(frozenset(h), frozenset(a), frozenset(b), cross)

@@ -1,15 +1,26 @@
-"""The names the benchmark traces and the package exports keep resolving."""
+"""The names the benchmark traces and the package exports keep resolving,
+the records stay immutable, and importing the CLI stays light."""
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import oddcluster
 from oddcluster import generators as gen
-from oddcluster.cli import main, run_color
+from oddcluster.certificate import OddExpansionCertificate
+from oddcluster.cli import PipelineResult, main, run_color
+from oddcluster.coloring import ClusteredColoring, ColoringRejection, ColoringReport
+from oddcluster.decompose import Decomposition, Part, StuckState
+from oddcluster.graph import Graph, TreeSubgraph
 from oddcluster.graph_io import format_edgelist
+from oddcluster.spanner import MoveEvent, SpannerRequest, Triple
 
 WORKER = Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
 
@@ -63,3 +74,45 @@ def test_subcommands_are_the_contract(tmp_path, capsys):
     assert captured.err.startswith("usage error: ") and captured.err.count("\n") == 1
     choices = captured.err.split("(choose from ")[1].rsplit(")", 1)[0]
     assert [c.strip(" '") for c in choices.split(",")] == ["color", "verify", "gen", "dot"]
+
+
+# one of every record type in the package
+RECORDS = [
+    TreeSubgraph(frozenset({0}), frozenset()),
+    Triple(frozenset({0}), frozenset({0}), frozenset(), 0),
+    SpannerRequest(Graph(1, []), frozenset({0}), frozenset({0}), 1),
+    MoveEvent("extend", 0, 1, 1, 1),
+    Part(1, frozenset({0}), frozenset({0}), frozenset()),
+    Decomposition(3, ()),
+    StuckState(frozenset({0}), (), ()),
+    OddExpansionCertificate(1, (), {}, {}),
+    ClusteredColoring(3, {}),
+    ColoringReport(0, 0, 0),
+    ColoringRejection("reason"),
+    PipelineResult(0, {}),
+]
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+def test_records_are_immutable(record):
+    fields = list(type(record).__annotations__)
+    assert repr(record).startswith(f"{type(record).__name__}({fields[0]}=")
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # each `oddcluster color` call pays for its imports, and nothing in the
+    # package needs these two, which are slow to load
+    src = Path(oddcluster.__file__).resolve().parents[1]
+    probe = (
+        "import sys; before = set(sys.modules); import oddcluster.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+    )
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
