@@ -110,7 +110,7 @@ def verify_certificate(g: Graph, cert: OddExpansionCertificate) -> str | None:
             if not (isinstance(v, int) and 0 <= v < g.n):
                 return f"tree {idx} vertex {v!r} out of range"
         for e in tree.edges:
-            if not (type(e) is tuple and len(e) == 2):  # a record is a tuple too, but no edge
+            if not _is_int_pair(e):
                 return f"tree {idx} has a malformed edge {e!r}"
             u, v = e
             if u not in vertices or v not in vertices:
@@ -136,11 +136,11 @@ def verify_certificate(g: Graph, cert: OddExpansionCertificate) -> str | None:
         return "joins must cover every tree pair exactly once"
     for i, j in sorted(wanted):
         e = joins[(i, j)]
-        if not (type(e) is tuple and len(e) == 2):
+        if not _is_int_pair(e):
             return f"join for pair ({i},{j}) is malformed"
         u, v = e
         for w in (u, v):
-            if not (isinstance(w, int) and 0 <= w < g.n):
+            if not 0 <= w < g.n:
                 return f"join vertex {w!r} out of range"
         if not g.has_edge(u, v):
             return f"join edge ({u},{v}) not in graph"
@@ -150,6 +150,12 @@ def verify_certificate(g: Graph, cert: OddExpansionCertificate) -> str | None:
         if coloring[u] != coloring[v]:
             return "join edge not monochromatic"
     return None
+
+
+def _is_int_pair(e: object) -> bool:
+    """An edge is a 2-tuple of ints; checked before any set lookup, which
+    would raise on an unhashable endpoint."""
+    return isinstance(e, tuple) and len(e) == 2 and isinstance(e[0], int) and isinstance(e[1], int)
 
 
 def _spans(tree: TreeSubgraph) -> bool:

@@ -697,7 +697,7 @@ def verify_coloring_reference(
         pair = colors.get(v)
         if pair is None:
             return ColoringRejection(f"vertex {v} is uncolored")
-        if not (type(pair) is tuple and len(pair) == 2):  # a record is a tuple, but no pair
+        if not (isinstance(pair, tuple) and len(pair) == 2):
             return ColoringRejection(f"vertex {v} color {pair!r} is malformed")
         hue, side = pair
         if not (isinstance(hue, int) and 1 <= hue <= t - 1) or side not in (1, 2):

@@ -1,3 +1,5 @@
+import collections
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -155,7 +157,7 @@ class TestVerifier:
         assert "out of range" in verify_certificate(k5, bad)
 
     def test_record_as_join_edge_rejected(self, k5, k5_certificate):
-        # a record is a tuple of two fields, but no edge
+        # a record is a tuple of two fields, but not of two ints
         joins = dict(k5_certificate.joins)
         joins[(0, 2)] = TreeSubgraph(frozenset({0}), frozenset())
         bad = OddExpansionCertificate(3, k5_certificate.trees, k5_certificate.coloring, joins)
@@ -167,6 +169,20 @@ class TestVerifier:
         trees[0] = TreeSubgraph(trees[0].vertices, frozenset({record}))
         bad = OddExpansionCertificate(3, tuple(trees), k5_certificate.coloring, k5_certificate.joins)
         assert verify_certificate(k5, bad) == f"tree 0 has a malformed edge {record!r}"
+
+    def test_unhashable_endpoint_rejected(self, k5, k5_certificate):
+        trees = list(k5_certificate.trees)
+        trees[0] = TreeSubgraph(trees[0].vertices, ((0, {}),))
+        bad = OddExpansionCertificate(3, tuple(trees), k5_certificate.coloring, k5_certificate.joins)
+        assert verify_certificate(k5, bad) == "tree 0 has a malformed edge (0, {})"
+
+    def test_named_tuple_edges_accepted(self, k5, k5_certificate):
+        # any tuple of two ints is an edge, a caller's namedtuple too
+        Edge = collections.namedtuple("Edge", "u v")
+        trees = tuple(TreeSubgraph(tr.vertices, frozenset(Edge(*e) for e in tr.edges)) for tr in k5_certificate.trees)
+        joins = {pair: Edge(*e) for pair, e in k5_certificate.joins.items()}
+        cert = OddExpansionCertificate(3, trees, k5_certificate.coloring, joins)
+        assert verify_certificate(k5, cert) is None
 
 
 class TestJson:

@@ -1,3 +1,4 @@
+import collections
 import random
 
 import pytest
@@ -23,6 +24,8 @@ from oddcluster import generators as gen
 
 from conftest import connected_graphs, graphs
 from helpers import build_auxiliary_reference, outcome, verify_coloring_reference, with_records
+
+Color = collections.namedtuple("Color", "hue side")
 
 
 def path_of_parts(earlier=({1}, {2})):
@@ -316,8 +319,14 @@ NAMED_VERIFIER_CASES = [
     pytest.param(
         # a record is a tuple of two fields, with an in-range hue first
         Graph(3, [(0, 1), (1, 2)]), {0: (1, 1), 1: ClusteredColoring(2, {0: (1, 1)}), 2: (1, 1)}, 3,
-        ColoringRejection("vertex 1 color ClusteredColoring(t=2, colors={0: (1, 1)}) is malformed"),
+        ColoringRejection("vertex 1 color ClusteredColoring(t=2, colors={0: (1, 1)}) out of range"),
         id="record-as-a-color",
+    ),
+    pytest.param(
+        # any tuple of two ints is a color, a caller's namedtuple too
+        Graph(3, [(0, 1), (1, 2)]), {v: Color(1, 1 + v % 2) for v in range(3)}, 3,
+        ColoringReport(colors_used=2, max_component=1, max_defect=0),
+        id="namedtuple-colors",
     ),
 ]
 

@@ -309,7 +309,7 @@ class TestRefine:
             result, events = new
             for e in events:
                 kinds[e.kind] += 1
-            kinds["error"] += isinstance(result, tuple)
+            kinds["error"] += not isinstance(result, Triple)
         assert min(kinds.values()) > 0, kinds
 
     @pytest.mark.parametrize("hooked", [True, False], ids=["with-events", "without-events"])
