@@ -95,6 +95,8 @@ def verify_certificate(g: Graph, cert: OddExpansionCertificate) -> str | None:
 
     Total on arbitrary content and independent of extraction: trees are
     checked by edge count plus reachability over the given edges alone.
+    A tree vertex's color is the int 1 or 2: a float 1.0 is refused, and a
+    bool passes as the int it equals, as in verify_coloring.
     """
     t, trees, coloring, joins = cert.t, cert.trees, cert.coloring, cert.joins  # read per vertex or edge below
     if not isinstance(t, int) or t < 1:
@@ -125,7 +127,8 @@ def verify_certificate(g: Graph, cert: OddExpansionCertificate) -> str | None:
             return "trees not disjoint"
         claimed |= vertices
     for v in sorted(claimed):
-        if coloring.get(v) not in (1, 2):
+        color = coloring.get(v)
+        if not (isinstance(color, int) and color in (1, 2)):
             return f"vertex {v} lacks a color in {{1,2}}"
     for idx, tree in enumerate(trees):
         for u, v in tree.edges:

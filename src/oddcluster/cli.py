@@ -44,7 +44,6 @@ from .decompose import (
     decompose,
     decomposition_to_json,
 )
-from .generators import complete, connected_bipartite, connected_gnp, cycle, gnp, grid, random_bipartite
 from .graph import Graph, GraphError, connected_components
 from .graph_io import FORMATS, format_edgelist, load_graph, load_json
 from .spanner import OnMove
@@ -207,6 +206,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    # imported here: no other command, nor run_color, needs the generators
+    from .generators import complete, connected_bipartite, connected_gnp, cycle, gnp, grid, random_bipartite
+
     family = args.family
     n = args.n
     if n is None or n < 1:

@@ -89,14 +89,15 @@ def verify_coloring(g: Graph, coloring: ClusteredColoring, t: int) -> ColoringRe
     Shares nothing with the construction. The defect (maximum degree inside
     a monochromatic component) is reported but not enforced.
 
-    Each vertex's color is validated on its own (a check per class would let
-    a float hue (1.0, 1) pass under the class (1, 1)) in the pass that
-    groups the vertices by color. Per class, one union of neighbor sets,
-    intersected with the class, finds the vertices with a same-color
-    neighbor. Only those are walked, in ascending order, so each component
-    starts at its minimum vertex and the first oversize one is found as in a
-    walk of every vertex. Every other vertex is a component of its own, so
-    below t=3, where the bound is 0, the offender is vertex 0's component.
+    Each vertex's color is validated on its own, an int hue and an int side
+    (a check per class would let a float (1.0, 1) or (1, 1.0) pass under the
+    class (1, 1)), in the pass that groups the vertices by color. Per class,
+    one union of neighbor sets, intersected with the class, finds the
+    vertices with a same-color neighbor. Only those are walked, in ascending
+    order, so each component starts at its minimum vertex and the first
+    oversize one is found as in a walk of every vertex. Every other vertex
+    is a component of its own, so below t=3, where the bound is 0, the
+    offender is vertex 0's component.
     """
     colors = coloring.colors
     classes: dict[tuple[int, int], list[int]] = {}
@@ -107,7 +108,7 @@ def verify_coloring(g: Graph, coloring: ClusteredColoring, t: int) -> ColoringRe
         if not (isinstance(pair, tuple) and len(pair) == 2):
             return ColoringRejection(f"vertex {v} color {pair!r} is malformed")
         hue, side = pair
-        if not (isinstance(hue, int) and 1 <= hue <= t - 1) or side not in (1, 2):
+        if not (isinstance(hue, int) and 1 <= hue <= t - 1 and isinstance(side, int) and side in (1, 2)):
             return ColoringRejection(f"vertex {v} color {pair} out of range")
         classes.setdefault(pair, []).append(v)
 

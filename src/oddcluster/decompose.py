@@ -85,15 +85,22 @@ def pick_component(
     the parts; `pending`, a sorted queue holding every uncovered vertex,
     whose covered head is dropped here, so the minimum is found by a cursor
     that only moves forward; `owner`, the position in `parts` of every
-    covered vertex. One BFS walks the component alone; its covered
-    neighbors are the boundary, and the adjacent parts are their owners.
-    Each terminal takes one C-level scan of the component's neighbor sets.
+    covered vertex. The adjacent parts are the owners of the component's
+    covered neighbors. A minimum v with no uncovered neighbor is a component
+    of its own and the terminal for every adjacent part, found from v's
+    neighbor set alone. Otherwise one BFS walks the component, and each
+    terminal takes one C-level scan of the component's neighbor sets.
     """
     while pending and pending[0] not in uncovered:
         pending.popleft()
     if not pending:
         raise GraphError("nothing left to pick: parts cover the region")
-    comp = frozenset(bfs(g, pending[0], uncovered))
+    v = pending[0]
+    if g.adj(v).isdisjoint(uncovered):
+        boundary = g.adj(v) & owner.keys()
+        adjacent = [parts[i] for i in sorted(set(map(owner.__getitem__, boundary)))]
+        return frozenset((v,)), adjacent, [v] * len(adjacent)
+    comp = frozenset(bfs(g, v, uncovered))
     boundary = g.neighborhood(comp) & owner.keys()  # its covered neighbors
     adjacent = [parts[i] for i in sorted(set(map(owner.__getitem__, boundary)))]
     # per part, the least component vertex with a neighbor in it

@@ -52,7 +52,10 @@ them:
   to each adjacency set's table.
 
 The references call each other rather than the rewritten functions, so a
-differential test compares two independent computations. `load_workloads`
+differential test compares two independent computations. The exception is
+`spanner_general_path`, made of the pipeline's own connector, split and
+local search: the path build_spanner takes for every request but a
+one-vertex one, and the reference for that one's shortcut. `load_workloads`
 loads the benchmark's input generator from `perfbench/workloads.py`.
 """
 
@@ -84,7 +87,10 @@ from oddcluster.spanner import (
     OnMove,
     SpannerRequest,
     Triple,
+    bounded_bipartition,
     count_cross_edges,
+    minimum_connector,
+    refine_triple,
 )
 
 
@@ -443,6 +449,15 @@ def terminals_reference(g: Graph, comp: AbstractSet[int], adjacent: Iterable[Par
     return [min(v for v in comp if g.adj(v) & p.vertices) for p in adjacent]
 
 
+def spanner_general_path(req: SpannerRequest, on_move: OnMove | None = None) -> Triple:
+    """Minimum connector, feasible split, then local search: what
+    build_spanner did for every request before its one-vertex shortcut."""
+    w = minimum_connector(req.host, req.component, req.terminals)
+    side_a, side_b = bounded_bipartition(req.host, w, req.bound)
+    start = Triple(w, side_a, side_b, count_cross_edges(req.host, side_a, side_b))
+    return refine_triple(req, start, on_move=on_move)
+
+
 def refine_triple_reference(req: SpannerRequest, start: Triple, on_move: OnMove | None = None) -> Triple:
     """Apply the two improving moves until neither fires, rechecking the
     crossing-edge count and both side bounds from scratch after every move."""
@@ -700,7 +715,7 @@ def verify_coloring_reference(
         if not (isinstance(pair, tuple) and len(pair) == 2):
             return ColoringRejection(f"vertex {v} color {pair!r} is malformed")
         hue, side = pair
-        if not (isinstance(hue, int) and 1 <= hue <= t - 1) or side not in (1, 2):
+        if not (isinstance(hue, int) and 1 <= hue <= t - 1 and isinstance(side, int) and side in (1, 2)):
             return ColoringRejection(f"vertex {v} color {pair} out of range")
 
     comps: list[list[int]] = []

@@ -156,6 +156,21 @@ class TestVerifier:
         bad = OddExpansionCertificate(3, tuple(trees), k5_certificate.coloring, k5_certificate.joins)
         assert "out of range" in verify_certificate(k5, bad)
 
+    @pytest.mark.parametrize(
+        "v, color, expected",
+        [
+            (0, 1.0, "vertex 0 lacks a color in {1,2}"),
+            (1, 2.0, "vertex 1 lacks a color in {1,2}"),
+            # a bool passes as the int it equals, as a hue does in verify_coloring
+            (0, True, None),
+        ],
+        ids=["float-1", "float-2", "bool"],
+    )
+    def test_color_must_be_an_int(self, k5, k5_certificate, v, color, expected):
+        coloring = {**k5_certificate.coloring, v: color}  # vertex 0 is colored 1, vertex 1 is colored 2
+        cert = OddExpansionCertificate(3, k5_certificate.trees, coloring, k5_certificate.joins)
+        assert verify_certificate(k5, cert) == expected
+
     def test_record_as_join_edge_rejected(self, k5, k5_certificate):
         # a record is a tuple of two fields, but not of two ints
         joins = dict(k5_certificate.joins)

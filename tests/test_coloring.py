@@ -287,6 +287,11 @@ NAMED_VERIFIER_CASES = [
         id="float-hue-beside-its-valid-class",
     ),
     pytest.param(
+        Graph(3, [(0, 1), (1, 2)]), {0: (1, 1), 1: (1, 1.0), 2: (1, 1)}, 3,
+        ColoringRejection("vertex 1 color (1, 1.0) out of range"),
+        id="float-side-beside-its-valid-class",
+    ),
+    pytest.param(
         Graph(3, [(0, 1), (1, 2)]), {0: (True, 1), 1: (1, 1), 2: (2, 2)}, 3,
         ColoringRejection("monochromatic component of size 2 exceeds 1", (0, 1)),
         id="bool-hue-joins-the-class-it-equals",

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oddcluster.cli import run_color
 from oddcluster.decompose import (
     Decomposition,
     Part,
@@ -18,6 +19,7 @@ from oddcluster.decompose import (
     pick_component,
 )
 from oddcluster.graph import Graph, GraphError, InvariantViolation, bfs, connected_components
+from oddcluster.graph_io import read_edgelist
 from oddcluster import generators as gen
 
 from conftest import connected_graphs, graphs
@@ -27,10 +29,12 @@ from helpers import (
     build_auxiliary_reference,
     decomposition_violation_reference,
     is_connected_reference,
+    load_workloads,
     maximal_bipartite_part_reference,
     outcome,
     parts_adjacent_reference,
     pick_component_reference,
+    spanner_general_path,
     sparse_gnp,
     terminals_reference,
     with_records,
@@ -148,6 +152,15 @@ class TestPickComponent:
         assert comp == frozenset(range(1, 6))
         assert adjacent == parts and terminals == [1, 5]
 
+    def test_isolated_vertex_next_to_several_parts(self):
+        # 3, the minimum uncovered vertex, has no uncovered neighbor: 0, 2
+        # and 5 lie in parts 1, 2 and 3, and 7 is outside the region; the
+        # other uncovered vertex, 4, sees parts 2 and 4
+        g = Graph(8, [(0, 3), (2, 3), (3, 5), (3, 7), (1, 2), (1, 4), (4, 6)])
+        parts = [Part(k + 1, frozenset(vs), frozenset(vs), frozenset()) for k, vs in enumerate([{0}, {1, 2}, {5}, {6}])]
+        pool = set(range(7))
+        assert pick(g, parts, pool) == pick_reference(g, parts, pool) == (frozenset({3}), parts[:3], [3, 3, 3])
+
     def test_all_covered_rejected(self, c6):
         part = maximal_bipartite_part(c6)
         with pytest.raises(GraphError, match="cover"):
@@ -179,6 +192,35 @@ class TestPickComponent:
             for k in range(1, len(parts) + 1):
                 prefix = parts[:k]
                 assert outcome(pick, g, prefix, pool) == outcome(pick_reference, g, prefix, pool)
+
+
+@pytest.mark.parametrize("name, singles", [("sparse_gnp", 152), ("dense_batch", 1294)])
+def test_one_vertex_components_on_benchmark_inputs(monkeypatch, name, singles):
+    # Over the seed-0 benchmark requests, every pick equals the reference
+    # pick, and every one-vertex spanner request gets the general path's
+    # triple; `singles` pins how many such requests there are.
+    real_pick, real_spanner = decompose_module.pick_component, decompose_module.build_spanner
+    requests = []
+
+    def checked_pick(g, uncovered, pending, owner, parts):
+        expected = pick_reference(g, parts, uncovered | owner.keys())
+        got = real_pick(g, uncovered, pending, owner, parts)
+        assert got == expected
+        return got
+
+    def recorded_spanner(req, on_move=None):
+        triple = real_spanner(req, on_move=on_move)
+        if len(req.component) == 1:
+            requests.append((req, triple))
+        return triple
+
+    monkeypatch.setattr(decompose_module, "pick_component", checked_pick)
+    monkeypatch.setattr(decompose_module, "build_spanner", recorded_spanner)
+    for text, t in load_workloads().build(name, 0):
+        run_color(read_edgelist(text), t)
+    assert len(requests) == singles
+    for req, triple in requests:
+        assert triple == spanner_general_path(req)
 
 
 @pytest.mark.parametrize(

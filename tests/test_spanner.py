@@ -30,6 +30,7 @@ from helpers import (
     max_side_component_reference,
     outcome,
     refine_triple_reference,
+    spanner_general_path,
     triple_violation_reference,
 )
 from oracle import min_connector_bruteforce
@@ -347,6 +348,41 @@ class TestBuildSpanner:
         g = Graph(1, [])
         req = SpannerRequest(g, frozenset({0}), frozenset({0}), 1)
         assert build_spanner(req) == Triple(frozenset({0}), frozenset({0}), frozenset(), 0)
+
+    @pytest.mark.parametrize(
+        "g, v, bound",
+        [(gen.cycle(6), 3, 1), (gen.complete(5), 0, 2)],
+        ids=["two-neighbors-outside", "four-neighbors-outside-bound-2"],
+    )
+    def test_single_vertex_component_matches_the_general_path(self, g, v, bound):
+        # the shortcut gives the general path's triple, and no move fires
+        req = SpannerRequest(g, frozenset({v}), frozenset({v}), bound)
+        events = []
+        got = build_spanner(req, on_move=events.append)
+        assert got == spanner_general_path(req) == Triple(frozenset({v}), frozenset({v}), frozenset(), 0)
+        assert events == []
+
+    @pytest.mark.parametrize(
+        "component, terminals, bound, message",
+        [
+            ({0}, set(), 1, "terminals must be nonempty"),
+            ({0}, {1}, 1, "terminal 1 outside component"),
+            ({0}, {0, 1}, 1, "terminal 1 outside component"),
+            ({0}, {0}, 0, "bound must be >= 1"),
+            ({9}, {9}, 1, "vertex 9 out of range for n=6"),
+            ({-1}, {-1}, 1, "vertex -1 out of range for n=6"),
+        ],
+        ids=["no-terminal", "other-terminal", "extra-terminal", "bound-0", "too-large", "negative"],
+    )
+    def test_single_vertex_component_errors(self, c6, component, terminals, bound, message):
+        # a one-vertex request the shortcut does not serve fails as on the general path
+        req = SpannerRequest(c6, frozenset(component), frozenset(terminals), bound)
+        events = []
+        with pytest.raises(GraphError) as exc:
+            build_spanner(req, on_move=events.append)
+        assert str(exc.value) == message
+        assert outcome(spanner_general_path, req) == (GraphError, message)
+        assert events == []
 
     def test_k5_leftover_component(self, k5):
         req = SpannerRequest(k5, frozenset({2, 3, 4}), frozenset({2}), 1)

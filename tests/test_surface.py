@@ -103,12 +103,13 @@ def test_records_are_immutable(record):
 
 
 def test_cli_import_loads_no_dataclasses_or_inspect():
-    # each `oddcluster color` call pays for its imports, and nothing in the
-    # package needs these two, which are slow to load
+    # each `oddcluster color` call pays for its imports: nothing in the
+    # package needs the first two, which are slow to load, and only `gen`
+    # needs the generators
     src = Path(oddcluster.__file__).resolve().parents[1]
     probe = (
         "import sys; before = set(sys.modules); import oddcluster.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+        "print(sorted({'dataclasses', 'inspect', 'oddcluster.generators'} & (set(sys.modules) - before)))"
     )
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
