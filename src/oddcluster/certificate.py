@@ -72,7 +72,7 @@ def extract_certificate(g: Graph, t: int, stuck: StuckState) -> OddExpansionCert
             later_vertices = parts[j].vertices if j < len(parts) else comp
             y = min(touching(g, later_vertices, earlier.vertices))
             same_side = earlier.side_a if coloring[y] == 1 else earlier.side_b
-            anchors = g.adj(y) & same_side
+            anchors = same_side.intersection(g.neighbors(y))
             if not anchors:
                 raise InvariantViolation(
                     f"vertex {y} adjacent to part {earlier.index} misses its "

@@ -10,13 +10,12 @@ and {"status": "error", ...} on stdout.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import json
 import os
 import sys
 from pathlib import Path
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .certificate import (
     OddExpansionCertificate,
@@ -47,6 +46,9 @@ from .decompose import (
 from .graph import Graph, GraphError, connected_components
 from .graph_io import FORMATS, format_edgelist, load_graph, load_json
 from .spanner import OnMove
+
+if TYPE_CHECKING:
+    import argparse
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -118,12 +120,6 @@ def run_color(
 
 class _UsageError(Exception):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    # exit code 1 on flag errors, per the CLI contract (argparse defaults to 2)
-    def error(self, message):
-        raise _UsageError(message)
 
 
 def _write_stdout(text: str) -> None:
@@ -302,11 +298,18 @@ def cmd_dot(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _build_parser() -> _Parser:
+def _build_parser() -> argparse.ArgumentParser:
+    import argparse  # here alone: run_color and the library never need it
+
+    class _Parser(argparse.ArgumentParser):
+        # exit code 1 on flag errors, per the CLI contract (argparse defaults to 2)
+        def error(self, message):
+            raise _UsageError(message)
+
     parser = _Parser(prog="oddcluster", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def add_input(p: _Parser) -> None:
+    def add_input(p: argparse.ArgumentParser) -> None:
         p.add_argument("--input", "-i", required=True, help="graph file")
         p.add_argument("--format", choices=FORMATS, default="edgelist")
 

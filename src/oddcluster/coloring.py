@@ -92,7 +92,7 @@ def verify_coloring(g: Graph, coloring: ClusteredColoring, t: int) -> ColoringRe
     Each vertex's color is validated on its own, an int hue and an int side
     (a check per class would let a float (1.0, 1) or (1, 1.0) pass under the
     class (1, 1)), in the pass that groups the vertices by color. Per class,
-    one union of neighbor sets, intersected with the class, finds the
+    one union of neighbor tuples, intersected with the class, finds the
     vertices with a same-color neighbor. Only those are walked, in ascending
     order, so each component starts at its minimum vertex and the first
     oversize one is found as in a walk of every vertex. Every other vertex
@@ -135,7 +135,7 @@ def verify_coloring(g: Graph, coloring: ClusteredColoring, t: int) -> ColoringRe
     max_defect = 0
     for comp in comps:
         members = frozenset(comp)
-        max_defect = max(max_defect, max(len(g.adj(v) & members) for v in comp))
+        max_defect = max(max_defect, max(len(members.intersection(g.neighbors(v))) for v in comp))
 
     if used > 2 * t - 2:
         return ColoringRejection(f"{used} colors used, above the 2t-2 = {2 * t - 2} limit")

@@ -88,16 +88,16 @@ def pick_component(
     covered vertex. The adjacent parts are the owners of the component's
     covered neighbors. A minimum v with no uncovered neighbor is a component
     of its own and the terminal for every adjacent part, found from v's
-    neighbor set alone. Otherwise one BFS walks the component, and each
-    terminal takes one C-level scan of the component's neighbor sets.
+    neighbor tuple alone. Otherwise one BFS walks the component, and each
+    terminal takes one C-level scan of the component's neighbor tuples.
     """
     while pending and pending[0] not in uncovered:
         pending.popleft()
     if not pending:
         raise GraphError("nothing left to pick: parts cover the region")
     v = pending[0]
-    if g.adj(v).isdisjoint(uncovered):
-        boundary = g.adj(v) & owner.keys()
+    if uncovered.isdisjoint(g.neighbors(v)):
+        boundary = owner.keys() & g.neighbors(v)
         adjacent = [parts[i] for i in sorted(set(map(owner.__getitem__, boundary)))]
         return frozenset((v,)), adjacent, [v] * len(adjacent)
     comp = frozenset(bfs(g, v, uncovered))

@@ -1,8 +1,10 @@
 """Immutable simple-graph core: construction and traversal primitives.
 
+Each vertex keeps its neighbors as one sorted tuple, and nothing else.
 Construction is bulk, over one flat list of endpoints (`Graph.from_ends`):
-a range check, per-vertex lists filled in edge order, each vertex frozen
-once. A failed check rescans the edges in order for the first bad one.
+a range check, per-vertex lists sorted into tuples, and a count of their
+distinct entries, short on a loop or a repeated edge. A failed check
+rescans the edges in order for the first bad one.
 
 `bfs` is the construction side's one breadth-first search over induced
 subgraphs: from a root, inside a vertex set, neighbors in ascending order.
@@ -15,14 +17,14 @@ tree edges and depth parity. `is_connected` is built on it, but not
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import compress
 from operator import not_
 from typing import AbstractSet, Collection, Iterable, Iterator, NamedTuple
 
 Edge = tuple[int, int]
-# 100x the 10^5 scale target; building peaks at ~95 B a vertex (10^6 edgeless: 92 MiB)
-MAX_VERTICES = 10**7  # and a vertex with a neighbor keeps a frozenset of 216 B or more
-_EMPTY: frozenset[int] = frozenset()  # the adjacency set of every degree-0 vertex
+# 100x the 10^5 scale target; building peaks at ~88 B a vertex (10^6 edgeless: 84 MiB)
+MAX_VERTICES = 10**7  # and a vertex of degree d keeps a tuple of 40 + 8d B
 
 
 class GraphError(ValueError):
@@ -55,13 +57,12 @@ class Graph:
     """Simple undirected graph on vertex ids 0..n-1, immutable once built.
 
     Self-loops, duplicate edges, out-of-range endpoints and more than
-    MAX_VERTICES vertices are rejected, naming the first bad edge. Neighbor
-    lists are kept sorted, which makes every traversal in this package
-    deterministic. Each adjacency set's table, and so its iteration order,
-    follows the edge order; vertices of degree 0 share one empty set.
+    MAX_VERTICES vertices are rejected, naming the first bad edge. Each
+    vertex's neighbors form one sorted tuple, which makes every traversal in
+    this package deterministic; degree-0 vertices share the empty tuple.
     """
 
-    __slots__ = ("n", "m", "_nbrs", "_sets")
+    __slots__ = ("n", "m", "_nbrs")
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()) -> None:
         self._build(n, [x for u, v in edges for x in (u, v)])
@@ -82,31 +83,30 @@ class Graph:
             _raise_first_offender(n, ends)
         lists: list[list[int]] = [[] for _ in range(n)]
         pairs = iter(ends)
-        for u, v in zip(pairs, pairs):  # in edge order: a set's table depends on it
+        for u, v in zip(pairs, pairs):
             lists[u].append(v)
             lists[v].append(u)
-        # frozenset(list) would grow larger tables, in another iteration order
-        sets = tuple([frozenset(set(a)) if a else _EMPTY for a in lists])
-        if sum(map(len, sets)) != len(ends):  # some list repeats a vertex
+        self._nbrs = tuple([tuple(a.sort() or a) for a in lists])
+        # a loop at u lists u twice in u's tuple, a repeated edge uv lists v twice:
+        # either way a throwaway set of that tuple is shorter than the tuple
+        if sum(map(len, map(set, self._nbrs))) != len(ends):
             _raise_first_offender(n, ends)
         self.n = n
         self.m = len(ends) // 2
-        self._nbrs = tuple([tuple(a.sort() or a) for a in lists])
-        self._sets = sets
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         """Neighbors of v in ascending order."""
         return self._nbrs[v]
 
-    def adj(self, v: int) -> frozenset[int]:
-        return self._sets[v]
-
     def neighborhood(self, vertices: Iterable[int]) -> set[int]:
         """Every neighbor of some vertex in `vertices`, in one C-level union."""
-        return set().union(*map(self._sets.__getitem__, vertices))
+        return set().union(*map(self._nbrs.__getitem__, vertices))
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self._sets[u]
+        """Whether uv is an edge: False for any other pair, ids outside 0..n-1 included."""
+        nbrs = self._nbrs[u] if 0 <= u < self.n else ()
+        i = bisect_left(nbrs, v)
+        return i < len(nbrs) and nbrs[i] == v
 
     def degree(self, v: int) -> int:
         return len(self._nbrs[v])
@@ -179,8 +179,8 @@ def connected_components(g: Graph) -> list[frozenset[int]]:
 
 def touching(g: Graph, xs: Collection[int], ys: AbstractSet[int]) -> Iterator[int]:
     """The vertices of `xs` with a neighbor in `ys`, in the order of `xs`, by
-    one C-level scan of their neighbor sets that stops when the caller does."""
-    return compress(xs, map(not_, map(ys.isdisjoint, map(g.adj, xs))))
+    one C-level scan of their neighbor tuples that stops when the caller does."""
+    return compress(xs, map(not_, map(ys.isdisjoint, map(g.neighbors, xs))))
 
 
 def is_connected(g: Graph, within: Iterable[int]) -> bool:
@@ -190,4 +190,4 @@ def is_connected(g: Graph, within: Iterable[int]) -> bool:
 
 def induced_edge_count(g: Graph, vertices: Iterable[int]) -> int:
     vs = frozenset(vertices)
-    return sum(len(g.adj(v) & vs) for v in vs) // 2
+    return sum(map(len, map(vs.intersection, map(g.neighbors, vs)))) // 2

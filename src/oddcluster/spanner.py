@@ -192,7 +192,7 @@ def bounded_bipartition(host: Graph, h_vertices: Iterable[int], bound: int) -> t
 
 def count_cross_edges(host: Graph, side_a: Iterable[int], side_b: Iterable[int]) -> int:
     b = frozenset(side_b)
-    return sum(len(host.adj(v) & b) for v in side_a)
+    return sum(map(len, map(b.intersection, map(host.neighbors, side_a))))
 
 
 def cross_bfs(
@@ -235,7 +235,7 @@ def max_side_component(host: Graph, side: Iterable[int]) -> int:
 
     A vertex with no neighbor on its own side is a component of size 1, so
     a traversal (one `bfs` inside the side) starts only from the vertices
-    with a same-side neighbor, found by one union of neighbor sets.
+    with a same-side neighbor, found by one union of neighbor tuples.
     """
     ws = _checked_set(host, side)
     largest = min(len(ws), 1)
@@ -269,8 +269,8 @@ def triple_violation(req: SpannerRequest, triple: Triple) -> str | None:
         return "crossing subgraph is disconnected"
     # only region vertices adjacent to H can fail; the rest pass vacuously
     for v in sorted((g.neighborhood(h) & req.component) - h):
-        nbrs = g.adj(v)
-        if nbrs.isdisjoint(a) or nbrs.isdisjoint(b):
+        nbrs = g.neighbors(v)
+        if a.isdisjoint(nbrs) or b.isdisjoint(nbrs):
             return f"outside vertex {v} does not see both sides"
     return None
 
@@ -307,9 +307,10 @@ def refine_triple(req: SpannerRequest, start: Triple, on_move: OnMove | None = N
     H enters once, and a popped candidate that sees both sides is dropped
     for good, since H and both sides only grow. An extended vertex v has no
     neighbor on its new side, so it is a singleton there and the crossing
-    count rises by exactly its number of neighbors on the other side. The
-    per-move checks test these facts in O(deg v): no neighbor on the new
-    side, a gain of at least 1, at most `cap` moves.
+    count rises by its number of neighbors in H, counted in the one pass
+    that queues its other region neighbors. The per-move checks test these
+    facts in O(deg v): no neighbor on the new side, a gain of at least 1, at
+    most `cap` moves.
     """
     g = req.host
     h = set(start.h_vertices)
@@ -349,33 +350,29 @@ def refine_triple(req: SpannerRequest, start: Triple, on_move: OnMove | None = N
         bound_holds = max(max_side_component(g, a), max_side_component(g, b)) <= req.bound
         commit("reconnect", count_cross_edges(g, a, b), bound_holds)
 
-    queued = set(h)
-    frontier: list[int] = []
     region = req.component  # a local: it is read once per neighbor
-
-    def enqueue_neighbors(x: int) -> None:
-        for w in g.neighbors(x):
-            if w in region and w not in queued:
-                queued.add(w)
-                heapq.heappush(frontier, w)
-
-    for v in h:
-        enqueue_neighbors(v)
+    frontier = sorted((g.neighborhood(h) & region) - h)  # a sorted list is a heap
+    queued = set(frontier)  # every vertex that entered the frontier; H is tested first
     while frontier:
         v = heapq.heappop(frontier)
-        nbrs = g.adj(v)
-        if nbrs.isdisjoint(a):
-            side, other = a, b
-        elif nbrs.isdisjoint(b):
-            side, other = b, a
+        nbrs = g.neighbors(v)
+        if a.isdisjoint(nbrs):
+            side = a
+        elif b.isdisjoint(nbrs):
+            side = b
         else:
             continue  # sees both sides, and will for good: H only grows
-        gain = len(nbrs & other)  # v has no neighbor on `side`: all its edges into H
+        gain = 0  # v has no neighbor on `side`: its neighbors in H are on the other one
+        for w in nbrs:
+            if w in h:
+                gain += 1
+            elif w in region and w not in queued:
+                queued.add(w)
+                heapq.heappush(frontier, w)
         h.add(v)
         side.add(v)
         inner += gain
-        commit("extend", cross + gain, nbrs.isdisjoint(side))
-        enqueue_neighbors(v)
+        commit("extend", cross + gain, side.isdisjoint(nbrs))
     return Triple(frozenset(h), frozenset(a), frozenset(b), cross)
 
 

@@ -48,8 +48,8 @@ them:
 * `graph_reference` and `read_edgelist_reference`: the per-edge `Graph`
   construction, which checked each edge and added it to two growing sets,
   and the line loop that parsed every edge-list text into one tuple per
-  edge; `graph_layout` is what they must match in the bulk versions, down
-  to each adjacency set's table.
+  edge; `graph_layout` is what they must match in the bulk versions: n, m
+  and every neighbor tuple.
 
 The references call each other rather than the rewritten functions, so a
 differential test compares two independent computations. The exception is
@@ -63,7 +63,6 @@ from __future__ import annotations
 
 import math
 import random
-import sys
 import types
 from collections import deque
 from dataclasses import dataclass
@@ -148,8 +147,8 @@ def load_workloads() -> types.ModuleType:
 
 
 def graph_reference(n: int, edges: Iterable[Edge] = ()) -> Graph:
-    """A Graph built edge by edge: each edge checked, then added to two
-    growing sets, and every set frozen at the end."""
+    """A Graph built edge by edge: each edge checked against two growing
+    sets, then added to them, and every set sorted into a tuple at the end."""
     if n < 0:
         raise GraphError("vertex count must be nonnegative")
     if n > MAX_VERTICES:
@@ -164,12 +163,10 @@ def graph_reference(n: int, edges: Iterable[Edge] = ()) -> Graph:
             raise GraphError(f"duplicate edge ({u},{v})")
         adj[u].add(v)
         adj[v].add(u)
-    frozen = [frozenset(a) for a in adj]
     g = Graph.__new__(Graph)
     g.n = n
-    g.m = sum(map(len, frozen)) // 2
-    g._nbrs = tuple(tuple(sorted(a)) for a in frozen)
-    g._sets = tuple(frozen)
+    g.m = sum(map(len, adj)) // 2
+    g._nbrs = tuple(tuple(sorted(a)) for a in adj)
     return g
 
 
@@ -203,16 +200,8 @@ def read_edgelist_reference(text: str) -> Graph:
 
 
 def graph_layout(g: Graph) -> tuple:
-    """n, m, the sorted neighbors, and the iteration order and the size of
-    every adjacency set: equal for two graphs built with the same tables."""
-    sets = [g.adj(v) for v in range(g.n)]
-    return (
-        g.n,
-        g.m,
-        [g.neighbors(v) for v in range(g.n)],
-        [list(s) for s in sets],
-        [sys.getsizeof(s) for s in sets],
-    )
+    """n, m and the sorted neighbor tuples: all that a Graph stores."""
+    return g.n, g.m, [g.neighbors(v) for v in range(g.n)]
 
 
 def bipartition_or_odd_cycle(
@@ -410,7 +399,7 @@ def maximal_bipartite_part_reference(g: Graph, within: Iterable[int] | None = No
     while True:
         grown = False
         for v in sorted(pool - color.keys()):
-            colored_nbrs = g.adj(v) & color.keys()
+            colored_nbrs = frozenset(g.neighbors(v)) & color.keys()
             if not colored_nbrs:
                 continue
             classes = {color[u] for u in colored_nbrs}
@@ -439,14 +428,14 @@ def pick_component_reference(
     if not uncovered:
         raise GraphError("nothing left to pick: parts cover the region")
     comp = connected_components_reference(g, uncovered)[0]
-    adjacent = [p for p in parts if any(g.adj(v) & p.vertices for v in comp)]
+    adjacent = [p for p in parts if any(frozenset(g.neighbors(v)) & p.vertices for v in comp)]
     return comp, adjacent
 
 
 def terminals_reference(g: Graph, comp: AbstractSet[int], adjacent: Iterable[Part]) -> list[int]:
     """Per adjacent part, the minimum component vertex next to it: the scan
     decompose ran before pick_component returned the terminals."""
-    return [min(v for v in comp if g.adj(v) & p.vertices) for p in adjacent]
+    return [min(v for v in comp if frozenset(g.neighbors(v)) & p.vertices) for p in adjacent]
 
 
 def spanner_general_path(req: SpannerRequest, on_move: OnMove | None = None) -> Triple:
@@ -488,7 +477,7 @@ def refine_triple_reference(req: SpannerRequest, start: Triple, on_move: OnMove 
             kind = "reconnect"
         else:
             for v in sorted(req.component - h):
-                nbrs = g.adj(v)
+                nbrs = frozenset(g.neighbors(v))
                 if not nbrs & h:
                     continue
                 if not nbrs & a:
@@ -537,7 +526,7 @@ def triple_violation_reference(req: SpannerRequest, triple: Triple) -> str | Non
     if len(cross_components_reference(g, h, a, b)) > 1:
         return "crossing subgraph is disconnected"
     for v in sorted(req.component - h):
-        nbrs = g.adj(v)
+        nbrs = frozenset(g.neighbors(v))
         if nbrs & h and (not nbrs & a or not nbrs & b):
             return f"outside vertex {v} does not see both sides"
     return None
@@ -640,12 +629,12 @@ def decomposition_violation_reference(
         prefix |= p.vertices
         rest = pool - prefix
         for v in sorted(rest):
-            nbrs = g.adj(v)
+            nbrs = frozenset(g.neighbors(v))
             if nbrs & p.vertices and (not nbrs & p.side_a or not nbrs & p.side_b):
                 return f"vertex {v} adjacent to part {p.index} misses a side"
         for comp in connected_components_reference(g, rest):
             touched = [
-                q for q in d.parts[: p.index] if any(g.adj(w) & q.vertices for w in comp)
+                q for q in d.parts[: p.index] if any(frozenset(g.neighbors(w)) & q.vertices for w in comp)
             ]
             if len(touched) > d.t - 2:
                 return f"a component after part {p.index} touches {len(touched)} parts"
@@ -664,7 +653,7 @@ def decomposition_violation_reference(
 
 def parts_adjacent_reference(g: Graph, p: Part, q: Part) -> bool:
     """Whether some vertex of p has a neighbor in q."""
-    return any(g.adj(v) & q.vertices for v in p.vertices)
+    return any(frozenset(g.neighbors(v)) & q.vertices for v in p.vertices)
 
 
 def with_records(g: Graph, parts: Iterable[Part]) -> tuple[Part, ...]:
@@ -741,7 +730,7 @@ def verify_coloring_reference(
     max_defect = 0
     for comp in comps:
         members = frozenset(comp)
-        inner = max((len(g.adj(v) & members) for v in comp), default=0)
+        inner = max((len(frozenset(g.neighbors(v)) & members) for v in comp), default=0)
         max_defect = max(max_defect, inner)
 
     if used > 2 * t - 2:

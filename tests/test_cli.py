@@ -118,7 +118,7 @@ class TestColor:
         "fmt, header", [("edgelist", f"{MAX_VERTICES + 1} 0"), ("dimacs", f"p edge {MAX_VERTICES + 1} 0")]
     )
     def test_vertex_count_above_limit(self, tmp_path, capsys, fmt, header):
-        # refused from the header alone, before any adjacency set is allocated
+        # refused from the header alone, before any neighbor list is allocated
         path = tmp_path / "huge.txt"
         path.write_text(header + "\n")
         code, out, err = run_cli(capsys, "color", "-i", str(path), "--format", fmt, "--t", "3")

@@ -110,7 +110,7 @@ class TestMaximalBipartitePart:
                 assert color[u] != color[v]
         # no neighbor of the part can join while keeping one side clean
         for v in sorted(frozenset(range(g.n)) - part.vertices):
-            touched = g.adj(v) & part.vertices
+            touched = frozenset(g.neighbors(v)) & part.vertices
             if touched:
                 assert {color[u] for u in touched} == {0, 1}
 
@@ -401,7 +401,7 @@ class TestDecompose:
         else:
             assert len(outcome.adjacent_parts) >= t - 1
             for i, p in enumerate(outcome.adjacent_parts):
-                assert any(g.adj(v) & p.vertices for v in outcome.component)
+                assert any(frozenset(g.neighbors(v)) & p.vertices for v in outcome.component)
                 for q in outcome.adjacent_parts[i + 1 :]:
                     assert parts_adjacent_reference(g, p, q)
             # a stuck run is never rechecked: its records are checked here
@@ -552,7 +552,7 @@ def carve_bipartite_pieces(g, region, rng):
         size = rng.randint(1, 4)
         side = {start: 0}
         for v in bfs(g, start, left):
-            sides = {side[w] for w in g.adj(v) if w in side}
+            sides = {side[w] for w in frozenset(g.neighbors(v)) if w in side}
             if len(side) < size and len(sides) == 1:
                 side[v] = 1 - sides.pop()
         vertices = frozenset(side)

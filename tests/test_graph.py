@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +27,7 @@ from helpers import (
     graph_layout,
     graph_reference,
     is_connected_reference,
+    load_workloads,
     outcome,
     spanning_tree_reference,
     sparse_gnp,
@@ -144,7 +147,7 @@ class TestAgainstReference:
         # the generator scans the three certificate-path callers used before
         g, region, side_a = case
         for xs, ys in ((region, side_a), (side_a, region), (frozenset(range(g.n)), region)):
-            assert list(touching(g, xs, ys)) == [v for v in xs if g.adj(v) & ys]
+            assert list(touching(g, xs, ys)) == [v for v in xs if frozenset(g.neighbors(v)) & ys]
 
     @given(graphs_with_regions())
     @settings(max_examples=300)
@@ -199,7 +202,7 @@ class TestConstruction:
         with pytest.raises(GraphError):
             Graph(-1, [])
 
-    # only counts above the limit: one at or below it would allocate its sets
+    # only counts above the limit: one at or below it would allocate its lists
     @pytest.mark.parametrize("n", [MAX_VERTICES + 1, 10**12], ids=["limit-plus-one", "huge"])
     def test_vertex_count_above_limit_rejected(self, n):
         with pytest.raises(GraphError, match=f"vertex count {n} above the limit of {MAX_VERTICES}"):
@@ -213,6 +216,44 @@ class TestConstruction:
     def test_neighbors_sorted(self):
         g = Graph(4, [(2, 0), (2, 3), (2, 1)])
         assert g.neighbors(2) == (0, 1, 3)
+
+    @given(st.integers(min_value=0, max_value=9).flatmap(lambda n: st.tuples(
+        st.just(n), st.sets(st.sampled_from([(u, v) for v in range(n) for u in range(v)])) if n > 1 else st.just(set())
+    )))
+    @settings(max_examples=300)
+    def test_has_edge_against_reference_sets(self, case):
+        # every pair of ids from -n-1 to 2n+1: negative ids must not wrap
+        # around to the last vertices, ids past n-1 must not raise
+        n, edges = case
+        g = Graph(n, sorted(edges))
+        sets = [set() for _ in range(n)]
+        for u, v in edges:
+            sets[u].add(v)
+            sets[v].add(u)
+        ids = range(-n - 1, 2 * n + 2)
+        for u in ids:
+            for v in ids:
+                assert g.has_edge(u, v) == (0 <= u < n and v in sets[u]), (u, v)
+
+    def test_has_edge_on_ids_outside_the_graph(self):
+        g = Graph(4, [(1, 2)])  # 0 and 3 have degree 0
+        assert g.has_edge(1, 2) and g.has_edge(2, 1)
+        assert not any(g.has_edge(u, v) for u, v in [(-1, 1), (-2, 1), (1, -1), (4, 1), (1, 4), (0, 3), (3, 0)])
+
+    def test_footprint_is_the_neighbor_tuples(self):
+        # a Graph keeps one tuple per vertex (40 B plus 8 B a neighbor, in an
+        # 8 B slot) and nothing else; the seed-0 `sparse_gnp` benchmark graph,
+        # 3000 vertices and 18,272 adjacency entries, kept about 1.7 MB when a
+        # frozenset per vertex held the same neighbors again
+        text, _ = load_workloads().build("sparse_gnp", 0)[0]
+        n, _, *ends = map(int, text.split())
+        tracemalloc.start()
+        try:
+            g = Graph.from_ends(n, ends)
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept <= 64 * n + 8 * len(ends), (kept, g)
 
 
 class TestComponents:

@@ -168,10 +168,9 @@ class TestBulkParse:
 
     def test_edgeless_vertices_share_one_empty_set(self):
         g = read_edgelist("1000 1\n0 1\n")
-        assert len({id(g.adj(v)) for v in range(2, g.n)}) == 1
         assert len({id(g.neighbors(v)) for v in range(2, g.n)}) == 1
-        assert g.adj(2) == frozenset() and g.neighbors(2) == ()
-        assert Graph(3).adj(0) is g.adj(2)
+        assert g.neighbors(2) == ()
+        assert Graph(3).neighbors(0) is g.neighbors(2)
 
 
 class TestDimacs:

@@ -104,12 +104,13 @@ def test_records_are_immutable(record):
 
 def test_cli_import_loads_no_dataclasses_or_inspect():
     # each `oddcluster color` call pays for its imports: nothing in the
-    # package needs the first two, which are slow to load, and only `gen`
-    # needs the generators
+    # package needs the first two, which are slow to load, only `gen` needs
+    # the generators, and only `main` needs argparse, which loads gettext
     src = Path(oddcluster.__file__).resolve().parents[1]
+    unwanted = "{'dataclasses', 'inspect', 'oddcluster.generators', 'argparse', 'gettext'}"
     probe = (
         "import sys; before = set(sys.modules); import oddcluster.cli; "
-        "print(sorted({'dataclasses', 'inspect', 'oddcluster.generators'} & (set(sys.modules) - before)))"
+        f"print(sorted({unwanted} & (set(sys.modules) - before)))"
     )
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
