@@ -43,12 +43,19 @@ def extract_certificate(g: Graph, t: int, stuck: StuckState) -> OddExpansionCert
         raise GraphError(f"need at least {t - 1} adjacent parts, got {len(parts)}")
     parts = parts[: t - 1]
     comp = stuck.component
+    k = len(parts)  # the component's tree index
+    # per tree pair i < j, the minimum vertex of tree j adjacent to part i,
+    # scanned once: for each part, the component first, then each later part
+    touch: dict[tuple[int, int], int] = {}
     for i, p in enumerate(parts):
-        if next(touching(g, comp, p.vertices), None) is None:
-            raise GraphError(f"part {p.index} is not adjacent to the component")
-        for q in parts[i + 1 :]:
-            if next(touching(g, q.vertices, p.vertices), None) is None:
-                raise GraphError(f"parts {p.index} and {q.index} are not adjacent")
+        for j in (k, *range(i + 1, k)):
+            later = parts[j].vertices if j < k else comp
+            y = min(touching(g, later, p.vertices), default=None)
+            if y is None and j == k:
+                raise GraphError(f"part {p.index} is not adjacent to the component")
+            if y is None:
+                raise GraphError(f"parts {p.index} and {parts[j].index} are not adjacent")
+            touch[i, j] = y
 
     trees: list[TreeSubgraph] = []
     coloring: dict[int, int] = {}
@@ -66,19 +73,16 @@ def extract_certificate(g: Graph, t: int, stuck: StuckState) -> OddExpansionCert
         coloring[v] = 1 if v == p else 3 - coloring[p]
 
     joins: dict[tuple[int, int], tuple[int, int]] = {}
-    for i in range(len(trees)):
-        for j in range(i + 1, len(trees)):
-            earlier = parts[i]
-            later_vertices = parts[j].vertices if j < len(parts) else comp
-            y = min(touching(g, later_vertices, earlier.vertices))
-            same_side = earlier.side_a if coloring[y] == 1 else earlier.side_b
-            anchors = same_side.intersection(g.neighbors(y))
-            if not anchors:
-                raise InvariantViolation(
-                    f"vertex {y} adjacent to part {earlier.index} misses its "
-                    f"color-{coloring[y]} side"
-                )
-            joins[(i, j)] = (min(anchors), y)
+    for (i, j), y in sorted(touch.items()):
+        earlier = parts[i]
+        same_side = earlier.side_a if coloring[y] == 1 else earlier.side_b
+        anchors = same_side.intersection(g.neighbors(y))
+        if not anchors:
+            raise InvariantViolation(
+                f"vertex {y} adjacent to part {earlier.index} misses its "
+                f"color-{coloring[y]} side"
+            )
+        joins[(i, j)] = (min(anchors), y)
     return OddExpansionCertificate(t, tuple(trees), coloring, joins)
 
 

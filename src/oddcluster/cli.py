@@ -32,9 +32,7 @@ from .coloring import (
     color_parts,
     coloring_from_json,
     coloring_to_json,
-    merge_colorings,
     product_coloring,
-    report_to_json,
     verify_coloring,
 )
 from .decompose import (
@@ -69,18 +67,17 @@ class PipelineResult(NamedTuple):
     certificate: OddExpansionCertificate | None = None
 
 
-def run_color(
-    g: Graph,
-    t: int,
-    on_move: OnMove | None = None,
-    verbose: bool = False,
-) -> PipelineResult:
+def run_color(g: Graph, t: int, on_move: OnMove | None = None) -> PipelineResult:
     """Decompose the connected components in order; emit a verified
     certificate from the first component that gets stuck, without
     decomposing the rest, or else a verified coloring.
 
     Hues are assigned per component, which is safe: no edges cross
-    components, so color reuse cannot merge monochromatic pieces.
+    components, so color reuse cannot merge monochromatic pieces. The
+    components are disjoint and each decomposition covers its own, so the
+    per-component colorings fill one map with no overlap, which
+    verify_coloring then checks as a whole. The decompositions are returned
+    in the result, not in the payload.
     """
     completed: list[Decomposition] = []
     for c in connected_components(g):
@@ -96,26 +93,17 @@ def run_color(
             return PipelineResult(EXIT_CERT, payload, artifact, tuple(completed), certificate=cert)
         completed.append(outcome)
 
-    colorings = []
+    colors: dict[int, tuple[int, int]] = {}
     for d in completed:
-        aux = build_auxiliary(g, d)
-        hues = color_parts(aux, t)
-        colorings.append(product_coloring(g, d, hues))
-    merged = merge_colorings(t, colorings)
-    checked = verify_coloring(g, merged, t)
+        colors.update(product_coloring(d, color_parts(build_auxiliary(d), t)).colors)
+    coloring = ClusteredColoring(t, colors)
+    checked = verify_coloring(g, coloring, t)
     if isinstance(checked, ColoringRejection):
         payload = {"status": "error", "error": f"coloring self-check failed: {checked.reason}"}
-        return PipelineResult(EXIT_INTERNAL, payload, decompositions=tuple(completed), coloring=merged)
-    artifact = coloring_to_json(merged, g.n)
-    payload = {
-        "status": "colored",
-        "t": t,
-        "coloring": artifact,
-        "report": report_to_json(checked),
-    }
-    if verbose:
-        payload["decompositions"] = [decomposition_to_json(d) for d in completed]
-    return PipelineResult(EXIT_OK, payload, artifact, tuple(completed), merged, checked)
+        return PipelineResult(EXIT_INTERNAL, payload, decompositions=tuple(completed), coloring=coloring)
+    artifact = coloring_to_json(coloring, g.n)
+    payload = {"status": "colored", "t": t, "coloring": artifact, "report": checked._asdict()}
+    return PipelineResult(EXIT_OK, payload, artifact, tuple(completed), coloring, checked)
 
 
 class _UsageError(Exception):
@@ -157,7 +145,9 @@ def cmd_color(args: argparse.Namespace) -> int:
     if args.t < 3:
         raise _UsageError("--t must be at least 3")
     g = load_graph(args.input, args.format)
-    result = run_color(g, args.t, verbose=args.verbose)
+    result = run_color(g, args.t)
+    if args.verbose and result.exit_code == EXIT_OK:
+        result.payload["decompositions"] = [decomposition_to_json(d) for d in result.decompositions]
     # the artifact first, so that a stdout whose reader is gone cannot lose it
     _write_artifact(result, args.output)
     _emit(result.payload)
@@ -197,7 +187,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if isinstance(checked, ColoringRejection):
         _emit({"accepted": False, "reason": checked.reason, "component": list(checked.component)})
         return EXIT_REJECT
-    _emit({"accepted": True, "kind": "coloring", "report": report_to_json(checked)})
+    _emit({"accepted": True, "kind": "coloring", "report": checked._asdict()})
     return EXIT_OK
 
 
@@ -317,7 +307,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_input(p_color)
     p_color.add_argument("--output", "-o", default=None)
     p_color.add_argument("--t", type=int, required=True, help="clique parameter, at least 3")
-    p_color.add_argument("--verbose", "-v", action="store_true", help="include decompositions in output")
+    p_color.add_argument("--verbose", "-v", action="store_true", help="add a colored run's decompositions")
     p_color.set_defaults(func=cmd_color)
 
     p_verify = sub.add_parser("verify", help="check an artifact against a graph")

@@ -8,7 +8,7 @@ so any monochromatic component stays inside one side of one part.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .graph import Graph, GraphError, InvariantViolation
 from .graph_io import json_int, json_pair
@@ -31,8 +31,9 @@ class ColoringRejection(NamedTuple):
     component: tuple[int, ...] = ()
 
 
-def build_auxiliary(g: Graph, d: Decomposition) -> Graph:
-    """Graph on 0-based part positions, adjacent iff the parts are adjacent in g.
+def build_auxiliary(d: Decomposition) -> Graph:
+    """Graph on 0-based part positions, adjacent iff the parts are adjacent in
+    the host graph.
 
     The pairs are read off `Part.earlier`, which decompose records and the
     recheck checks: `d` must have passed decomposition_violation, as every
@@ -61,7 +62,7 @@ def color_parts(aux: Graph, t: int) -> dict[int, int]:
     return hues
 
 
-def product_coloring(g: Graph, d: Decomposition, part_hues: dict[int, int]) -> ClusteredColoring:
+def product_coloring(d: Decomposition, part_hues: dict[int, int]) -> ClusteredColoring:
     """Color each vertex with (its part's hue, 1 for side A / 2 for side B)."""
     colors: dict[int, tuple[int, int]] = {}
     for p in d.parts:
@@ -69,17 +70,6 @@ def product_coloring(g: Graph, d: Decomposition, part_hues: dict[int, int]) -> C
         colors.update(dict.fromkeys(p.side_a, (hue, 1)))
         colors.update(dict.fromkeys(p.side_b, (hue, 2)))
     return ClusteredColoring(d.t, colors)
-
-
-def merge_colorings(t: int, colorings: Iterable[ClusteredColoring]) -> ClusteredColoring:
-    """Combine per-component colorings; hue reuse is safe across components."""
-    merged: dict[int, tuple[int, int]] = {}
-    for c in colorings:
-        overlap = merged.keys() & c.colors.keys()
-        if overlap:
-            raise GraphError(f"colorings overlap on vertex {min(overlap)}")
-        merged.update(c.colors)
-    return ClusteredColoring(t, merged)
 
 
 def verify_coloring(g: Graph, coloring: ClusteredColoring, t: int) -> ColoringReport | ColoringRejection:
@@ -168,11 +158,3 @@ def coloring_from_json(obj: dict) -> ClusteredColoring:
         return ClusteredColoring(json_int(obj["t"], "t"), colors)
     except (KeyError, TypeError, ValueError) as exc:
         raise GraphError(f"malformed coloring JSON: {exc}") from exc
-
-
-def report_to_json(report: ColoringReport) -> dict:
-    return {
-        "colors_used": report.colors_used,
-        "max_component": report.max_component,
-        "max_defect": report.max_defect,
-    }

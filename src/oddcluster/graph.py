@@ -95,11 +95,17 @@ class Graph:
         self.m = len(ends) // 2
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        """Neighbors of v in ascending order."""
-        return self._nbrs[v]
+        """Neighbors of v in ascending order; GraphError unless 0 <= v < n."""
+        if v >= 0:  # a negative index would wrap around to another vertex
+            try:
+                return self._nbrs[v]
+            except IndexError:
+                pass
+        raise GraphError(f"vertex {v} out of range for n={self.n}")
 
     def neighborhood(self, vertices: Iterable[int]) -> set[int]:
-        """Every neighbor of some vertex in `vertices`, in one C-level union."""
+        """Every neighbor of some vertex in `vertices`, in one C-level union.
+        Unchecked: every id must be in 0..n-1."""
         return set().union(*map(self._nbrs.__getitem__, vertices))
 
     def has_edge(self, u: int, v: int) -> bool:
@@ -109,7 +115,7 @@ class Graph:
         return i < len(nbrs) and nbrs[i] == v
 
     def degree(self, v: int) -> int:
-        return len(self._nbrs[v])
+        return len(self.neighbors(v))
 
     def edges(self) -> list[Edge]:
         """All edges as (u, v) with u < v, sorted."""

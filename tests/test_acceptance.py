@@ -258,7 +258,7 @@ def test_criterion_8_invariant_suite(corpus):
                 failures.append(f"graph {run.graph_id} t={run.t}: {reason}")
                 continue
             try:
-                build_auxiliary(run.graph, d)
+                build_auxiliary(d)
             except InvariantViolation as exc:
                 failures.append(f"graph {run.graph_id} t={run.t}: {exc}")
                 continue

@@ -103,6 +103,24 @@ class TestExtraction:
         with pytest.raises(GraphError, match="the stuck component is not connected"):
             extract_certificate(g, 3, stuck)
 
+    @pytest.mark.parametrize(
+        "removed, message",
+        [
+            ([(0, 4), (1, 4)], "part 1 is not adjacent to the component"),
+            ([(u, v) for u in (0, 1) for v in (2, 3)], "parts 1 and 2 are not adjacent"),
+            # with both faults, each part is checked against the component
+            # first and then against each later part
+            ([(0, 4), (1, 4)] + [(u, v) for u in (0, 1) for v in (2, 3)], "part 1 is not adjacent to the component"),
+            ([(2, 4), (3, 4)] + [(u, v) for u in (0, 1) for v in (2, 3)], "parts 1 and 2 are not adjacent"),
+        ],
+    )
+    def test_non_adjacent_tree_pair_rejected(self, k5, removed, message):
+        # K5's parts {0,1} and {2,3} and component {4}, read against K5 less some edges
+        g = Graph(5, sorted(set(k5.edges()) - set(removed)))
+        with pytest.raises(GraphError) as exc:
+            extract_certificate(g, 3, decompose(k5, 3))
+        assert str(exc.value) == message
+
 
 class TestVerifier:
     def test_singleton_trees_in_k4(self, k4):

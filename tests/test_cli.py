@@ -141,6 +141,13 @@ class TestColor:
         assert code == 0
         assert payload["decompositions"][0]["parts"][0]["H"] == [0, 1]
 
+    def test_verbose_leaves_a_certificate_as_it_is(self, tmp_path, capsys, k5):
+        path = write_graph(tmp_path, k5)
+        plain = run_cli(capsys, "color", "-i", path, "--t", "3")
+        verbose = run_cli(capsys, "color", "-i", path, "--t", "3", "--verbose")
+        assert plain[0] == 3 and json.loads(plain[1])["status"] == "certificate"
+        assert verbose == plain
+
 
 BOM = "\ufeff"
 

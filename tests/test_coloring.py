@@ -13,11 +13,10 @@ from oddcluster.coloring import (
     color_parts,
     coloring_from_json,
     coloring_to_json,
-    merge_colorings,
     product_coloring,
-    report_to_json,
     verify_coloring,
 )
+from oddcluster.cli import run_color
 from oddcluster.decompose import Decomposition, Part, decompose
 from oddcluster.graph import Graph, GraphError
 from oddcluster import generators as gen
@@ -43,23 +42,23 @@ def path_of_parts(earlier=({1}, {2})):
 class TestAuxiliary:
     def test_single_part_is_edgeless(self, c6):
         d = decompose(c6, 3)
-        aux = build_auxiliary(c6, d)
+        aux = build_auxiliary(d)
         assert aux.n == 1 and aux.m == 0
 
     def test_k4_two_adjacent_parts(self, k4):
         d = decompose(k4, 3)
-        aux = build_auxiliary(k4, d)
+        aux = build_auxiliary(d)
         assert aux.n == 2 and aux.edges() == [(0, 1)]
 
     def test_part_path(self):
         g, d = path_of_parts()
-        aux = build_auxiliary(g, d)
+        aux = build_auxiliary(d)
         assert aux.edges() == [(0, 1), (1, 2)]
 
     def test_reads_the_records_not_the_graph(self):
         # decomposition_violation checks the records; build_auxiliary takes them as given
         g, d = path_of_parts(earlier=({1}, {1, 2}))
-        assert build_auxiliary(g, d).edges() == [(0, 1), (0, 2), (1, 2)]
+        assert build_auxiliary(d).edges() == [(0, 1), (0, 2), (1, 2)]
 
 
 class TestPartHues:
@@ -79,22 +78,22 @@ class TestPartHues:
 class TestProductColoring:
     def test_k4(self, k4):
         d = decompose(k4, 3)
-        hues = color_parts(build_auxiliary(k4, d), 3)
-        coloring = product_coloring(k4, d, hues)
+        hues = color_parts(build_auxiliary(d), 3)
+        coloring = product_coloring(d, hues)
         assert coloring.colors == {0: (1, 1), 1: (1, 2), 2: (2, 1), 3: (2, 2)}
         report = verify_coloring(k4, coloring, 3)
         assert report == ColoringReport(colors_used=4, max_component=1, max_defect=0)
 
     def test_c6_uses_two_colors(self, c6):
         d = decompose(c6, 3)
-        hues = color_parts(build_auxiliary(c6, d), 3)
-        coloring = product_coloring(c6, d, hues)
+        hues = color_parts(build_auxiliary(d), 3)
+        coloring = product_coloring(d, hues)
         assert set(coloring.colors.values()) == {(1, 1), (1, 2)}
 
     def test_single_vertex(self):
         g = Graph(1, [])
         d = decompose(g, 3)
-        coloring = product_coloring(g, d, {1: 1})
+        coloring = product_coloring(d, {1: 1})
         assert coloring.colors == {0: (1, 1)}
 
 
@@ -135,8 +134,8 @@ class TestPipelineProperty:
         outcome = decompose(g, t)
         if not isinstance(outcome, Decomposition):
             return
-        hues = color_parts(build_auxiliary(g, outcome), t)
-        coloring = product_coloring(g, outcome, hues)
+        hues = color_parts(build_auxiliary(outcome), t)
+        coloring = product_coloring(outcome, hues)
         report = verify_coloring(g, coloring, t)
         assert isinstance(report, ColoringReport)
         assert report.colors_used <= 2 * t - 2
@@ -148,8 +147,8 @@ class TestPipelineProperty:
         outcome = decompose(g, 4)
         if not isinstance(outcome, Decomposition):
             return
-        hues = color_parts(build_auxiliary(g, outcome), 4)
-        coloring = product_coloring(g, outcome, hues)
+        hues = color_parts(build_auxiliary(outcome), 4)
+        coloring = product_coloring(outcome, hues)
         homes = []
         for p in outcome.parts:
             homes.append(p.side_a)
@@ -173,7 +172,7 @@ class TestPipelineProperty:
 class TestJson:
     def test_round_trip(self, k4):
         d = decompose(k4, 3)
-        coloring = product_coloring(k4, d, color_parts(build_auxiliary(k4, d), 3))
+        coloring = product_coloring(d, color_parts(build_auxiliary(d), 3))
         obj = coloring_to_json(coloring, 4)
         assert obj == {"t": 3, "colors": [[1, 1], [1, 2], [2, 1], [2, 2]]}
         assert coloring_from_json(obj) == coloring
@@ -184,17 +183,10 @@ class TestJson:
             coloring_to_json(coloring, 4)
         assert str(exc.value) == "vertex 1 is uncolored"
 
-    def test_report_json(self):
-        assert report_to_json(ColoringReport(4, 1, 0)) == {
-            "colors_used": 4,
-            "max_component": 1,
-            "max_defect": 0,
-        }
-
-    def test_merge_rejects_overlap(self):
-        a = ClusteredColoring(3, {0: (1, 1)})
-        with pytest.raises(GraphError, match="overlap"):
-            merge_colorings(3, [a, a])
+    def test_report_json(self, c6):
+        report = run_color(c6, 3).payload["report"]
+        assert list(report) == ["colors_used", "max_component", "max_defect"]
+        assert report == {"colors_used": 2, "max_component": 1, "max_defect": 0}
 
 
 class TestAuxiliaryAgainstReference:
@@ -207,7 +199,7 @@ class TestAuxiliaryAgainstReference:
             # rechecked at a smaller t too, where a part may see too many earlier ones
             for t2 in range(3, t + 1):
                 d = Decomposition(t2, result.parts)
-                assert outcome(build_auxiliary, g, d) == outcome(build_auxiliary_reference, g, d)
+                assert outcome(build_auxiliary, d) == outcome(build_auxiliary_reference, g, d)
 
     @given(g=graphs(max_n=14), data=st.data())
     @settings(max_examples=200, deadline=None)
@@ -221,7 +213,7 @@ class TestAuxiliaryAgainstReference:
                 parts.append(Part(len(parts) + 1, vs, vs, frozenset()))
         t = data.draw(st.integers(min_value=3, max_value=6))
         d = Decomposition(t, with_records(g, parts))
-        assert outcome(build_auxiliary, g, d) == outcome(build_auxiliary_reference, g, d)
+        assert outcome(build_auxiliary, d) == outcome(build_auxiliary_reference, g, d)
 
 
 def tampered_coloring(rng):
@@ -234,7 +226,7 @@ def tampered_coloring(rng):
     result = decompose(g, max(t, 3))
     if isinstance(result, Decomposition) and rng.random() < 0.5:
         d = Decomposition(max(t, 3), result.parts)
-        colors = dict(product_coloring(g, d, color_parts(build_auxiliary(g, d), d.t)).colors)
+        colors = dict(product_coloring(d, color_parts(build_auxiliary(d), d.t)).colors)
     else:
         colors = {v: (rng.randint(1, max(1, t - 1)), rng.randint(1, 2)) for v in range(n)}
     for _ in range(rng.choice((0, 0, 1, 3))):
@@ -346,7 +338,7 @@ class TestVerifierNamedCases:
     def test_grid_coloring_and_a_tampered_copy(self):
         g = gen.grid(100, 100)
         d = decompose(g, 4)
-        coloring = product_coloring(g, d, color_parts(build_auxiliary(g, d), 4))
+        coloring = product_coloring(d, color_parts(build_auxiliary(d), 4))
         expected = ColoringReport(colors_used=2, max_component=1, max_defect=0)
         assert verify_coloring(g, coloring, 4) == verify_coloring_reference(g, coloring, 4) == expected
         # vertex 5050 takes the color of its neighbors: a star of five

@@ -240,6 +240,16 @@ class TestConstruction:
         assert g.has_edge(1, 2) and g.has_edge(2, 1)
         assert not any(g.has_edge(u, v) for u, v in [(-1, 1), (-2, 1), (1, -1), (4, 1), (1, 4), (0, 3), (3, 0)])
 
+    @pytest.mark.parametrize("method", ["neighbors", "degree"])
+    def test_ids_outside_the_graph_rejected(self, method):
+        # -1 would wrap around to vertex 2's tuple, and 3 would raise a bare IndexError
+        g = Graph(3, [(1, 2)])
+        for v in (-1, 3):
+            with pytest.raises(GraphError) as exc:
+                getattr(g, method)(v)
+            assert str(exc.value) == f"vertex {v} out of range for n=3"
+        assert (g.neighbors(2), g.degree(2), g.neighbors(0), g.degree(0)) == ((1,), 1, (), 0)
+
     def test_footprint_is_the_neighbor_tuples(self):
         # a Graph keeps one tuple per vertex (40 B plus 8 B a neighbor, in an
         # 8 B slot) and nothing else; the seed-0 `sparse_gnp` benchmark graph,
