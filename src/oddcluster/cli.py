@@ -41,7 +41,7 @@ from .decompose import (
     decompose,
     decomposition_to_json,
 )
-from .graph import Graph, GraphError, connected_components
+from .graph import MAX_VERTICES, Graph, GraphError, connected_components
 from .graph_io import FORMATS, format_edgelist, load_graph, load_json
 from .spanner import OnMove
 
@@ -199,6 +199,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
     n = args.n
     if n is None or n < 1:
         raise _UsageError("--n must be a positive integer")
+    count = n * n if family == "grid" else n
+    if count > MAX_VERTICES:  # before a generator allocates the edges
+        raise GraphError(f"vertex count {count} above the limit of {MAX_VERTICES}")
     if family == "cycle":
         g = cycle(n)
     elif family == "complete":

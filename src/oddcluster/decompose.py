@@ -59,8 +59,11 @@ def maximal_bipartite_part(g: Graph, within: Iterable[int] | None = None) -> Par
 
     This is refine_triple's extend search for the one terminal r = min(region)
     and bound 1, from H = A = {r}: a candidate whose neighbors in H all lie on
-    one side joins the other, so H stays bipartite, and the per-move checks
-    apply. With one vertex in H no reconnect fires. Side A holds the root.
+    one side joins the other. With one vertex in H no reconnect fires. Side
+    A holds the root. refine_triple's checks vouch for the part: each extend
+    must add a crossing edge to a vertex with no neighbor on its side, so by
+    induction H and its crossing subgraph are connected and both sides are
+    independent.
     """
     pool = frozenset(range(g.n)) if within is None else _checked_set(g, within)
     if not pool:
@@ -127,15 +130,18 @@ def decompose(
     and that component form a connected union that no edge joins to them,
     so the region is connected iff each of their pieces touches a part.
 
+    Each part's local guarantees are checked where it is built: part 1's by
+    refine_triple move by move, the others' by build_spanner's
+    triple_violation under a side bound (k+1)//2 with k <= t-2 terminals, no
+    larger than the recheck's (t-1)//2. A one-vertex component {v} instead
+    becomes the part H = A = {v} here, with no spanner and nothing to check.
+
     A new part records the parts next to its component as `earlier`, its
-    earlier neighbors: triple_violation checked that it lies in the
-    component and holds a terminal next to each. A picked component's
-    adjacent parts must be pairwise adjacent by their records; a miss is a
-    bug, not an input problem. A completed run is rechecked, records
-    included, by decomposition_violation before it is returned, with
-    `spanner_checked`: on parts 2..l, triple_violation already made the same
-    pure calls on the same frozen sets and passed them, under a side bound
-    (k+1)//2 with k <= t-2 terminals, no larger than the recheck's (t-1)//2.
+    earlier neighbors: it lies in the component and holds a terminal next
+    to each. A picked component's adjacent parts must be pairwise adjacent
+    by their records; a miss is a bug, not an input problem. A completed
+    run is rechecked, records included, by decomposition_violation with
+    `spanner_checked` before it is returned.
     """
     if t < 3:
         raise GraphError("t must be >= 3")
@@ -166,13 +172,14 @@ def decompose(
                     raise GraphError(disconnected)
                 rest.difference_update(piece)
             return StuckState(comp, tuple(adjacent), tuple(parts))
-        terms = frozenset(terminals)
-        req = SpannerRequest(g, comp, terms, (len(terms) + 1) // 2)
-        triple = build_spanner(req, on_move=on_move)
-        owner.update(dict.fromkeys(triple.h_vertices, len(parts)))  # the new part's position
-        earlier = frozenset(p.index for p in adjacent)
-        parts.append(Part(len(parts) + 1, triple.h_vertices, triple.side_a, triple.side_b, earlier))
-        uncovered -= triple.h_vertices
+        if len(comp) == 1:  # its vertex is the terminal for every adjacent part
+            h, a, b = comp, comp, frozenset()
+        else:
+            terms = frozenset(terminals)
+            h, a, b, _ = build_spanner(SpannerRequest(g, comp, terms, (len(terms) + 1) // 2), on_move=on_move)
+        owner.update(dict.fromkeys(h, len(parts)))  # the new part's position
+        parts.append(Part(len(parts) + 1, h, a, b, frozenset(p.index for p in adjacent)))
+        uncovered -= h
 
     result = Decomposition(t, tuple(parts))
     reason = decomposition_violation(g, result, pool, spanner_checked=True)
@@ -185,15 +192,16 @@ def decomposition_violation(
     g: Graph, d: Decomposition, within: Iterable[int] | None = None, *, spanner_checked: bool = False
 ) -> str | None:
     """First violated decomposition guarantee, or None if clean; with
-    `spanner_checked`, parts 2..l take their local guarantees from triple_violation.
+    `spanner_checked`, every part takes its local guarantees from the step
+    that built it.
 
     Checks, for every part: sides partition it, it is connected, same-side
     components respect ceil((t-2)/2), and the crossing subgraph is connected.
-    With `spanner_checked`, set by decompose alone, parts 2..l skip the last
-    three: build_spanner's triple_violation made the same pure calls on the
-    same frozen sets and passed them, under a side bound (k+1)//2 with
-    k <= t-2 terminals, at most (t-1)//2, so they cannot fail here and the
-    first failure stays the same. The other checks run on every part.
+    With `spanner_checked`, set by decompose alone, no part gets the last
+    three: decompose checked them where it built each part, under a side
+    bound no larger, and for a one-vertex part the partition check implies
+    them, as t >= 3 makes the bound at least 1. So they cannot fail here and
+    the first failure stays the same. The other checks run on every part.
     Then, for every prefix H_1..H_k: uncovered neighbors of H_k see both its
     sides, and every uncovered component touches at most t-2 parts which are
     pairwise adjacent. The first failure in that order is reported: by
@@ -225,7 +233,7 @@ def decomposition_violation(
         if p.vertices & seen:
             return f"part {p.index}: overlaps an earlier part"
         seen |= p.vertices
-        if i and spanner_checked:
+        if spanner_checked:
             continue
         # the crossing subgraph spans the part: when it is connected, so is the part
         crossing = cross_connected(g, p.vertices, p.side_a, p.side_b)

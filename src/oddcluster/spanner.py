@@ -12,9 +12,7 @@ of V(H) into sides A and B such that:
 
 The construction is connector + feasible split + local search. Each local
 move strictly increases the number of crossing edges, which bounds the
-number of moves by the region's induced edge count. A one-vertex region
-whose vertex is the terminal is its own spanner, H = A = {v}, and skips
-all three.
+number of moves by the region's induced edge count.
 """
 
 from __future__ import annotations
@@ -377,24 +375,11 @@ def refine_triple(req: SpannerRequest, start: Triple, on_move: OnMove | None = N
 
 
 def build_spanner(req: SpannerRequest, on_move: OnMove | None = None) -> Triple:
-    """Connector, feasible split, then refinement; satisfies all three guarantees.
-
-    A one-vertex region {v} with v the one terminal and a bound of at
-    least 1 skips all three: its connector is {v}, the split puts v on side
-    A, and no move can fire, since an extend needs a region vertex outside
-    H and a reconnect a disconnected crossing subgraph. The result is still
-    checked by triple_violation, which range-checks v with the message
-    minimum_connector would give. Every other request, of one vertex or
-    more, takes the general path and raises its errors.
-    """
-    if len(req.component) == 1 and req.terminals == req.component and req.bound >= 1:
-        h = frozenset(req.terminals)
-        result = Triple(h, h, frozenset(), 0)
-    else:
-        w = minimum_connector(req.host, req.component, req.terminals)
-        side_a, side_b = bounded_bipartition(req.host, w, req.bound)
-        start = Triple(w, side_a, side_b, count_cross_edges(req.host, side_a, side_b))
-        result = refine_triple(req, start, on_move=on_move)
+    """Connector, feasible split, then refinement; satisfies all three guarantees."""
+    w = minimum_connector(req.host, req.component, req.terminals)
+    side_a, side_b = bounded_bipartition(req.host, w, req.bound)
+    start = Triple(w, side_a, side_b, count_cross_edges(req.host, side_a, side_b))
+    result = refine_triple(req, start, on_move=on_move)
     reason = triple_violation(req, result)
     if reason is not None:
         raise InvariantViolation(f"spanner postcondition failed: {reason}")

@@ -54,8 +54,8 @@ them:
 The references call each other rather than the rewritten functions, so a
 differential test compares two independent computations. The exception is
 `spanner_general_path`, made of the pipeline's own connector, split and
-local search: the path build_spanner takes for every request but a
-one-vertex one, and the reference for that one's shortcut. `load_workloads`
+local search: build_spanner without its postcondition, and the reference
+for the one-vertex parts that decompose makes without it. `load_workloads`
 loads the benchmark's input generator from `perfbench/workloads.py`.
 """
 
@@ -439,8 +439,8 @@ def terminals_reference(g: Graph, comp: AbstractSet[int], adjacent: Iterable[Par
 
 
 def spanner_general_path(req: SpannerRequest, on_move: OnMove | None = None) -> Triple:
-    """Minimum connector, feasible split, then local search: what
-    build_spanner did for every request before its one-vertex shortcut."""
+    """Minimum connector, feasible split, then local search: build_spanner
+    without its postcondition check."""
     w = minimum_connector(req.host, req.component, req.terminals)
     side_a, side_b = bounded_bipartition(req.host, w, req.bound)
     start = Triple(w, side_a, side_b, count_cross_edges(req.host, side_a, side_b))

@@ -397,6 +397,20 @@ class TestGen:
         assert run_cli(capsys, "gen", "--family", "cycle", "--n", "0")[0] == 1
         assert run_cli(capsys, "gen", "--family", "nope", "--n", "5")[0] == 1
 
+    @pytest.mark.parametrize(
+        "family, n, count", [("grid", "3163", 10004569), ("cycle", "10000001", 10000001)], ids=["grid", "cycle"]
+    )
+    def test_vertex_limit_checked_before_generating(self, monkeypatch, capsys, family, n, count):
+        # the limit is Graph's; a grid of n*n vertices would build its edges first
+        def refuse(*args):
+            raise AssertionError("a generator ran")
+
+        for name in ("grid", "cycle"):
+            monkeypatch.setattr(gen, name, refuse)
+        code, out, err = run_cli(capsys, "gen", "--family", family, "--n", n)
+        assert (code, out) == (1, "")
+        assert err == f"error: vertex count {count} above the limit of {MAX_VERTICES}\n"
+
 
 class TestDot:
     def test_coloring_has_two_fills(self, tmp_path, capsys, c6):

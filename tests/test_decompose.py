@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oddcluster.cli import run_color
 from oddcluster.decompose import (
     Decomposition,
     Part,
@@ -20,6 +19,7 @@ from oddcluster.decompose import (
 )
 from oddcluster.graph import Graph, GraphError, InvariantViolation, bfs, connected_components
 from oddcluster.graph_io import read_edgelist
+from oddcluster.spanner import SpannerRequest
 from oddcluster import generators as gen
 
 from conftest import connected_graphs, graphs
@@ -127,6 +127,24 @@ class TestMaximalBipartitePart:
         for pool in (None, frozenset(v for v in range(g.n) if rng.random() < 0.7)):
             assert maximal_bipartite_part(g, pool) == maximal_bipartite_part_reference(g, pool)
 
+    @pytest.mark.parametrize(
+        "nbrs, message",
+        [((), "move failed to increase crossing edges"), ((0, 1), "move broke the side-component bound")],
+        ids=["no-edge-into-H", "neighbor-on-its-side"],
+    )
+    def test_per_move_checks_vouch_for_part_1(self, nbrs, message):
+        # the path 0-1-2 with a faulty neighbor tuple for vertex 1, the first
+        # extend; the recheck no longer walks part 1, so these checks alone catch it
+        class Faulty(Graph):
+            def neighbors(self, v):
+                return nbrs if v == 1 else super().neighbors(v)
+
+        g = Faulty(3, [(0, 1), (1, 2)])
+        for call in (maximal_bipartite_part, lambda g: decompose(g, 4)):
+            with pytest.raises(InvariantViolation) as exc:
+                call(g)
+            assert str(exc.value) == message
+
 
 class TestPickComponent:
     def test_k5_after_first_part(self, k5):
@@ -196,31 +214,42 @@ class TestPickComponent:
 
 @pytest.mark.parametrize("name, singles", [("sparse_gnp", 152), ("dense_batch", 1294)])
 def test_one_vertex_components_on_benchmark_inputs(monkeypatch, name, singles):
-    # Over the seed-0 benchmark requests, every pick equals the reference
-    # pick, and every one-vertex spanner request gets the general path's
-    # triple; `singles` pins how many such requests there are.
+    # Over the seed-0 benchmark requests, decomposed per component as
+    # run_color does, every pick equals the reference pick, build_spanner
+    # never gets a one-vertex component, and decompose makes each one-vertex
+    # pick the part the general path builds; `singles` pins how many there are.
     real_pick, real_spanner = decompose_module.pick_component, decompose_module.build_spanner
-    requests = []
+    picked = set()  # the vertex of each one-vertex pick of the current run
 
     def checked_pick(g, uncovered, pending, owner, parts):
         expected = pick_reference(g, parts, uncovered | owner.keys())
         got = real_pick(g, uncovered, pending, owner, parts)
         assert got == expected
+        if len(got[0]) == 1:
+            picked.update(got[0])
         return got
 
-    def recorded_spanner(req, on_move=None):
-        triple = real_spanner(req, on_move=on_move)
-        if len(req.component) == 1:
-            requests.append((req, triple))
-        return triple
+    def checked_spanner(req, on_move=None):
+        assert len(req.component) > 1
+        return real_spanner(req, on_move=on_move)
 
     monkeypatch.setattr(decompose_module, "pick_component", checked_pick)
-    monkeypatch.setattr(decompose_module, "build_spanner", recorded_spanner)
+    monkeypatch.setattr(decompose_module, "build_spanner", checked_spanner)
+    made = 0
     for text, t in load_workloads().build(name, 0):
-        run_color(read_edgelist(text), t)
-    assert len(requests) == singles
-    for req, triple in requests:
-        assert triple == spanner_general_path(req)
+        g = read_edgelist(text)
+        for comp in connected_components(g):
+            picked.clear()
+            outcome = decompose(g, t, comp)
+            singles_made = [p for p in outcome.parts[1:] if len(p.vertices) == 1]
+            for p in singles_made:
+                assert p.vertices <= picked
+                h, a, b, _ = spanner_general_path(SpannerRequest(g, p.vertices, p.vertices, 1))
+                assert (p.vertices, p.side_a, p.side_b) == (h, a, b)
+            made += len(singles_made)
+            if isinstance(outcome, StuckState):
+                break
+    assert made == singles
 
 
 @pytest.mark.parametrize(
@@ -733,10 +762,15 @@ def assert_records_match_reference(g, d):
         assert p.earlier == {q + 1 for q in aux.neighbors(pos) if q < pos}, p.index
 
 
+# the 100x100 grid's vertices by the parity of row + column
+GRID_SIDES = [[v for v in range(10**4) if (v // 100 + v % 100) % 2 == parity] for parity in (0, 1)]
+
+
 class TestRecheckOfSpannerParts:
-    """decompose rechecks parts 2..l without the part-local checks that
-    build_spanner's triple_violation made on them; part 1, which has no
-    postcondition, and every direct call keep them all."""
+    """decompose rechecks its parts without the part-local checks made where
+    each was built: refine_triple's per-move checks on part 1, the partition
+    check on a one-vertex part, build_spanner's triple_violation on the
+    rest. Every direct call makes them all."""
 
     @pytest.mark.parametrize(
         "g, t, part, message",
@@ -751,11 +785,29 @@ class TestRecheckOfSpannerParts:
         ],
         ids=["oversize-side", "disconnected-crossing-subgraph"],
     )
-    def test_bad_first_part_fails_the_recheck(self, monkeypatch, g, t, part, message):
-        monkeypatch.setattr(decompose_module, "maximal_bipartite_part", lambda g, within: part)
-        with pytest.raises(InvariantViolation) as exc:
-            decompose(g, t)
-        assert str(exc.value) == f"completed decomposition failed recheck: {message}"
+    def test_bad_first_part_fails_the_recheck(self, g, t, part, message):
+        d = Decomposition(t, (part, split_part(2, {g.n - 1}, (), earlier={1})))
+        assert decomposition_violation(g, d) == decomposition_violation_reference(g, d) == message
+
+    @pytest.mark.parametrize(
+        "g, parts",
+        [
+            # part 1 covers the grid, sides by the parity of row + column
+            (gen.grid(100, 100), (split_part(1, *GRID_SIDES),)),
+            # part 1 is the edge 0-1, and {2} sees both its sides
+            (gen.complete(3), (split_part(1, {0}, {1}), split_part(2, {2}, (), earlier={1}))),
+        ],
+        ids=["grid", "k3"],
+    )
+    def test_decompose_walks_no_part_again(self, monkeypatch, g, parts):
+        # the checks made where each part is built vouch for it, part 1 and
+        # one-vertex parts included, so the recheck makes no part-local walk
+        def walk(*args):
+            raise AssertionError("a part-local check ran in the recheck")
+
+        for name in ("cross_connected", "is_connected", "max_side_component"):
+            monkeypatch.setattr(decompose_module, name, walk)
+        assert decompose(g, 4) == Decomposition(4, parts)
 
     def test_direct_call_checks_every_part(self):
         # part 2 has the same-side edge 2-3: only decompose may vouch for it
@@ -809,6 +861,7 @@ class TestRecheckOfSpannerParts:
         g = gen.chain_components(sparse_gnp(10**5, 6 / (10**5 - 1)))
         d = decompose(g, 4)
         assert isinstance(d, Decomposition) and len(d.parts) > 1000
+        assert decomposition_violation(g, d) is None
         assert_records_match_reference(g, d)
 
 

@@ -355,7 +355,7 @@ class TestBuildSpanner:
         ids=["two-neighbors-outside", "four-neighbors-outside-bound-2"],
     )
     def test_single_vertex_component_matches_the_general_path(self, g, v, bound):
-        # the shortcut gives the general path's triple, and no move fires
+        # decompose makes such a part itself; build_spanner gives the same, and no move fires
         req = SpannerRequest(g, frozenset({v}), frozenset({v}), bound)
         events = []
         got = build_spanner(req, on_move=events.append)
@@ -375,7 +375,7 @@ class TestBuildSpanner:
         ids=["no-terminal", "other-terminal", "extra-terminal", "bound-0", "too-large", "negative"],
     )
     def test_single_vertex_component_errors(self, c6, component, terminals, bound, message):
-        # a one-vertex request the shortcut does not serve fails as on the general path
+        # a bad one-vertex request fails as on the general path, before any move
         req = SpannerRequest(c6, frozenset(component), frozenset(terminals), bound)
         events = []
         with pytest.raises(GraphError) as exc:
