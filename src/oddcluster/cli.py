@@ -79,6 +79,8 @@ def run_color(g: Graph, t: int, on_move: OnMove | None = None) -> PipelineResult
     verify_coloring then checks as a whole. The decompositions are returned
     in the result, not in the payload.
     """
+    if t < 3:  # decompose checks it too, but a graph with no vertices never calls it
+        raise GraphError("t must be >= 3")
     completed: list[Decomposition] = []
     for c in connected_components(g):
         outcome = decompose(g, t, within=c, on_move=on_move)
@@ -195,26 +197,29 @@ def cmd_gen(args: argparse.Namespace) -> int:
     # imported here: no other command, nor run_color, needs the generators
     from .generators import complete, connected_bipartite, connected_gnp, cycle, gnp, grid, random_bipartite
 
-    family = args.family
-    n = args.n
+    family, n, p = args.family, args.n, args.p
     if n is None or n < 1:
         raise _UsageError("--n must be a positive integer")
+    if family in ("gnp", "bipartite") and (p is None or not 0.0 <= p <= 1.0):
+        raise _UsageError("--p must be in [0, 1]")
+    # both limits before a generator allocates the edges: 10^7 edges cost about what 10^7 vertices do
     count = n * n if family == "grid" else n
-    if count > MAX_VERTICES:  # before a generator allocates the edges
+    if count > MAX_VERTICES:
         raise GraphError(f"vertex count {count} above the limit of {MAX_VERTICES}")
+    pairs = n * (n - 1) // 2
+    edges = pairs if family == "complete" else int(p * pairs) if family in ("gnp", "bipartite") else 0
+    if edges > MAX_VERTICES:
+        raise GraphError(f"edge count {edges} above the limit of {MAX_VERTICES}")
     if family == "cycle":
         g = cycle(n)
     elif family == "complete":
         g = complete(n)
     elif family == "grid":
         g = grid(n, n)
-    elif family in ("gnp", "bipartite"):
-        if args.p is None or not 0.0 <= args.p <= 1.0:
-            raise _UsageError("--p must be in [0, 1]")
-        if family == "gnp":
-            g = connected_gnp(n, args.p, args.seed) if args.connected else gnp(n, args.p, args.seed)
-        else:
-            g = connected_bipartite(n, args.p, args.seed) if args.connected else random_bipartite(n, args.p, args.seed)
+    elif family == "gnp":
+        g = connected_gnp(n, p, args.seed) if args.connected else gnp(n, p, args.seed)
+    elif family == "bipartite":
+        g = connected_bipartite(n, p, args.seed) if args.connected else random_bipartite(n, p, args.seed)
     else:
         raise _UsageError(f"unknown family {family!r}")
     text = format_edgelist(g)

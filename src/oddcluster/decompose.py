@@ -79,36 +79,24 @@ def pick_component(
     pending: deque[int],
     owner: dict[int, int],
     parts: Sequence[Part],
-) -> tuple[frozenset[int], list[Part], list[int]]:
-    """Component of `uncovered` holding its minimum vertex, every part
-    adjacent to it in ascending index order, and per adjacent part its
-    terminal: the minimum component vertex next to that part.
+) -> tuple[frozenset[int], list[Part]]:
+    """Component of `uncovered` holding its minimum vertex, and every part
+    adjacent to it in ascending index order.
 
     The caller keeps the state across calls: `uncovered`, the region minus
     the parts; `pending`, a sorted queue holding every uncovered vertex,
     whose covered head is dropped here, so the minimum is found by a cursor
     that only moves forward; `owner`, the position in `parts` of every
-    covered vertex. The adjacent parts are the owners of the component's
-    covered neighbors. A minimum v with no uncovered neighbor is a component
-    of its own and the terminal for every adjacent part, found from v's
-    neighbor tuple alone. Otherwise one BFS walks the component, and each
-    terminal takes one C-level scan of the component's neighbor tuples.
+    covered vertex. One BFS walks the component, and its adjacent parts are
+    the owners of its covered neighbors.
     """
     while pending and pending[0] not in uncovered:
         pending.popleft()
     if not pending:
         raise GraphError("nothing left to pick: parts cover the region")
-    v = pending[0]
-    if uncovered.isdisjoint(g.neighbors(v)):
-        boundary = owner.keys() & g.neighbors(v)
-        adjacent = [parts[i] for i in sorted(set(map(owner.__getitem__, boundary)))]
-        return frozenset((v,)), adjacent, [v] * len(adjacent)
-    comp = frozenset(bfs(g, v, uncovered))
+    comp = frozenset(bfs(g, pending[0], uncovered))
     boundary = g.neighborhood(comp) & owner.keys()  # its covered neighbors
-    adjacent = [parts[i] for i in sorted(set(map(owner.__getitem__, boundary)))]
-    # per part, the least component vertex with a neighbor in it
-    terminals = [min(touching(g, comp, p.vertices)) for p in adjacent]
-    return comp, adjacent, terminals
+    return comp, [parts[i] for i in sorted(set(map(owner.__getitem__, boundary)))]
 
 
 def decompose(
@@ -130,11 +118,17 @@ def decompose(
     and that component form a connected union that no edge joins to them,
     so the region is connected iff each of their pieces touches a part.
 
+    A picked component of two or more vertices becomes build_spanner's part
+    over k <= t-2 terminals, one per adjacent part: the least component
+    vertex next to it, found by one scan of the component's neighbor tuples.
+    Only this branch scans for terminals. A one-vertex component {v} becomes
+    the part H = A = {v} here, with no spanner, and the same vertices of a
+    stuck component are scanned once, by extract_certificate for its joins.
+
     Each part's local guarantees are checked where it is built: part 1's by
-    refine_triple move by move, the others' by build_spanner's
-    triple_violation under a side bound (k+1)//2 with k <= t-2 terminals, no
-    larger than the recheck's (t-1)//2. A one-vertex component {v} instead
-    becomes the part H = A = {v} here, with no spanner and nothing to check.
+    refine_triple move by move, a spanner part's by build_spanner's
+    triple_violation under a side bound (k+1)//2, no larger than the
+    recheck's (t-1)//2. A one-vertex part has nothing to check.
 
     A new part records the parts next to its component as `earlier`, its
     earlier neighbors: it lies in the component and holds a terminal next
@@ -155,7 +149,7 @@ def decompose(
     uncovered = set(pool) - parts[0].vertices
     pending = deque(sorted(uncovered))
     while uncovered:
-        comp, adjacent, terminals = pick_component(g, uncovered, pending, owner, parts)
+        comp, adjacent = pick_component(g, uncovered, pending, owner, parts)
         if not adjacent:
             raise GraphError(disconnected)
         for i, p in enumerate(adjacent):
@@ -172,10 +166,10 @@ def decompose(
                     raise GraphError(disconnected)
                 rest.difference_update(piece)
             return StuckState(comp, tuple(adjacent), tuple(parts))
-        if len(comp) == 1:  # its vertex is the terminal for every adjacent part
+        if len(comp) == 1:
             h, a, b = comp, comp, frozenset()
-        else:
-            terms = frozenset(terminals)
+        else:  # per adjacent part, the least component vertex next to it
+            terms = frozenset(min(touching(g, comp, p.vertices)) for p in adjacent)
             h, a, b, _ = build_spanner(SpannerRequest(g, comp, terms, (len(terms) + 1) // 2), on_move=on_move)
         owner.update(dict.fromkeys(h, len(parts)))  # the new part's position
         parts.append(Part(len(parts) + 1, h, a, b, frozenset(p.index for p in adjacent)))

@@ -30,6 +30,10 @@ them:
 * `maximal_bipartite_part_reference`, `pick_component_reference` and
   `refine_triple_reference`: the versions that rescan the whole region on
   every step and recheck every local-search move from scratch;
+* `terminals_reference`: per part adjacent to a picked component, the
+  least component vertex next to it, found by testing every component
+  vertex; decompose scans for these only when it builds a spanner request,
+  and the tests hold each request's terminals to it;
 * `bounded_bipartition_reference`: the recursive backtracking, one Python
   frame per vertex;
 * `decomposition_violation_reference`: the recheck that recomputes the
@@ -433,8 +437,8 @@ def pick_component_reference(
 
 
 def terminals_reference(g: Graph, comp: AbstractSet[int], adjacent: Iterable[Part]) -> list[int]:
-    """Per adjacent part, the minimum component vertex next to it: the scan
-    decompose ran before pick_component returned the terminals."""
+    """Per adjacent part, the minimum component vertex next to it: the
+    terminals of the spanner request decompose builds for the component."""
     return [min(v for v in comp if frozenset(g.neighbors(v)) & p.vertices) for p in adjacent]
 
 

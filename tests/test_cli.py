@@ -10,7 +10,7 @@ from oddcluster import cli
 from oddcluster.cli import EXIT_INTERNAL, main, run_color
 from oddcluster.coloring import ColoringRejection
 from oddcluster.decompose import decompose
-from oddcluster.graph import MAX_VERTICES, Graph, InvariantViolation
+from oddcluster.graph import MAX_VERTICES, Graph, GraphError, InvariantViolation
 from oddcluster.graph_io import format_edgelist, load_graph
 from oddcluster import generators as gen
 
@@ -133,6 +133,13 @@ class TestColor:
         path = write_graph(tmp_path, c6)
         code, _, err = run_cli(capsys, "color", "-i", path, "--t", "2")
         assert code == 1
+
+    @pytest.mark.parametrize("n", [0, 1])
+    @pytest.mark.parametrize("t", [2, 1, 0, -3])
+    def test_run_color_checks_t_on_every_graph(self, n, t):
+        # a graph with no vertices has no component, so decompose never sees t
+        with pytest.raises(GraphError, match=r"^t must be >= 3$"):
+            run_color(Graph(n), t)
 
     def test_verbose_includes_decomposition(self, tmp_path, capsys, k4):
         path = write_graph(tmp_path, k4)
@@ -410,6 +417,35 @@ class TestGen:
         code, out, err = run_cli(capsys, "gen", "--family", family, "--n", n)
         assert (code, out) == (1, "")
         assert err == f"error: vertex count {count} above the limit of {MAX_VERTICES}\n"
+
+    @pytest.mark.parametrize(
+        "argv, count",
+        [
+            (["complete", "--n", "4473"], 10001628),
+            (["gnp", "--n", "100000", "--p", "1"], 4999950000),
+            (["gnp", "--n", "100000", "--p", "1", "--connected"], 4999950000),
+            (["bipartite", "--n", "100000", "--p", "0.5"], 2499975000),
+            (["bipartite", "--n", "100000", "--p", "0.5", "--connected"], 2499975000),
+        ],
+        ids=["complete", "gnp", "connected-gnp", "bipartite", "connected-bipartite"],
+    )
+    def test_edge_limit_checked_before_generating(self, monkeypatch, capsys, argv, count):
+        # n(n-1)/2 edges for complete, p times that expected for gnp and bipartite
+        def refuse(*args):
+            raise AssertionError("a generator ran")
+
+        for name in ("complete", "gnp", "connected_gnp", "random_bipartite", "connected_bipartite"):
+            monkeypatch.setattr(gen, name, refuse)
+        code, out, err = run_cli(capsys, "gen", "--family", *argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: edge count {count} above the limit of {MAX_VERTICES}\n"
+
+    def test_edge_limit_admits_its_largest_complete_graph(self, monkeypatch, capsys):
+        # 4472 * 4471 / 2 = 9,997,156 edges: the stub stands in for the real build
+        calls = []
+        monkeypatch.setattr(gen, "complete", lambda n: calls.append(n) or Graph(1))
+        code, out, err = run_cli(capsys, "gen", "--family", "complete", "--n", "4472")
+        assert (code, out, err, calls) == (0, "1 0\n", "", [4472])
 
 
 class TestDot:

@@ -2,6 +2,7 @@ import importlib
 import random
 import time
 from collections import deque
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
@@ -58,11 +59,35 @@ def pick(g, parts, pool=None):
     return pick_component(g, uncovered_by(g, parts, pool), deque(sorted(region)), owner, parts)
 
 
-def pick_reference(g, parts, pool=None):
-    """The reference component and adjacent parts, with each part's terminal
-    found by the scan decompose used to run."""
-    comp, adjacent = pick_component_reference(g, parts, pool)
-    return comp, adjacent, terminals_reference(g, comp, adjacent)
+@contextmanager
+def spanner_requests():
+    """Within the block, the list of every request decompose sends build_spanner."""
+    sent = []
+    real = decompose_module.build_spanner
+
+    def recording(req, on_move=None):
+        sent.append(req)
+        return real(req, on_move=on_move)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decompose_module, "build_spanner", recording)
+        yield sent
+
+
+def check_requests(g, parts, sent, pool=None):
+    """Each request holds the reference component after the parts built
+    before it, one terminal per part adjacent to it, the least component
+    vertex next to that part, and the side bound (k+1)//2. The spanner
+    builds the parts of two or more vertices after the first, in order; a
+    component of two or more vertices never yields a one-vertex part, as
+    its other vertices would then see one side only."""
+    built = [p for p in parts[1:] if len(p.vertices) > 1]
+    assert len(sent) == len(built)
+    for req, p in zip(sent, built):
+        comp, adjacent = pick_component_reference(g, parts[: p.index - 1], pool)
+        assert req.component == comp and p.vertices <= comp
+        assert req.terminals == frozenset(terminals_reference(g, comp, adjacent))
+        assert req.bound == (len(req.terminals) + 1) // 2
 
 
 @st.composite
@@ -149,26 +174,20 @@ class TestMaximalBipartitePart:
 class TestPickComponent:
     def test_k5_after_first_part(self, k5):
         first = maximal_bipartite_part(k5)
-        comp, adjacent, terminals = pick(k5, [first])
-        assert comp == frozenset({2, 3, 4})
-        assert adjacent == [first]
-        assert terminals == [2]
+        assert pick(k5, [first]) == (frozenset({2, 3, 4}), [first])
 
     def test_lowest_vertex_component_first(self):
         g = Graph(5, [(0, 1), (2, 3)])
         part = Part(1, frozenset({0, 1}), frozenset({0}), frozenset({1}))
-        comp, adjacent, terminals = pick(g, [part])
-        assert comp == frozenset({2, 3})
-        assert adjacent == terminals == []
+        assert pick(g, [part]) == (frozenset({2, 3}), [])
 
     def test_terminal_per_adjacent_part(self):
-        # path 0-1-2-3-4-5-6: parts {0} and {6}, component {1..5}
+        # path 0-1-2-3-4-5-6: parts {0} and {6}, component {1..5} next to
+        # both; its terminals are checked on the requests decompose sends
         g = Graph(7, [(i, i + 1) for i in range(6)])
         parts = [Part(1, frozenset({0}), frozenset({0}), frozenset()),
                  Part(2, frozenset({6}), frozenset({6}), frozenset())]
-        comp, adjacent, terminals = pick(g, parts)
-        assert comp == frozenset(range(1, 6))
-        assert adjacent == parts and terminals == [1, 5]
+        assert pick(g, parts) == pick_component_reference(g, parts) == (frozenset(range(1, 6)), parts)
 
     def test_isolated_vertex_next_to_several_parts(self):
         # 3, the minimum uncovered vertex, has no uncovered neighbor: 0, 2
@@ -177,7 +196,7 @@ class TestPickComponent:
         g = Graph(8, [(0, 3), (2, 3), (3, 5), (3, 7), (1, 2), (1, 4), (4, 6)])
         parts = [Part(k + 1, frozenset(vs), frozenset(vs), frozenset()) for k, vs in enumerate([{0}, {1, 2}, {5}, {6}])]
         pool = set(range(7))
-        assert pick(g, parts, pool) == pick_reference(g, parts, pool) == (frozenset({3}), parts[:3], [3, 3, 3])
+        assert pick(g, parts, pool) == pick_component_reference(g, parts, pool) == (frozenset({3}), parts[:3])
 
     def test_all_covered_rejected(self, c6):
         part = maximal_bipartite_part(c6)
@@ -188,16 +207,18 @@ class TestPickComponent:
     @settings(max_examples=300)
     def test_matches_reference_on_random_parts(self, case):
         g, parts, pool = case
-        assert outcome(pick, g, parts, pool) == outcome(pick_reference, g, parts, pool)
+        assert outcome(pick, g, parts, pool) == outcome(pick_component_reference, g, parts, pool)
 
     @pytest.mark.parametrize("t", [3, 4, 5])
     @given(g=connected_graphs(max_n=20))
     @settings(max_examples=60, deadline=None)
     def test_matches_reference_on_decomposition_prefixes(self, t, g):
-        parts = decompose(g, t).parts
+        with spanner_requests() as sent:
+            parts = decompose(g, t).parts
+        check_requests(g, parts, sent)
         for k in range(1, len(parts) + 1):
             prefix = parts[:k]
-            assert outcome(pick, g, prefix) == outcome(pick_reference, g, prefix)
+            assert outcome(pick, g, prefix) == outcome(pick_component_reference, g, prefix)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_terminals_match_the_scan_on_larger_graphs(self, seed):
@@ -206,41 +227,40 @@ class TestPickComponent:
         g = gen.connected_gnp(150, rng.uniform(0.01, 0.04), seed)
         sub = frozenset(bfs(g, 0, frozenset(v for v in range(g.n) if rng.random() < 0.7) | {0}))
         for pool in (None, sub):
-            parts = decompose(g, 3 + seed, pool).parts
+            with spanner_requests() as sent:
+                parts = decompose(g, 3 + seed, pool).parts
+            check_requests(g, parts, sent, pool)
             for k in range(1, len(parts) + 1):
                 prefix = parts[:k]
-                assert outcome(pick, g, prefix, pool) == outcome(pick_reference, g, prefix, pool)
+                assert outcome(pick, g, prefix, pool) == outcome(pick_component_reference, g, prefix, pool)
 
 
 @pytest.mark.parametrize("name, singles", [("sparse_gnp", 152), ("dense_batch", 1294)])
 def test_one_vertex_components_on_benchmark_inputs(monkeypatch, name, singles):
     # Over the seed-0 benchmark requests, decomposed per component as
-    # run_color does, every pick equals the reference pick, build_spanner
-    # never gets a one-vertex component, and decompose makes each one-vertex
-    # pick the part the general path builds; `singles` pins how many there are.
-    real_pick, real_spanner = decompose_module.pick_component, decompose_module.build_spanner
+    # run_color does, every pick equals the reference pick, every spanner
+    # request passes check_requests, so none is of one vertex, and decompose
+    # makes each one-vertex pick the part the general path builds; `singles`
+    # pins how many there are.
+    real_pick = decompose_module.pick_component
     picked = set()  # the vertex of each one-vertex pick of the current run
 
     def checked_pick(g, uncovered, pending, owner, parts):
-        expected = pick_reference(g, parts, uncovered | owner.keys())
         got = real_pick(g, uncovered, pending, owner, parts)
-        assert got == expected
+        assert got == pick_component_reference(g, parts, uncovered | owner.keys())
         if len(got[0]) == 1:
             picked.update(got[0])
         return got
 
-    def checked_spanner(req, on_move=None):
-        assert len(req.component) > 1
-        return real_spanner(req, on_move=on_move)
-
     monkeypatch.setattr(decompose_module, "pick_component", checked_pick)
-    monkeypatch.setattr(decompose_module, "build_spanner", checked_spanner)
     made = 0
     for text, t in load_workloads().build(name, 0):
         g = read_edgelist(text)
         for comp in connected_components(g):
             picked.clear()
-            outcome = decompose(g, t, comp)
+            with spanner_requests() as sent:
+                outcome = decompose(g, t, comp)
+            check_requests(g, outcome.parts, sent, comp)
             singles_made = [p for p in outcome.parts[1:] if len(p.vertices) == 1]
             for p in singles_made:
                 assert p.vertices <= picked
@@ -250,6 +270,23 @@ def test_one_vertex_components_on_benchmark_inputs(monkeypatch, name, singles):
             if isinstance(outcome, StuckState):
                 break
     assert made == singles
+
+
+def test_terminals_scanned_only_for_spanner_parts(monkeypatch):
+    # K6 at t=3 builds parts {0,1} and {2,3}, then gets stuck on {4,5},
+    # which touches both: one scan, for part 2's single terminal
+    calls = []
+    real = decompose_module.touching
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(decompose_module, "touching", counted)
+    outcome = decompose(gen.complete(6), 3)
+    assert isinstance(outcome, StuckState) and outcome.component == frozenset({4, 5})
+    assert [p.vertices for p in outcome.parts] == [frozenset({0, 1}), frozenset({2, 3})]
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(
