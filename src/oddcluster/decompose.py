@@ -64,13 +64,38 @@ def maximal_bipartite_part(g: Graph, within: Iterable[int] | None = None) -> Par
     must add a crossing edge to a vertex with no neighbor on its side, so by
     induction H and its crossing subgraph are connected and both sides are
     independent.
+
+    One breadth-first 2-coloring walk from r, a level at a time, runs
+    first. If it covers the piece of r in the region with no edge inside a
+    level, that piece is bipartite and is the part, split by depth parity:
+    each candidate of the growth has its neighbors in H in the other parity
+    class, so it joins the side of its own class and is never dropped, and
+    the growth takes the whole piece. An edge inside a level closes an odd
+    cycle, and the growth runs from scratch. The walk keeps the per-move
+    checks: every vertex after r must list a reached vertex of the other
+    parity, its extend's crossing edge, and one that lists a vertex of its
+    own parity hands over to the growth, whose checks see the same tuple.
     """
     pool = frozenset(range(g.n)) if within is None else _checked_set(g, within)
     if not pool:
         raise GraphError("empty region")
-    seed = frozenset((min(pool),))
-    grown = refine_triple(SpannerRequest(g, pool, seed, 1), Triple(seed, seed, frozenset(), 0))
-    return Part(1, grown.h_vertices, grown.side_a, grown.side_b)
+    root = min(pool)
+    mine, other = {root}, set()  # reached vertices: the current level's parity, the other one
+    level: AbstractSet[int] = mine
+    while level:
+        tuples = list(map(g.neighbors, level))
+        reach = set().union(*tuples)
+        if not mine.isdisjoint(reach):  # an edge inside the level: an odd cycle, so grow
+            seed = frozenset((root,))
+            grown = refine_triple(SpannerRequest(g, pool, seed, 1), Triple(seed, seed, frozenset(), 0))
+            return Part(1, grown.h_vertices, grown.side_a, grown.side_b)
+        if other and any(map(other.isdisjoint, tuples)):  # past the root, each needs an edge into H
+            raise InvariantViolation("move failed to increase crossing edges")
+        level = pool.intersection(reach) - other
+        other |= level
+        mine, other = other, mine
+    a, b = map(frozenset, (mine, other) if root in mine else (other, mine))
+    return Part(1, a | b, a, b)
 
 
 def pick_component(
@@ -125,8 +150,12 @@ def decompose(
     the part H = A = {v} here, with no spanner, and the same vertices of a
     stuck component are scanned once, by extract_certificate for its joins.
 
-    Each part's local guarantees are checked where it is built: part 1's by
-    refine_triple move by move, a spanner part's by build_spanner's
+    Each part's local guarantees are checked where it is built. Part 1's
+    are checked by maximal_bipartite_part: on a bipartite piece by its
+    2-coloring walk, which needs an edge into the part from every vertex
+    after the root and finds no edge inside a level, else by refine_triple
+    move by move. So a connected bipartite region is one part, found
+    without the growth. A spanner part's are checked by build_spanner's
     triple_violation under a side bound (k+1)//2, no larger than the
     recheck's (t-1)//2. A one-vertex part has nothing to check.
 
@@ -254,7 +283,8 @@ def decomposition_violation(
         later[p.index] = set(map(owner.__getitem__, sees_a | sees_b))
         for j in later[p.index]:
             touched[j].add(p.index)
-        owner.update(dict.fromkeys(p.vertices, p.index))
+        if p.index > 1:  # nothing reads the owners after part 1, the last pass
+            owner.update(dict.fromkeys(p.vertices, p.index))
     stale = next((p.index for p in d.parts if touched[p.index] != p.earlier), None)  # before the merges
 
     parent: dict[int, int] = {}

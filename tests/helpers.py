@@ -7,7 +7,10 @@ into its result or its error, for comparing two implementations.
 for round-trip tests; the pipeline only reads DIMACS. `sparse_gnp` samples
 G(n,p) in time linear in n + m, for tests at sizes where the pair loop of
 `generators.gnp` is too slow; its edges differ from `gnp`'s for the same
-seed. The `*_reference` functions are earlier versions of pipeline
+seed. `random_tree`, `sparse_bipartite` (the same skipping over the cross
+pairs of a random tree) and `complete_bipartite` build bipartite inputs,
+and `BIPARTITE_FAMILIES` collects them, with grids and denser graphs, for
+the runs at every t. The `*_reference` functions are earlier versions of pipeline
 functions, kept so differential tests can compare the rewrites against
 them:
 
@@ -56,10 +59,13 @@ them:
   and every neighbor tuple.
 
 The references call each other rather than the rewritten functions, so a
-differential test compares two independent computations. The exception is
-`spanner_general_path`, made of the pipeline's own connector, split and
+differential test compares two independent computations. The exceptions
+are `spanner_general_path`, made of the pipeline's own connector, split and
 local search: build_spanner without its postcondition, and the reference
-for the one-vertex parts that decompose makes without it. `load_workloads`
+for the one-vertex parts that decompose makes without it; and
+`bipartite_growth`, the pipeline's own local search grown from the
+region's minimum vertex: the reference for the first parts that
+maximal_bipartite_part finds by its 2-coloring walk, without the growth. `load_workloads`
 loads the benchmark's input generator from `perfbench/workloads.py`.
 """
 
@@ -73,6 +79,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import AbstractSet, Callable, Iterable
 
+from oddcluster import generators as gen
 from oddcluster.coloring import ClusteredColoring, ColoringRejection, ColoringReport
 from oddcluster.decompose import Decomposition, Part
 from oddcluster.graph import (
@@ -133,6 +140,74 @@ def sparse_gnp(n: int, p: float, seed: int = 0) -> Graph:
         if v < n:
             edges.append((w, v))
     return Graph(n, edges)
+
+
+def random_tree(n: int, seed: int = 0) -> Graph:
+    """A random recursive tree: each vertex after 0 joins a uniform earlier one."""
+    rng = random.Random(seed)
+    return Graph(n, [(rng.randrange(v), v) for v in range(1, n)])
+
+
+def sparse_bipartite(n: int, p: float, seed: int = 0) -> Graph:
+    """A random recursive tree plus each pair across its two depth-parity
+    classes kept with probability p, 0 < p < 1: connected and bipartite.
+    The family of `generators.connected_bipartite`, sampled in time linear
+    in n + m by the geometric skipping of `sparse_gnp` over the cross
+    pairs, in the order (x0,y0), (x0,y1), ...; its edges differ for the
+    same seed."""
+    rng = random.Random(seed)
+    parent = [0] + [rng.randrange(v) for v in range(1, n)]
+    odd = [False] * n
+    for v in range(1, n):
+        odd[v] = not odd[parent[v]]
+    xs = [v for v in range(n) if not odd[v]]
+    ys = [v for v in range(n) if odd[v]]
+    edges = {(parent[v], v) for v in range(1, n)}
+    log_q = math.log(1.0 - p)
+    k = -1
+    while True:
+        k += 1 + int(math.log(1.0 - rng.random()) / log_q)
+        if k >= len(xs) * len(ys):
+            return Graph(n, sorted(edges))
+        edges.add(norm_edge(xs[k // len(ys)], ys[k % len(ys)]))
+
+
+def complete_bipartite(a: int, b: int) -> Graph:
+    """K_{a,b}; for a <= b it has a plain K_{a+1} minor: contract a-1
+    edges of a matching, and keep one more vertex on each side."""
+    return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+
+
+# Bipartite inputs by id, each built by a call with no arguments: grids,
+# trees, random connected bipartite graphs from sparse to dense (the dense
+# ones and K_{12,12} have plain K_t minors for every t up to 8, and even
+# larger ones), and one disconnected input. None has an odd K_t expansion
+# for t >= 3, as such an expansion holds an odd cycle.
+BIPARTITE_FAMILIES: dict[str, Callable[[], Graph]] = {
+    "edge": lambda: Graph(2, [(0, 1)]),
+    "cycle-6": lambda: gen.cycle(6),
+    "grid-3x3": lambda: gen.grid(3, 3),
+    "grid-100x100": lambda: gen.grid(100, 100),
+    "grid-20x500": lambda: gen.grid(20, 500),
+    "tree-10000": lambda: random_tree(10**4, 1),
+    "sparse-bipartite-10000-deg6": lambda: sparse_bipartite(10**4, 8 / 10**4, 2),
+    "sparse-bipartite-10000-deg20": lambda: sparse_bipartite(10**4, 36 / 10**4, 3),
+    "connected-bipartite-2000-p0.01": lambda: gen.connected_bipartite(2000, 0.01, 4),
+    "connected-bipartite-300-p0.5": lambda: gen.connected_bipartite(300, 0.5, 5),
+    "complete-bipartite-12-12": lambda: complete_bipartite(12, 12),
+    "random-bipartite-2000-disconnected": lambda: gen.random_bipartite(2000, 0.0005, 6),
+}
+
+
+def bipartite_growth(g: Graph, within: Iterable[int] | None = None) -> Part:
+    """Part 1 as refine_triple's extend search grows it from H = A = {r},
+    r = min(region), under side bound 1, one heap pop at a time: what
+    maximal_bipartite_part ran on every region before its 2-coloring walk,
+    and still runs on a region that is not bipartite."""
+    pool = frozenset(range(g.n)) if within is None else frozenset(within)
+    seed = frozenset((min(pool),))
+    grown = refine_triple(SpannerRequest(g, pool, seed, 1), Triple(seed, seed, frozenset(), 0))
+    return Part(1, grown.h_vertices, grown.side_a, grown.side_b)
 
 
 def format_dimacs(g: Graph) -> str:

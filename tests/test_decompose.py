@@ -26,6 +26,7 @@ from oddcluster import generators as gen
 from conftest import connected_graphs, graphs
 from helpers import (
     OddClosedWalk,
+    bipartite_growth,
     bipartition_or_odd_cycle,
     build_auxiliary_reference,
     decomposition_violation_reference,
@@ -35,6 +36,7 @@ from helpers import (
     outcome,
     parts_adjacent_reference,
     pick_component_reference,
+    random_tree,
     spanner_general_path,
     sparse_gnp,
     terminals_reference,
@@ -110,6 +112,49 @@ def graphs_with_parts(draw):
     return g, parts, pool
 
 
+def count_growths(monkeypatch):
+    """The list of every request maximal_bipartite_part sends refine_triple from now on."""
+    sent = []
+    real = decompose_module.refine_triple
+
+    def counted(req, start, on_move=None):
+        sent.append(req)
+        return real(req, start, on_move=on_move)
+
+    monkeypatch.setattr(decompose_module, "refine_triple", counted)
+    return sent
+
+
+def cut_bipartite_piece(g, keep_far):
+    """g, which must not be bipartite, and a region cut from it: the growth's
+    first part, a bipartite piece; with `keep_far`, plus every vertex that
+    has no neighbor in it, so the region holds odd cycles the walk never meets."""
+    piece = bipartite_growth(g).vertices
+    assert len(piece) < g.n
+    if keep_far:
+        return g, piece | (frozenset(range(g.n)) - piece - g.neighborhood(piece))
+    return g, piece
+
+
+def benchmark_graph(name, index=0):
+    return read_edgelist(load_workloads().build(name, 0)[index][0])
+
+
+BIPARTITE_REGION_CASES = {
+    "grid-workload": lambda: (benchmark_graph("grid_bipartite"), None),
+    **{
+        f"connected-bipartite-2000-p{p}": lambda p=p: (gen.connected_bipartite(2000, p, 1), None)
+        for p in (0.001, 0.005, 0.02)
+    },
+    "tree-3000": lambda: (random_tree(3000, 2), None),
+    "even-cycle-1000": lambda: (gen.cycle(1000), None),
+    "sparse-gnp-workload-piece": lambda: cut_bipartite_piece(benchmark_graph("sparse_gnp"), False),
+    "sparse-gnp-workload-piece-and-far": lambda: cut_bipartite_piece(benchmark_graph("sparse_gnp"), True),
+    "dense-batch-piece": lambda: cut_bipartite_piece(benchmark_graph("dense_batch", 1), False),
+    "dense-batch-piece-and-far": lambda: cut_bipartite_piece(benchmark_graph("dense_batch", 1), True),
+}
+
+
 class TestMaximalBipartitePart:
     def test_bipartite_graph_is_swallowed_whole(self, c6):
         part = maximal_bipartite_part(c6)
@@ -153,22 +198,60 @@ class TestMaximalBipartitePart:
             assert maximal_bipartite_part(g, pool) == maximal_bipartite_part_reference(g, pool)
 
     @pytest.mark.parametrize(
-        "nbrs, message",
-        [((), "move failed to increase crossing edges"), ((0, 1), "move broke the side-component bound")],
-        ids=["no-edge-into-H", "neighbor-on-its-side"],
+        "host, faulty, nbrs, message",
+        [
+            (gen.grid(1, 3), 1, (), "move failed to increase crossing edges"),
+            (gen.grid(1, 3), 1, (0, 1), "move broke the side-component bound"),
+            (gen.cycle(6), 2, (), "move failed to increase crossing edges"),
+            (gen.cycle(6), 2, (1, 2, 3), "move broke the side-component bound"),
+            (gen.grid(3, 3), 4, (), "move failed to increase crossing edges"),
+            (gen.grid(3, 3), 4, (1, 3, 4, 5, 7), "move broke the side-component bound"),
+        ],
+        ids=[
+            "no-edge-into-H",
+            "neighbor-on-its-side",
+            "c6-depth-2-no-edge-into-H",
+            "c6-depth-2-neighbor-on-its-side",
+            "grid-3x3-depth-2-no-edge-into-H",
+            "grid-3x3-depth-2-neighbor-on-its-side",
+        ],
     )
-    def test_per_move_checks_vouch_for_part_1(self, nbrs, message):
-        # the path 0-1-2 with a faulty neighbor tuple for vertex 1, the first
-        # extend; the recheck no longer walks part 1, so these checks alone catch it
+    def test_per_move_checks_vouch_for_part_1(self, host, faulty, nbrs, message):
+        # a bipartite region with a faulty neighbor tuple for one vertex: the
+        # path 0-1-2's first extend, or a vertex at depth 2. An empty tuple
+        # lists no edge into H, which the 2-coloring walk checks itself; a
+        # tuple listing the vertex itself is an edge inside its level, which
+        # hands over to the growth, whose extend then fails the bound. The
+        # recheck does not walk part 1, so these checks alone catch either.
         class Faulty(Graph):
             def neighbors(self, v):
-                return nbrs if v == 1 else super().neighbors(v)
+                return nbrs if v == faulty else super().neighbors(v)
 
-        g = Faulty(3, [(0, 1), (1, 2)])
+        g = Faulty(host.n, host.edges())
         for call in (maximal_bipartite_part, lambda g: decompose(g, 4)):
             with pytest.raises(InvariantViolation) as exc:
                 call(g)
             assert str(exc.value) == message
+
+    @pytest.mark.parametrize("region", BIPARTITE_REGION_CASES.values(), ids=list(BIPARTITE_REGION_CASES))
+    def test_bipartite_region_is_one_walk(self, monkeypatch, region):
+        # at benchmark size, the 2-coloring walk gives the growth's part,
+        # and the growth does not run
+        g, pool = region()
+        growths = count_growths(monkeypatch)
+        part = maximal_bipartite_part(g, pool)
+        assert part == bipartite_growth(g, pool)
+        assert growths == []
+        assert not isinstance(bipartition_or_odd_cycle(g, part.vertices), OddClosedWalk)
+
+    def test_odd_cycle_runs_the_growth(self, monkeypatch):
+        # K3 and every input of the benchmark's dense batch: the walk meets
+        # an edge inside a level, and the growth runs once from scratch
+        graphs = [gen.complete(3)] + [read_edgelist(text) for text, _ in load_workloads().build("dense_batch", 0)]
+        growths = count_growths(monkeypatch)
+        for g in graphs:
+            assert maximal_bipartite_part(g) == bipartite_growth(g)
+        assert len(growths) == len(graphs)
 
 
 class TestPickComponent:
