@@ -155,9 +155,11 @@ def decompose(
     2-coloring walk, which needs an edge into the part from every vertex
     after the root and finds no edge inside a level, else by refine_triple
     move by move. So a connected bipartite region is one part, found
-    without the growth. A spanner part's are checked by build_spanner's
-    triple_violation under a side bound (k+1)//2, no larger than the
-    recheck's (t-1)//2. A one-vertex part has nothing to check.
+    without the growth, and pick_component's state (owner map, uncovered
+    set, sorted queue) is built only when part 1 leaves a vertex. A spanner
+    part's are checked by build_spanner's triple_violation under a side
+    bound (k+1)//2, no larger than the recheck's (t-1)//2. A one-vertex
+    part has nothing to check.
 
     A new part records the parts next to its component as `earlier`, its
     earlier neighbors: it lies in the component and holds a terminal next
@@ -174,8 +176,9 @@ def decompose(
     disconnected = "region must induce a connected subgraph"
 
     parts = [maximal_bipartite_part(g, pool)]
-    owner = dict.fromkeys(parts[0].vertices, 0)
-    uncovered = set(pool) - parts[0].vertices
+    covered = len(parts[0].vertices) == len(pool)  # part 1 covers the region: no state to keep
+    uncovered = set() if covered else set(pool) - parts[0].vertices
+    owner = {} if covered else dict.fromkeys(parts[0].vertices, 0)
     pending = deque(sorted(uncovered))
     while uncovered:
         comp, adjacent = pick_component(g, uncovered, pending, owner, parts)

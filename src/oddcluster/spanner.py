@@ -72,7 +72,20 @@ def minimum_connector(host: Graph, component: Iterable[int], terminals: Iterable
     States carry witness sets; ties fall to the smaller sorted vertex list,
     so the result is deterministic. The component need not be connected;
     GraphError is raised when no connected set inside it holds every
-    terminal, which the search finds out without a walk of its own.
+    terminal.
+
+    A connector in hand bounds the program. One BFS inside the component
+    from the least terminal, stopped once it has reached every terminal,
+    gives a tree whose paths to the terminals form a connector of `cap`
+    vertices, or it proves the terminals apart. A state larger than `cap`
+    is never stored, nor one larger than the entry it would replace, and
+    the size is tested before the sorted tuple is built. This is exact:
+    keys compare size first, and a merged or grown state is never smaller
+    than its sources, so a state above `cap` leads only to states above it,
+    while the answer, of at most `cap` vertices, and every state it comes
+    from are found as without the bound. For the same reason the growth
+    phase of the full subset is skipped: no grown state beats the cheapest
+    merged one it comes from.
     """
     comp = frozenset(component)
     terms = sorted(_checked_set(host, terminals))
@@ -87,9 +100,30 @@ def minimum_connector(host: Graph, component: Iterable[int], terminals: Iterable
     if k == 1:
         return frozenset(terms)
 
+    # BFS from the least terminal until every terminal is reached: its tree bounds the answer
+    parent = {terms[0]: terms[0]}
+    order = [terms[0]]
+    missing = set(terms[1:])
+    for x in order:
+        for y in host.neighbors(x):
+            if y in comp and y not in parent:
+                parent[y] = x
+                order.append(y)
+                missing.discard(y)
+        if not missing:
+            break
+    else:
+        raise GraphError("terminals are not connected inside the component")
+    tree: set[int] = set()
+    for t in terms:  # the tree paths to the root, each climbed until it meets the tree
+        while t not in tree:
+            tree.add(t)
+            t = parent[t]
+    cap = len(tree)
+
     full = (1 << k) - 1
     # best[mask][v] = (size, sorted tuple, set): the cheapest known connected
-    # set containing v and the terminals selected by mask.
+    # set containing v and the terminals selected by mask, of at most cap vertices.
     best: list[dict[int, tuple[int, tuple[int, ...], frozenset[int]]]] = [
         {} for _ in range(full + 1)
     ]
@@ -108,11 +142,16 @@ def minimum_connector(host: Graph, component: Iterable[int], terminals: Iterable
                     if entry is None:
                         continue
                     union = set1 | entry[2]
-                    key = (len(union), tuple(sorted(union)))
+                    size = len(union)
                     cur = layer.get(v)
-                    if cur is None or key < cur[:2]:
-                        layer[v] = (key[0], key[1], union)
+                    if size > cap or (cur is not None and size > cur[0]):
+                        continue
+                    tup = tuple(sorted(union))
+                    if cur is None or (size, tup) < cur[:2]:
+                        layer[v] = (size, tup, union)
             sub = (sub - 1) & mask
+        if mask == full:
+            break
         # grow along edges, cheapest-first with lazy deletion
         heap = [(size, tup, v) for v, (size, tup, _) in layer.items()]
         heapq.heapify(heap)
@@ -125,17 +164,17 @@ def minimum_connector(host: Graph, component: Iterable[int], terminals: Iterable
             for w in host.neighbors(v):
                 if w not in comp:
                     continue
-                union = vset if w in vset else vset | {w}
-                key = (len(union), tuple(sorted(union)))
+                grown = size + (w not in vset)
                 old = layer.get(w)
-                if old is None or key < old[:2]:
-                    layer[w] = (key[0], key[1], union)
-                    heapq.heappush(heap, (key[0], key[1], w))
+                if grown > cap or (old is not None and grown > old[0]):
+                    continue
+                union = vset | {w} if grown > size else vset
+                wtup = tuple(sorted(union)) if grown > size else tup  # the same set: the same tuple
+                if old is None or (grown, wtup) < old[:2]:
+                    layer[w] = (grown, wtup, union)
+                    heapq.heappush(heap, (grown, wtup, w))
 
-    final = best[full]
-    if not final:  # no connected set inside the component holds every terminal
-        raise GraphError("terminals are not connected inside the component")
-    winner = min(final.values(), key=lambda e: e[:2])
+    winner = min(best[full].values(), key=lambda e: e[:2])
     return winner[2]
 
 
@@ -265,11 +304,10 @@ def triple_violation(req: SpannerRequest, triple: Triple) -> str | None:
         return "a same-side component exceeds the bound"
     if not crossing:
         return "crossing subgraph is disconnected"
-    # only region vertices adjacent to H can fail; the rest pass vacuously
-    for v in sorted((g.neighborhood(h) & req.component) - h):
-        nbrs = g.neighbors(v)
-        if a.isdisjoint(nbrs) or b.isdisjoint(nbrs):
-            return f"outside vertex {v} does not see both sides"
+    # a region vertex outside H fails iff it has a neighbor on exactly one side
+    blind = ((g.neighborhood(a) ^ g.neighborhood(b)) & req.component) - h
+    if blind:
+        return f"outside vertex {min(blind)} does not see both sides"
     return None
 
 
@@ -309,6 +347,10 @@ def refine_triple(req: SpannerRequest, start: Triple, on_move: OnMove | None = N
     that queues its other region neighbors. The per-move checks test these
     facts in O(deg v): no neighbor on the new side, a gain of at least 1, at
     most `cap` moves.
+
+    Each loop checks its own moves in its body, with no call per move, in
+    one order: a gain of at least 1, the move cap, the side bound (for an
+    extend, no neighbor on the new side), and only then the `on_move` event.
     """
     g = req.host
     h = set(start.h_vertices)
@@ -326,8 +368,12 @@ def refine_triple(req: SpannerRequest, start: Triple, on_move: OnMove | None = N
     cross = count_cross_edges(g, a, b)
     moves = 0
 
-    def commit(kind: str, new_cross: int, bound_holds: bool) -> None:
-        nonlocal moves, cross, cap
+    while h and len(piece := cross_bfs(g, h, a, b)[0]) < len(h):
+        x = set(piece)  # the piece holding min(H)
+        y = h - x
+        a, b = (x & a) | (y & b), (x & b) | (y & a)
+        bound_holds = max(max_side_component(g, a), max_side_component(g, b)) <= req.bound
+        new_cross = count_cross_edges(g, a, b)
         moves += 1
         if new_cross <= cross:
             raise InvariantViolation("move failed to increase crossing edges")
@@ -338,15 +384,8 @@ def refine_triple(req: SpannerRequest, start: Triple, on_move: OnMove | None = N
         if not bound_holds:
             raise InvariantViolation("move broke the side-component bound")
         if on_move is not None:
-            on_move(MoveEvent(kind, cross, new_cross, moves, cap))
+            on_move(MoveEvent("reconnect", cross, new_cross, moves, cap))
         cross = new_cross
-
-    while h and len(piece := cross_bfs(g, h, a, b)[0]) < len(h):
-        x = set(piece)  # the piece holding min(H)
-        y = h - x
-        a, b = (x & a) | (y & b), (x & b) | (y & a)
-        bound_holds = max(max_side_component(g, a), max_side_component(g, b)) <= req.bound
-        commit("reconnect", count_cross_edges(g, a, b), bound_holds)
 
     region = req.component  # a local: it is read once per neighbor
     frontier = sorted((g.neighborhood(h) & region) - h)  # a sorted list is a heap
@@ -370,7 +409,18 @@ def refine_triple(req: SpannerRequest, start: Triple, on_move: OnMove | None = N
         h.add(v)
         side.add(v)
         inner += gain
-        commit("extend", cross + gain, side.isdisjoint(nbrs))
+        moves += 1
+        if gain < 1:
+            raise InvariantViolation("move failed to increase crossing edges")
+        if cap is None and (moves > inner or on_move is not None):
+            cap = induced_edge_count(g, region)
+        if cap is not None and moves > cap:
+            raise InvariantViolation("move count exceeded the region's edge count")
+        if not side.isdisjoint(nbrs):
+            raise InvariantViolation("move broke the side-component bound")
+        if on_move is not None:
+            on_move(MoveEvent("extend", cross, cross + gain, moves, cap))
+        cross += gain
     return Triple(frozenset(h), frozenset(a), frozenset(b), cross)
 
 

@@ -39,6 +39,9 @@ them:
   and the tests hold each request's terminals to it;
 * `bounded_bipartition_reference`: the recursive backtracking, one Python
   frame per vertex;
+* `minimum_connector_reference`: the connector program with no bound, which
+  grows every state over the whole component, the full subset's too, and
+  finds terminals in different pieces only when the full subset is empty;
 * `decomposition_violation_reference`: the recheck that recomputes the
   uncovered components at every prefix and scans every earlier part for
   each of them, cubic in the worst case, and then every pair of parts for
@@ -66,18 +69,24 @@ for the one-vertex parts that decompose makes without it; and
 `bipartite_growth`, the pipeline's own local search grown from the
 region's minimum vertex: the reference for the first parts that
 maximal_bipartite_part finds by its 2-coloring walk, without the growth. `load_workloads`
-loads the benchmark's input generator from `perfbench/workloads.py`.
+loads the benchmark's input generator from `perfbench/workloads.py`, and
+`spanner_requests` records every request decompose sends build_spanner.
 """
 
 from __future__ import annotations
 
+import heapq
+import importlib
 import math
 import random
 import types
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import AbstractSet, Callable, Iterable
+
+import pytest
 
 from oddcluster import generators as gen
 from oddcluster.coloring import ClusteredColoring, ColoringRejection, ColoringReport
@@ -89,10 +98,12 @@ from oddcluster.graph import (
     GraphError,
     InvariantViolation,
     TreeSubgraph,
+    _checked_set,
     induced_edge_count,
     norm_edge,
 )
 from oddcluster.spanner import (
+    TERMINAL_CAP,
     MoveEvent,
     OnMove,
     SpannerRequest,
@@ -208,6 +219,22 @@ def bipartite_growth(g: Graph, within: Iterable[int] | None = None) -> Part:
     seed = frozenset((min(pool),))
     grown = refine_triple(SpannerRequest(g, pool, seed, 1), Triple(seed, seed, frozenset(), 0))
     return Part(1, grown.h_vertices, grown.side_a, grown.side_b)
+
+
+@contextmanager
+def spanner_requests():
+    """Within the block, the list of every request decompose sends build_spanner."""
+    sent = []
+    decompose_module = importlib.import_module("oddcluster.decompose")  # the package exports a function of that name
+    real = decompose_module.build_spanner
+
+    def recording(req, on_move=None):
+        sent.append(req)
+        return real(req, on_move=on_move)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decompose_module, "build_spanner", recording)
+        yield sent
 
 
 def format_dimacs(g: Graph) -> str:
@@ -515,6 +542,83 @@ def terminals_reference(g: Graph, comp: AbstractSet[int], adjacent: Iterable[Par
     """Per adjacent part, the minimum component vertex next to it: the
     terminals of the spanner request decompose builds for the component."""
     return [min(v for v in comp if frozenset(g.neighbors(v)) & p.vertices) for p in adjacent]
+
+
+def minimum_connector_reference(host: Graph, component: Iterable[int], terminals: Iterable[int]) -> frozenset[int]:
+    """Smallest vertex set inside `component` containing every terminal whose
+    induced subgraph is connected, by the dynamic program with no bound:
+    every state is grown over the whole component, the full subset's too.
+
+    Exact dynamic program over (terminal subset, anchor vertex) states with
+    unit vertex weights, exponential in the terminal count, hence the cap.
+    States carry witness sets; ties fall to the smaller sorted vertex list,
+    so the result is deterministic. The component need not be connected;
+    GraphError is raised when no connected set inside it holds every
+    terminal, which the search finds out without a walk of its own.
+    """
+    comp = frozenset(component)
+    terms = sorted(_checked_set(host, terminals))
+    if not terms:
+        raise GraphError("terminals must be nonempty")
+    if len(terms) > TERMINAL_CAP:
+        raise GraphError(f"terminal budget exceeded: {len(terms)} > {TERMINAL_CAP}")
+    for t in terms:
+        if t not in comp:
+            raise GraphError(f"terminal {t} outside component")
+    k = len(terms)
+    if k == 1:
+        return frozenset(terms)
+
+    full = (1 << k) - 1
+    # best[mask][v] = (size, sorted tuple, set): the cheapest known connected
+    # set containing v and the terminals selected by mask.
+    best: list[dict[int, tuple[int, tuple[int, ...], frozenset[int]]]] = [
+        {} for _ in range(full + 1)
+    ]
+    for i, t in enumerate(terms):
+        best[1 << i][t] = (1, (t,), frozenset((t,)))
+
+    for mask in range(1, full + 1):
+        layer = best[mask]
+        # merge complementary sub-connectors anchored at a shared vertex
+        sub = (mask - 1) & mask
+        while sub:
+            rest = mask ^ sub
+            if sub < rest:
+                for v, (_, _, set1) in best[sub].items():
+                    entry = best[rest].get(v)
+                    if entry is None:
+                        continue
+                    union = set1 | entry[2]
+                    key = (len(union), tuple(sorted(union)))
+                    cur = layer.get(v)
+                    if cur is None or key < cur[:2]:
+                        layer[v] = (key[0], key[1], union)
+            sub = (sub - 1) & mask
+        # grow along edges, cheapest-first with lazy deletion
+        heap = [(size, tup, v) for v, (size, tup, _) in layer.items()]
+        heapq.heapify(heap)
+        while heap:
+            size, tup, v = heapq.heappop(heap)
+            cur = layer.get(v)
+            if cur is None or (size, tup) != cur[:2]:
+                continue
+            vset = cur[2]
+            for w in host.neighbors(v):
+                if w not in comp:
+                    continue
+                union = vset if w in vset else vset | {w}
+                key = (len(union), tuple(sorted(union)))
+                old = layer.get(w)
+                if old is None or key < old[:2]:
+                    layer[w] = (key[0], key[1], union)
+                    heapq.heappush(heap, (key[0], key[1], w))
+
+    final = best[full]
+    if not final:  # no connected set inside the component holds every terminal
+        raise GraphError("terminals are not connected inside the component")
+    winner = min(final.values(), key=lambda e: e[:2])
+    return winner[2]
 
 
 def spanner_general_path(req: SpannerRequest, on_move: OnMove | None = None) -> Triple:

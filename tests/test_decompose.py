@@ -2,7 +2,6 @@ import importlib
 import random
 import time
 from collections import deque
-from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
@@ -38,6 +37,7 @@ from helpers import (
     pick_component_reference,
     random_tree,
     spanner_general_path,
+    spanner_requests,
     sparse_gnp,
     terminals_reference,
     with_records,
@@ -59,21 +59,6 @@ def pick(g, parts, pool=None):
     region = range(g.n) if pool is None else pool
     owner = {v: i for i, p in enumerate(parts) for v in p.vertices}
     return pick_component(g, uncovered_by(g, parts, pool), deque(sorted(region)), owner, parts)
-
-
-@contextmanager
-def spanner_requests():
-    """Within the block, the list of every request decompose sends build_spanner."""
-    sent = []
-    real = decompose_module.build_spanner
-
-    def recording(req, on_move=None):
-        sent.append(req)
-        return real(req, on_move=on_move)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(decompose_module, "build_spanner", recording)
-        yield sent
 
 
 def check_requests(g, parts, sent, pool=None):
@@ -243,6 +228,19 @@ class TestMaximalBipartitePart:
         assert part == bipartite_growth(g, pool)
         assert growths == []
         assert not isinstance(bipartition_or_odd_cycle(g, part.vertices), OddClosedWalk)
+
+    @pytest.mark.parametrize("region", BIPARTITE_REGION_CASES.values(), ids=list(BIPARTITE_REGION_CASES))
+    def test_bipartite_region_needs_no_pick(self, monkeypatch, region):
+        # decompose on the region's bipartite piece, all of it but for any
+        # far vertices: part 1 covers it, and no component is picked
+        g, pool = region()
+        part = maximal_bipartite_part(g, pool)
+        picks = []
+        real = decompose_module.pick_component
+        monkeypatch.setattr(decompose_module, "pick_component", lambda *args: picks.append(args) or real(*args))
+        for t in (3, 4, 6):
+            assert decompose(g, t, part.vertices) == Decomposition(t, (part,))
+        assert picks == []
 
     def test_odd_cycle_runs_the_growth(self, monkeypatch):
         # K3 and every input of the benchmark's dense batch: the walk meets

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oddcluster.cli import run_color
 from oddcluster.graph import Graph, GraphError, InvariantViolation, bfs
+from oddcluster.graph_io import read_edgelist
 from oddcluster.spanner import (
     SpannerRequest,
     Triple,
@@ -27,10 +29,14 @@ from helpers import (
     bounded_bipartition_reference,
     connected_components_reference,
     cross_components_reference,
+    load_workloads,
     max_side_component_reference,
+    minimum_connector_reference,
     outcome,
     refine_triple_reference,
     spanner_general_path,
+    spanner_requests,
+    sparse_gnp,
     triple_violation_reference,
 )
 from oracle import min_connector_bruteforce
@@ -148,9 +154,11 @@ class TestMinimumConnector:
             minimum_connector(c6, {0, 1, 2}, {0, 4})
 
     def test_terminals_in_different_pieces_rejected(self, c6):
-        # {0, 1} and {3, 4} are the pieces of the component; the search finds no connector
-        with pytest.raises(GraphError, match="terminals are not connected inside the component"):
+        # {0, 1} and {3, 4} are the pieces of the component; the bounding BFS finds no path
+        message = "terminals are not connected inside the component"
+        with pytest.raises(GraphError, match=message):
             minimum_connector(c6, {0, 1, 3, 4}, {0, 3})
+        assert outcome(minimum_connector_reference, c6, {0, 1, 3, 4}, {0, 3}) == (GraphError, message)
 
     def test_terminals_in_one_piece_connected(self, c6):
         # the component need not be connected, only its terminals within it
@@ -172,6 +180,45 @@ class TestMinimumConnector:
         got = minimum_connector(g, range(g.n), terms)
         want = min_connector_bruteforce(g, terms)
         assert got == want
+
+    @given(graphs_with_terminals(max_n=12, max_terminals=5), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_on_regions(self, case, data):
+        # a region of the terminals and any other vertices, often disconnected
+        g, terms = case
+        region = terms | data.draw(st.frozensets(st.integers(0, g.n - 1)))
+        got = outcome(minimum_connector, g, region, terms)
+        assert got == outcome(minimum_connector_reference, g, region, terms)
+
+    @pytest.mark.parametrize("seed, calls", [(0, 192), (13, 191)])
+    def test_matches_reference_on_the_dense_batch(self, seed, calls):
+        # every request of two or more terminals that decompose sends
+        # build_spanner while the benchmark's dense batch is colored
+        with spanner_requests() as sent:
+            for text, t in load_workloads().build("dense_batch", seed):
+                run_color(read_edgelist(text), t)
+        requests = [req for req in sent if len(req.terminals) >= 2]
+        assert len(requests) == calls
+        for req in requests:
+            args = (req.host, req.component, req.terminals)
+            assert minimum_connector(*args) == minimum_connector_reference(*args)
+
+    @pytest.mark.parametrize(
+        "k", [2, 3, 4, pytest.param(5, marks=pytest.mark.slow), pytest.param(6, marks=pytest.mark.slow)]
+    )
+    @pytest.mark.parametrize("family", [gen.connected_gnp, sparse_gnp], ids=["connected_gnp", "sparse_gnp"])
+    def test_matches_reference_on_random_regions(self, family, k):
+        # a 500-vertex graph whole, then random regions of smaller ones,
+        # where the terminals may lie in different pieces
+        rng = random.Random(k)
+        for trial in range(3):
+            n = 500 if trial == 0 else rng.randrange(20, 300)
+            g = family(n, rng.uniform(2, 4) / n, rng.randrange(10**6))
+            keep = 1.0 if trial == 0 else rng.uniform(0.6, 0.95)
+            region = frozenset(v for v in range(n) if rng.random() < keep)
+            terms = frozenset(rng.sample(sorted(region), k))
+            got = outcome(minimum_connector, g, region, terms)
+            assert got == outcome(minimum_connector_reference, g, region, terms)
 
 
 class TestBoundedBipartition:
@@ -383,6 +430,62 @@ class TestBuildSpanner:
         assert str(exc.value) == message
         assert outcome(spanner_general_path, req) == (GraphError, message)
         assert events == []
+
+    @pytest.mark.parametrize("hooked", [True, False], ids=["with-events", "without-events"])
+    @pytest.mark.parametrize(
+        "host, faulty, message, before",
+        [
+            (gen.grid(1, 6), {4: ()}, "move failed to increase crossing edges", 1),
+            (gen.grid(1, 6), {4: (3, 4)}, "move broke the side-component bound", 1),
+            (gen.cycle(8), {5: ()}, "move failed to increase crossing edges", 2),
+            (gen.cycle(8), {5: (4, 5)}, "move broke the side-component bound", 2),
+        ],
+        ids=[
+            "path-no-edge-into-H",
+            "path-neighbor-on-its-side",
+            "c8-no-edge-into-H",
+            "c8-neighbor-on-its-side",
+        ],
+    )
+    def test_per_move_checks_vouch_for_a_spanner_growth(self, host, faulty, message, before, hooked):
+        # terminals {0, 2}: the connector is the path 0-1-2, split {0, 2} | {1},
+        # and the growth extends 3 (and on C8 4) before the vertex with a
+        # faulty neighbor tuple: an empty one lists no edge into H, one
+        # listing the vertex itself puts a neighbor on its new side. Only the
+        # per-move checks stand between either and a wrong part; the events
+        # before it are those of the sound host, and none comes after
+        class Faulty(Graph):
+            def neighbors(self, v):
+                return faulty[v] if v in faulty else super().neighbors(v)
+
+        region, terms = frozenset(range(host.n)), frozenset({0, 2})
+        sound = []
+        build_spanner(SpannerRequest(host, region, terms, 1), on_move=sound.append)
+        events = []
+        with pytest.raises(InvariantViolation) as exc:
+            build_spanner(SpannerRequest(Faulty(host.n, host.edges()), region, terms, 1),
+                          on_move=events.append if hooked else None)
+        assert str(exc.value) == message
+        assert len(events) == (before if hooked else 0)
+        assert [e[:4] for e in events] == [e[:4] for e in sound[: len(events)]]
+
+    def test_move_cap_vouches_for_a_spanner_growth(self):
+        # the path 0-1-2 with leaves 3..6 on 2, terminals {0, 2}; tuples that
+        # list 0-1 and 2-3..6 one way only leave the region 3 edges by its
+        # own count, so with the hook, which counts them at the first move,
+        # the fourth extend passes the cap
+        host = Graph(7, [(0, 1), (1, 2), (2, 3), (2, 4), (2, 5), (2, 6)])
+
+        class Faulty(Graph):
+            def neighbors(self, v):
+                return {1: (2,), 2: ()}.get(v, super().neighbors(v))
+
+        req = SpannerRequest(Faulty(host.n, host.edges()), frozenset(range(7)), frozenset({0, 2}), 1)
+        events = []
+        with pytest.raises(InvariantViolation) as exc:
+            build_spanner(req, on_move=events.append)
+        assert str(exc.value) == "move count exceeded the region's edge count"
+        assert [(e.kind, e.move_index, e.edge_cap) for e in events] == [("extend", i, 3) for i in (1, 2, 3)]
 
     def test_k5_leftover_component(self, k5):
         req = SpannerRequest(k5, frozenset({2, 3, 4}), frozenset({2}), 1)
