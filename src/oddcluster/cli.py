@@ -41,7 +41,7 @@ from .decompose import (
     decompose,
     decomposition_to_json,
 )
-from .graph import MAX_VERTICES, Graph, GraphError, connected_components
+from .graph import MAX_VERTICES, Graph, GraphError, component_walks
 from .graph_io import FORMATS, format_edgelist, load_graph, load_json
 from .spanner import OnMove
 
@@ -70,7 +70,12 @@ class PipelineResult(NamedTuple):
 def run_color(g: Graph, t: int, on_move: OnMove | None = None) -> PipelineResult:
     """Decompose the connected components in order; emit a verified
     certificate from the first component that gets stuck, without
-    decomposing the rest, or else a verified coloring.
+    walking the rest, or else a verified coloring.
+
+    Each component is found by one component_walk from its minimum vertex,
+    made only when the one before it has been decomposed, and that walk is
+    handed to decompose, whose first part is read from it: no component is
+    walked twice to find it and its first part.
 
     Hues are assigned per component, which is safe: no edges cross
     components, so color reuse cannot merge monochromatic pieces. The
@@ -82,8 +87,8 @@ def run_color(g: Graph, t: int, on_move: OnMove | None = None) -> PipelineResult
     if t < 3:  # decompose checks it too, but a graph with no vertices never calls it
         raise GraphError("t must be >= 3")
     completed: list[Decomposition] = []
-    for c in connected_components(g):
-        outcome = decompose(g, t, within=c, on_move=on_move)
+    for walk in component_walks(g):
+        outcome = decompose(g, t, within=walk.piece, on_move=on_move, walk=walk)
         if isinstance(outcome, StuckState):
             cert = extract_certificate(g, t, outcome)
             reason = verify_certificate(g, cert)

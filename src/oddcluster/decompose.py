@@ -13,7 +13,9 @@ from collections import deque
 from itertools import combinations
 from typing import AbstractSet, Iterable, NamedTuple, Sequence, Union
 
-from .graph import Graph, GraphError, InvariantViolation, _checked_set, bfs, is_connected, touching
+from .graph import (
+    Graph, GraphError, InvariantViolation, Walk, _checked_set, bfs, component_walk, is_connected, touching
+)
 from .spanner import (
     OnMove,
     SpannerRequest,
@@ -53,7 +55,9 @@ class StuckState(NamedTuple):
 DecomposeOutcome = Union[Decomposition, StuckState]
 
 
-def maximal_bipartite_part(g: Graph, within: Iterable[int] | None = None) -> Part:
+def maximal_bipartite_part(
+    g: Graph, within: Iterable[int] | None = None, *, walk: Walk | None = None
+) -> Part:
     """Grow a connected bipartite induced set from the minimum vertex until no
     adjacent vertex can join without creating an odd cycle.
 
@@ -65,37 +69,31 @@ def maximal_bipartite_part(g: Graph, within: Iterable[int] | None = None) -> Par
     induction H and its crossing subgraph are connected and both sides are
     independent.
 
-    One breadth-first 2-coloring walk from r, a level at a time, runs
-    first. If it covers the piece of r in the region with no edge inside a
-    level, that piece is bipartite and is the part, split by depth parity:
-    each candidate of the growth has its neighbors in H in the other parity
-    class, so it joins the side of its own class and is never dropped, and
-    the growth takes the whole piece. An edge inside a level closes an odd
-    cycle, and the growth runs from scratch. The walk keeps the per-move
-    checks: every vertex after r must list a reached vertex of the other
-    parity, its extend's crossing edge, and one that lists a vertex of its
-    own parity hands over to the growth, whose checks see the same tuple.
+    component_walk from r inside the region comes first. The growth never
+    leaves r's piece of the region, so it grows inside the walk's piece. If
+    that piece is bipartite, the walk's split is the part: each candidate
+    of the growth has its neighbors in H in the other parity class, so it
+    joins the side of its own class and is never dropped, and the growth
+    takes the whole piece. Otherwise the growth runs from scratch. The walk
+    keeps the per-move checks: every vertex after r must list a reached
+    vertex of the other parity, its extend's crossing edge, and one that
+    lists a vertex of its own parity ends the 2-coloring, so the growth,
+    whose checks see the same tuple, runs.
+
+    `walk` is that walk, already made by the caller from r = min(region)
+    over a region that is its piece: run_color hands over the one walk
+    that found the component, and the region goes unchecked and unwalked.
     """
-    pool = frozenset(range(g.n)) if within is None else _checked_set(g, within)
-    if not pool:
-        raise GraphError("empty region")
-    root = min(pool)
-    mine, other = {root}, set()  # reached vertices: the current level's parity, the other one
-    level: AbstractSet[int] = mine
-    while level:
-        tuples = list(map(g.neighbors, level))
-        reach = set().union(*tuples)
-        if not mine.isdisjoint(reach):  # an edge inside the level: an odd cycle, so grow
-            seed = frozenset((root,))
-            grown = refine_triple(SpannerRequest(g, pool, seed, 1), Triple(seed, seed, frozenset(), 0))
-            return Part(1, grown.h_vertices, grown.side_a, grown.side_b)
-        if other and any(map(other.isdisjoint, tuples)):  # past the root, each needs an edge into H
-            raise InvariantViolation("move failed to increase crossing edges")
-        level = pool.intersection(reach) - other
-        other |= level
-        mine, other = other, mine
-    a, b = map(frozenset, (mine, other) if root in mine else (other, mine))
-    return Part(1, a | b, a, b)
+    if walk is None:
+        pool = frozenset(range(g.n)) if within is None else _checked_set(g, within)
+        if not pool:
+            raise GraphError("empty region")
+        walk = component_walk(g, min(pool), pool)
+    if walk.sides is None:  # an odd cycle: grow
+        seed = frozenset((min(walk.piece),))
+        grown = refine_triple(SpannerRequest(g, walk.piece, seed, 1), Triple(seed, seed, frozenset(), 0))
+        return Part(1, grown.h_vertices, grown.side_a, grown.side_b)
+    return Part(1, walk.piece, *walk.sides)
 
 
 def pick_component(
@@ -129,19 +127,27 @@ def decompose(
     t: int,
     within: Iterable[int] | None = None,
     on_move: OnMove | None = None,
+    *,
+    walk: Walk | None = None,
 ) -> DecomposeOutcome:
     """Build parts until the region is covered, or halt with a StuckState
     when a component sees t-1 earlier parts.
 
     The region must induce a connected subgraph; its vertices are
-    range-checked once, here, so pick_component need not. A completed run
-    proves it connected without a walk: part 1 is connected, and every later
-    part is connected and holds a terminal next to an earlier part, so the
-    parts, which cover the region, form a connected union. A picked
-    component that touches no part proves the region disconnected. A stuck
-    run walks only the uncovered vertices outside its component: the parts
-    and that component form a connected union that no edge joins to them,
-    so the region is connected iff each of their pieces touches a part.
+    range-checked once, by maximal_bipartite_part, so pick_component need
+    not. A completed run proves it connected without a walk: part 1 is
+    connected, and every later part is connected and holds a terminal next
+    to an earlier part, so the parts, which cover the region, form a
+    connected union. A picked component that touches no part proves the
+    region disconnected. A stuck run walks only the uncovered vertices
+    outside its component: the parts and that component form a connected
+    union that no edge joins to them, so the region is connected iff each
+    of their pieces touches a part.
+
+    `walk`, set by run_color alone, is the component_walk that found the
+    region, a whole component of g, from its minimum vertex. It goes to
+    maximal_bipartite_part, which reads part 1 from it, so the component
+    is walked once, and its vertices, found in g, are not checked.
 
     A picked component of two or more vertices becomes build_spanner's part
     over k <= t-2 terminals, one per adjacent part: the least component
@@ -151,7 +157,7 @@ def decompose(
     stuck component are scanned once, by extract_certificate for its joins.
 
     Each part's local guarantees are checked where it is built. Part 1's
-    are checked by maximal_bipartite_part: on a bipartite piece by its
+    are checked by maximal_bipartite_part: on a bipartite piece by the
     2-coloring walk, which needs an edge into the part from every vertex
     after the root and finds no edge inside a level, else by refine_triple
     move by move. So a connected bipartite region is one part, found
@@ -170,12 +176,12 @@ def decompose(
     """
     if t < 3:
         raise GraphError("t must be >= 3")
-    pool = frozenset(range(g.n)) if within is None else _checked_set(g, within)
+    pool = frozenset(range(g.n)) if within is None else frozenset(within)
     if not pool:
         raise GraphError("empty region")
     disconnected = "region must induce a connected subgraph"
 
-    parts = [maximal_bipartite_part(g, pool)]
+    parts = [maximal_bipartite_part(g, pool, walk=walk)]
     covered = len(parts[0].vertices) == len(pool)  # part 1 covers the region: no state to keep
     uncovered = set() if covered else set(pool) - parts[0].vertices
     owner = {} if covered else dict.fromkeys(parts[0].vertices, 0)

@@ -33,6 +33,10 @@ them:
 * `maximal_bipartite_part_reference`, `pick_component_reference` and
   `refine_triple_reference`: the versions that rescan the whole region on
   every step and recheck every local-search move from scratch;
+* `two_coloring_walk_reference`: the 2-coloring walk that
+  `maximal_bipartite_part` ran by itself, a level at a time, before
+  `graph.component_walk` became the one walk that finds a component and
+  2-colors it;
 * `terminals_reference`: per part adjacent to a picked component, the
   least component vertex next to it, found by testing every component
   vertex; decompose scans for these only when it builds a spanner request,
@@ -518,6 +522,30 @@ def maximal_bipartite_part_reference(g: Graph, within: Iterable[int] | None = No
     verts = frozenset(color)
     side_a = frozenset(v for v in verts if color[v] == 0)
     return Part(1, verts, side_a, verts - side_a)
+
+
+def two_coloring_walk_reference(
+    g: Graph, pool: frozenset[int]
+) -> tuple[frozenset[int], frozenset[int]] | None:
+    """The split of min(pool)'s piece of `pool` by depth parity, root's side
+    first, or None when a BFS level holds an edge: maximal_bipartite_part's
+    inline walk, its loop copied as it was, with None where it went on to
+    the growth."""
+    root = min(pool)
+    mine, other = {root}, set()  # reached vertices: the current level's parity, the other one
+    level: AbstractSet[int] = mine
+    while level:
+        tuples = list(map(g.neighbors, level))
+        reach = set().union(*tuples)
+        if not mine.isdisjoint(reach):  # an edge inside the level: an odd cycle, so grow
+            return None
+        if other and any(map(other.isdisjoint, tuples)):  # past the root, each needs an edge into H
+            raise InvariantViolation("move failed to increase crossing edges")
+        level = pool.intersection(reach) - other
+        other |= level
+        mine, other = other, mine
+    a, b = map(frozenset, (mine, other) if root in mine else (other, mine))
+    return a, b
 
 
 def pick_component_reference(

@@ -1,3 +1,4 @@
+import importlib
 import io
 import json
 import os
@@ -7,6 +8,7 @@ import sys
 import pytest
 
 from oddcluster import cli
+from oddcluster import spanner as spanner_module
 from oddcluster.cli import EXIT_INTERNAL, main, run_color
 from oddcluster.coloring import ColoringRejection
 from oddcluster.decompose import decompose
@@ -15,6 +17,9 @@ from oddcluster.graph_io import format_edgelist, load_graph
 from oddcluster import generators as gen
 
 from helpers import format_dimacs
+
+graph_module = importlib.import_module("oddcluster.graph")
+decompose_module = importlib.import_module("oddcluster.decompose")  # the package exports a function of that name
 
 
 def write_graph(tmp_path, g, name="g.txt"):
@@ -94,6 +99,45 @@ class TestColor:
         assert calls == [frozenset(range(5))]
         assert result.exit_code == 3
         assert result.payload == run_color(k5, 3).payload
+
+    @pytest.mark.parametrize("stuck", [True, False], ids=["certificate", "colored"])
+    def test_walks_each_component_once(self, monkeypatch, stuck):
+        # a 3x3 grid, a C5, a K5 (stuck at t=3; left out when not `stuck`),
+        # an isolated vertex and a path: one walk finds each component and
+        # gives its first part, up to the stuck one, and none walks after it
+        blocks = [gen.grid(3, 3), gen.cycle(5)] + [gen.complete(5)] * stuck + [Graph(1), gen.grid(1, 3)]
+        starts = [0]
+        for b in blocks:
+            starts.append(starts[-1] + b.n)
+        g = Graph(starts[-1], [(u + s, v + s) for b, s in zip(blocks, starts) for u, v in b.edges()])
+        grid, c5, k5 = (frozenset(range(s, s + b.n)) for b, s in zip(blocks[:3], starts))
+
+        walks, growths, spanned = [], [], []
+
+        def counting(module, name, log, key):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, **kw: log.append(key(*a)) or real(*a, **kw))
+
+        counting(graph_module, "component_walk", walks, lambda g, root, within=None: root)
+        counting(decompose_module, "component_walk", walks, lambda g, root, within=None: root)
+        counting(decompose_module, "refine_triple", growths, lambda req, start: req.component)
+        counting(spanner_module, "refine_triple", spanned, lambda req, start: req.component)
+        result = run_color(g, 3)
+        handed = [result.payload, result.decompositions, result.certificate]
+        monkeypatch.undo()
+
+        assert walks == starts[: 3 if stuck else -1]
+        assert growths == [c5] + [k5] * stuck  # one growth per odd first part
+        bipartite = grid.union(range(starts[-3], starts[-1]))  # and the isolated vertex and the path
+        assert all(comp.isdisjoint(bipartite) for comp in growths + spanned)
+        assert result.exit_code == (3 if stuck else 0)
+
+        def unhanded(*args, walk=None, **kwargs):  # decompose walks each component itself
+            return decompose(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "decompose", unhanded)
+        expected = run_color(g, 3)
+        assert handed == [expected.payload, expected.decompositions, expected.certificate]
 
     def test_malformed_file(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"

@@ -18,6 +18,7 @@ from oddcluster.decompose import (
     pick_component,
 )
 from oddcluster.graph import Graph, GraphError, InvariantViolation, bfs, connected_components
+from oddcluster.cli import run_color
 from oddcluster.graph_io import read_edgelist
 from oddcluster.spanner import SpannerRequest
 from oddcluster import generators as gen
@@ -207,13 +208,14 @@ class TestMaximalBipartitePart:
         # lists no edge into H, which the 2-coloring walk checks itself; a
         # tuple listing the vertex itself is an edge inside its level, which
         # hands over to the growth, whose extend then fails the bound. The
-        # recheck does not walk part 1, so these checks alone catch either.
+        # recheck does not walk part 1, so these checks alone catch either,
+        # also when run_color hands decompose the walk that found the piece.
         class Faulty(Graph):
             def neighbors(self, v):
                 return nbrs if v == faulty else super().neighbors(v)
 
         g = Faulty(host.n, host.edges())
-        for call in (maximal_bipartite_part, lambda g: decompose(g, 4)):
+        for call in (maximal_bipartite_part, lambda g: decompose(g, 4), lambda g: run_color(g, 4)):
             with pytest.raises(InvariantViolation) as exc:
                 call(g)
             assert str(exc.value) == message

@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 
 import pytest
@@ -8,8 +9,11 @@ from oddcluster.graph import (
     MAX_VERTICES,
     Graph,
     GraphError,
+    InvariantViolation,
     TreeSubgraph,
     bfs,
+    component_walk,
+    component_walks,
     connected_components,
     induced_edge_count,
     is_connected,
@@ -17,10 +21,12 @@ from oddcluster.graph import (
     touching,
 )
 from oddcluster import generators as gen
+from oddcluster.graph_io import read_edgelist
 from oddcluster.spanner import cross_bfs
 
 from conftest import graphs, connected_graphs
 from helpers import (
+    BIPARTITE_FAMILIES,
     OddClosedWalk,
     bipartition_or_odd_cycle,
     connected_components_reference,
@@ -29,8 +35,10 @@ from helpers import (
     is_connected_reference,
     load_workloads,
     outcome,
+    random_tree,
     spanning_tree_reference,
     sparse_gnp,
+    two_coloring_walk_reference,
 )
 
 
@@ -297,6 +305,104 @@ class TestComponents:
         owner = {v: i for i, comp in enumerate(comps) for v in comp}
         for u, v in g.edges():
             assert owner[u] == owner[v]
+
+
+def check_walk(g, walk, root, within=None):
+    """A component_walk from `root` against the references: its piece is the
+    reference's piece of the region that holds the root, and its sides are
+    the reference's 2-coloring of that piece, the root's side first, or None
+    exactly when the piece has an odd cycle."""
+    assert walk.piece == next(p for p in connected_components_reference(g, within) if root in p)
+    split = bipartition_or_odd_cycle(g, walk.piece)
+    if isinstance(split, OddClosedWalk):
+        assert walk.sides is None
+    else:
+        assert walk.sides == (split if root in split[0] else split[::-1])
+
+
+def check_walks(g, rng):
+    """Every walk of component_walks against the references, and the walk in
+    a random region from its minimum against the loop maximal_bipartite_part
+    ran by itself."""
+    walks = list(component_walks(g))
+    assert [w.piece for w in walks] == connected_components_reference(g)
+    for w in walks:
+        check_walk(g, w, min(w.piece))
+    pool = frozenset(v for v in range(g.n) if rng.random() < 0.7)
+    if pool:
+        walk = component_walk(g, min(pool), pool)
+        check_walk(g, walk, min(pool), pool)
+        assert walk.sides == two_coloring_walk_reference(g, pool)
+
+
+def mixed_graph(seed):
+    """A disjoint union of bipartite pieces (trees, even cycles, grids), odd
+    pieces (odd cycles, cliques, sparse G(n, p)) and isolated vertices, at
+    least a tree, an odd cycle and an isolated vertex among them, its
+    vertices shuffled so the pieces' minima interleave."""
+    rng = random.Random(seed)
+    makers = [
+        lambda: random_tree(rng.randint(1, 40), rng.randrange(99)),
+        lambda: gen.cycle(2 * rng.randint(2, 20)),
+        lambda: gen.grid(rng.randint(1, 6), rng.randint(1, 6)),
+        lambda: gen.cycle(2 * rng.randint(1, 20) + 1),
+        lambda: gen.complete(rng.randint(3, 7)),
+        lambda: sparse_gnp(rng.randint(2, 60), 0.1, rng.randrange(99)),
+        lambda: Graph(1),
+    ]
+    pieces = [makers[0](), makers[3](), makers[-1]()] + [rng.choice(makers)() for _ in range(rng.randint(0, 12))]
+    label = list(range(sum(p.n for p in pieces)))
+    rng.shuffle(label)
+    edges, offset = [], 0
+    for p in pieces:
+        edges += [(label[u + offset], label[v + offset]) for u, v in p.edges()]
+        offset += p.n
+    return Graph(len(label), edges)
+
+
+class TestComponentWalk:
+    """The one walk that finds a component and 2-colors it, against the
+    reference components, the reference 2-coloring and, inside a region, the
+    walk maximal_bipartite_part ran by itself."""
+
+    @pytest.mark.parametrize("name", list(BIPARTITE_FAMILIES))
+    def test_bipartite_families(self, name):
+        g = BIPARTITE_FAMILIES[name]()
+        check_walks(g, random.Random(name))
+        assert all(w.sides is not None for w in component_walks(g))
+
+    @pytest.mark.parametrize("seed", [0, 13])
+    @pytest.mark.parametrize("name", ["sparse_gnp", "grid_bipartite", "dense_batch"])
+    def test_benchmark_inputs(self, name, seed):
+        rng = random.Random(seed)
+        for text, _ in load_workloads().build(name, seed):
+            check_walks(read_edgelist(text), rng)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_disconnected_mixes(self, seed):
+        g = mixed_graph(seed)
+        check_walks(g, random.Random(seed))
+
+    @given(graphs_with_regions(), st.randoms(use_true_random=False))
+    @settings(max_examples=300)
+    def test_matches_references(self, case, rng):
+        g, region, _ = case
+        check_walks(g, rng)
+        region = frozenset(region)
+        for root in sorted(region)[:3]:  # the region's minimum, and roots above it
+            check_walk(g, component_walk(g, root, region), root, region)
+
+    def test_listed_back_edge_is_checked(self):
+        # the path 0-1-2 with vertex 1's tuple emptied: 1 lists no edge back
+        # to 0, which the walk raises as the growth's extend check would
+        class Faulty(Graph):
+            def neighbors(self, v):
+                return () if v == 1 else super().neighbors(v)
+
+        g = Faulty(3, [(0, 1), (1, 2)])
+        for call in (lambda: component_walk(g, 0), lambda: connected_components(g)):
+            with pytest.raises(InvariantViolation, match="move failed to increase crossing edges"):
+                call()
 
 
 class TestBipartition:
