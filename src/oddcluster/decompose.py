@@ -55,40 +55,30 @@ class StuckState(NamedTuple):
 DecomposeOutcome = Union[Decomposition, StuckState]
 
 
-def maximal_bipartite_part(
-    g: Graph, within: Iterable[int] | None = None, *, walk: Walk | None = None
-) -> Part:
-    """Grow a connected bipartite induced set from the minimum vertex until no
-    adjacent vertex can join without creating an odd cycle.
+def maximal_bipartite_part(g: Graph, walk: Walk) -> Part:
+    """Grow a connected bipartite induced set from the minimum vertex of the
+    walk's piece until no adjacent vertex can join without creating an odd
+    cycle.
 
-    This is refine_triple's extend search for the one terminal r = min(region)
-    and bound 1, from H = A = {r}: a candidate whose neighbors in H all lie on
-    one side joins the other. With one vertex in H no reconnect fires. Side
-    A holds the root. refine_triple's checks vouch for the part: each extend
-    must add a crossing edge to a vertex with no neighbor on its side, so by
-    induction H and its crossing subgraph are connected and both sides are
-    independent.
+    `walk` is decompose's component_walk of the region from its minimum
+    vertex r. This is refine_triple's extend search for the one terminal r
+    and bound 1, from H = A = {r}: a candidate whose neighbors in H all lie
+    on one side joins the other. With one vertex in H no reconnect fires.
+    Side A holds the root. refine_triple's checks vouch for the part: each
+    extend must add a crossing edge to a vertex with no neighbor on its
+    side, so by induction H and its crossing subgraph are connected and
+    both sides are independent.
 
-    component_walk from r inside the region comes first. The growth never
-    leaves r's piece of the region, so it grows inside the walk's piece. If
-    that piece is bipartite, the walk's split is the part: each candidate
-    of the growth has its neighbors in H in the other parity class, so it
-    joins the side of its own class and is never dropped, and the growth
-    takes the whole piece. Otherwise the growth runs from scratch. The walk
-    keeps the per-move checks: every vertex after r must list a reached
-    vertex of the other parity, its extend's crossing edge, and one that
-    lists a vertex of its own parity ends the 2-coloring, so the growth,
-    whose checks see the same tuple, runs.
-
-    `walk` is that walk, already made by the caller from r = min(region)
-    over a region that is its piece: run_color hands over the one walk
-    that found the component, and the region goes unchecked and unwalked.
+    The growth never leaves r's piece of the region, so it grows inside the
+    walk's piece. If that piece is bipartite, the walk's split is the part:
+    each candidate of the growth has its neighbors in H in the other parity
+    class, so it joins the side of its own class and is never dropped, and
+    the growth takes the whole piece. Otherwise the growth runs from
+    scratch. The walk keeps the per-move checks: every vertex after r must
+    list a reached vertex of the other parity, its extend's crossing edge,
+    and one that lists a vertex of its own parity ends the 2-coloring, so
+    the growth, whose checks see the same tuple, runs.
     """
-    if walk is None:
-        pool = frozenset(range(g.n)) if within is None else _checked_set(g, within)
-        if not pool:
-            raise GraphError("empty region")
-        walk = component_walk(g, min(pool), pool)
     if walk.sides is None:  # an odd cycle: grow
         seed = frozenset((min(walk.piece),))
         grown = refine_triple(SpannerRequest(g, walk.piece, seed, 1), Triple(seed, seed, frozenset(), 0))
@@ -133,21 +123,18 @@ def decompose(
     """Build parts until the region is covered, or halt with a StuckState
     when a component sees t-1 earlier parts.
 
-    The region must induce a connected subgraph; its vertices are
-    range-checked once, by maximal_bipartite_part, so pick_component need
-    not. A completed run proves it connected without a walk: part 1 is
-    connected, and every later part is connected and holds a terminal next
-    to an earlier part, so the parts, which cover the region, form a
-    connected union. A picked component that touches no part proves the
-    region disconnected. A stuck run walks only the uncovered vertices
-    outside its component: the parts and that component form a connected
-    union that no edge joins to them, so the region is connected iff each
-    of their pieces touches a part.
+    The region must induce a connected subgraph. decompose range-checks it
+    and walks it once, by component_walk from its minimum vertex, and hands
+    the walk to maximal_bipartite_part for part 1. The walk gives the root's
+    piece, so right after part 1 the region is refused unless that piece is
+    all of it: the check comes after part 1, so that a fault that part 1's
+    per-move checks catch is reported as theirs. With the region connected
+    and part 1 non-empty, every picked component touches a part, and
+    pick_component trusts the region's vertices.
 
     `walk`, set by run_color alone, is the component_walk that found the
-    region, a whole component of g, from its minimum vertex. It goes to
-    maximal_bipartite_part, which reads part 1 from it, so the component
-    is walked once, and its vertices, found in g, are not checked.
+    region, a whole component of g, from its minimum vertex; the region is
+    then its piece, `within` is not read, and the component is walked once.
 
     A picked component of two or more vertices becomes build_spanner's part
     over k <= t-2 terminals, one per adjacent part: the least component
@@ -176,20 +163,23 @@ def decompose(
     """
     if t < 3:
         raise GraphError("t must be >= 3")
-    pool = frozenset(range(g.n)) if within is None else frozenset(within)
-    if not pool:
-        raise GraphError("empty region")
-    disconnected = "region must induce a connected subgraph"
+    if walk is None:
+        pool = frozenset(range(g.n)) if within is None else _checked_set(g, within)
+        if not pool:
+            raise GraphError("empty region")
+        walk = component_walk(g, min(pool), pool)
+    else:
+        pool = walk.piece
 
-    parts = [maximal_bipartite_part(g, pool, walk=walk)]
+    parts = [maximal_bipartite_part(g, walk)]
+    if len(walk.piece) != len(pool):
+        raise GraphError("region must induce a connected subgraph")
     covered = len(parts[0].vertices) == len(pool)  # part 1 covers the region: no state to keep
     uncovered = set() if covered else set(pool) - parts[0].vertices
     owner = {} if covered else dict.fromkeys(parts[0].vertices, 0)
     pending = deque(sorted(uncovered))
     while uncovered:
         comp, adjacent = pick_component(g, uncovered, pending, owner, parts)
-        if not adjacent:
-            raise GraphError(disconnected)
         for i, p in enumerate(adjacent):
             for q in adjacent[i + 1 :]:
                 if p.index not in q.earlier:
@@ -197,12 +187,6 @@ def decompose(
                         f"adjacent parts {p.index} and {q.index} are not pairwise adjacent"
                     )
         if len(adjacent) >= t - 1:
-            rest = uncovered - comp
-            while rest:  # each piece of the other uncovered vertices must touch a part
-                piece = bfs(g, rest.pop(), rest)
-                if owner.keys().isdisjoint(g.neighborhood(piece)):
-                    raise GraphError(disconnected)
-                rest.difference_update(piece)
             return StuckState(comp, tuple(adjacent), tuple(parts))
         if len(comp) == 1:
             h, a, b = comp, comp, frozenset()

@@ -67,7 +67,8 @@ def format_edgelist(g: Graph) -> str:
 
 
 def read_dimacs(text: str) -> Graph:
-    """Parse DIMACS: one "p edge n m" header plus "e u v" lines (1-based)."""
+    """Parse DIMACS: one "p edge n m" header plus "e u v" lines (1-based). An
+    endpoint outside 1..n is reported with its "e u v" line as written."""
     n = None
     m = 0
     ends: list[int] = []  # 0-based, two per edge, as Graph.from_ends takes them
@@ -95,6 +96,11 @@ def read_dimacs(text: str) -> Graph:
         raise GraphError("missing 'p edge n m' line")
     if len(ends) != 2 * m:
         raise GraphError(f"expected {m} edges, found {len(ends) // 2}")
+    if ends and (min(ends) < 0 or max(ends) >= n):  # name the first such line as the file has it
+        i = next(i for i, x in enumerate(ends) if not 0 <= x < n) // 2
+        Graph.from_ends(n, ends[: 2 * i])  # a loop or repeat before it comes first, as in Graph
+        line = [ln.strip() for ln in text.splitlines() if ln.strip().startswith("e")][i]
+        raise GraphError(f"edge line {line!r} out of range for n={n}")
     return Graph.from_ends(n, ends)
 
 

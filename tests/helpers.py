@@ -50,6 +50,10 @@ them:
   uncovered components at every prefix and scans every earlier part for
   each of them, cubic in the worst case, and then every pair of parts for
   the records;
+* `decompose_reference`: decompose while it proved the region connected
+  lazily, by a raise on a pick with no adjacent part and a walk of every
+  leftover piece of a stuck run, before the region's one walk proved it
+  right after part 1;
 * `parts_adjacent_reference`: the graph scan that tested two parts for
   adjacency, which decompose ran on every pair of a picked component's
   adjacent parts before each part recorded its earlier neighbors;
@@ -72,9 +76,14 @@ local search: build_spanner without its postcondition, and the reference
 for the one-vertex parts that decompose makes without it; and
 `bipartite_growth`, the pipeline's own local search grown from the
 region's minimum vertex: the reference for the first parts that
-maximal_bipartite_part finds by its 2-coloring walk, without the growth. `load_workloads`
-loads the benchmark's input generator from `perfbench/workloads.py`, and
-`spanner_requests` records every request decompose sends build_spanner.
+maximal_bipartite_part finds by its 2-coloring walk, without the growth;
+and `decompose_reference`, which calls the pipeline's pick, spanner and
+recheck, so that only decompose's own steps differ. `first_part` runs
+maximal_bipartite_part on a region as decompose does, on the walk of the
+region from its minimum vertex: the tests reach the function only through
+it. `load_workloads` loads the benchmark's input generator from
+`perfbench/workloads.py`, and `spanner_requests` records every request
+decompose sends build_spanner.
 """
 
 from __future__ import annotations
@@ -94,7 +103,15 @@ import pytest
 
 from oddcluster import generators as gen
 from oddcluster.coloring import ClusteredColoring, ColoringRejection, ColoringReport
-from oddcluster.decompose import Decomposition, Part
+from oddcluster.decompose import (
+    DecomposeOutcome,
+    Decomposition,
+    Part,
+    StuckState,
+    decomposition_violation,
+    maximal_bipartite_part,
+    pick_component,
+)
 from oddcluster.graph import (
     MAX_VERTICES,
     Edge,
@@ -102,9 +119,13 @@ from oddcluster.graph import (
     GraphError,
     InvariantViolation,
     TreeSubgraph,
+    Walk,
     _checked_set,
+    bfs,
+    component_walk,
     induced_edge_count,
     norm_edge,
+    touching,
 )
 from oddcluster.spanner import (
     TERMINAL_CAP,
@@ -113,6 +134,7 @@ from oddcluster.spanner import (
     SpannerRequest,
     Triple,
     bounded_bipartition,
+    build_spanner,
     count_cross_edges,
     minimum_connector,
     refine_triple,
@@ -223,6 +245,16 @@ def bipartite_growth(g: Graph, within: Iterable[int] | None = None) -> Part:
     seed = frozenset((min(pool),))
     grown = refine_triple(SpannerRequest(g, pool, seed, 1), Triple(seed, seed, frozenset(), 0))
     return Part(1, grown.h_vertices, grown.side_a, grown.side_b)
+
+
+def first_part(g: Graph, within: Iterable[int] | None = None) -> Part:
+    """maximal_bipartite_part on the walk decompose makes of the region (all
+    of g when None): range-checked, refused when empty, walked from its
+    minimum vertex."""
+    pool = frozenset(range(g.n)) if within is None else _checked_set(g, within)
+    if not pool:
+        raise GraphError("empty region")
+    return maximal_bipartite_part(g, component_walk(g, min(pool), pool))
 
 
 @contextmanager
@@ -875,6 +907,66 @@ def with_records(g: Graph, parts: Iterable[Part]) -> tuple[Part, ...]:
         p._replace(earlier=frozenset(q.index for q in parts[:i] if parts_adjacent_reference(g, q, p)))
         for i, p in enumerate(parts)
     )
+
+
+def decompose_reference(
+    g: Graph,
+    t: int,
+    within: Iterable[int] | None = None,
+    on_move: OnMove | None = None,
+    *,
+    walk: Walk | None = None,
+) -> DecomposeOutcome:
+    """decompose as it was while it proved the region connected lazily: a
+    pick with no adjacent part raised, and a stuck run walked every piece of
+    the uncovered vertices outside its component for one that touches no
+    part. Its code is copied as it was, but for part 1, which a region with
+    no walk takes from first_part, the old `within` path of
+    maximal_bipartite_part."""
+    if t < 3:
+        raise GraphError("t must be >= 3")
+    pool = frozenset(range(g.n)) if within is None else frozenset(within)
+    if not pool:
+        raise GraphError("empty region")
+    disconnected = "region must induce a connected subgraph"
+
+    parts = [first_part(g, pool) if walk is None else maximal_bipartite_part(g, walk)]  # its two old paths
+    covered = len(parts[0].vertices) == len(pool)  # part 1 covers the region: no state to keep
+    uncovered = set() if covered else set(pool) - parts[0].vertices
+    owner = {} if covered else dict.fromkeys(parts[0].vertices, 0)
+    pending = deque(sorted(uncovered))
+    while uncovered:
+        comp, adjacent = pick_component(g, uncovered, pending, owner, parts)
+        if not adjacent:
+            raise GraphError(disconnected)
+        for i, p in enumerate(adjacent):
+            for q in adjacent[i + 1 :]:
+                if p.index not in q.earlier:
+                    raise InvariantViolation(
+                        f"adjacent parts {p.index} and {q.index} are not pairwise adjacent"
+                    )
+        if len(adjacent) >= t - 1:
+            rest = uncovered - comp
+            while rest:  # each piece of the other uncovered vertices must touch a part
+                piece = bfs(g, rest.pop(), rest)
+                if owner.keys().isdisjoint(g.neighborhood(piece)):
+                    raise GraphError(disconnected)
+                rest.difference_update(piece)
+            return StuckState(comp, tuple(adjacent), tuple(parts))
+        if len(comp) == 1:
+            h, a, b = comp, comp, frozenset()
+        else:  # per adjacent part, the least component vertex next to it
+            terms = frozenset(min(touching(g, comp, p.vertices)) for p in adjacent)
+            h, a, b, _ = build_spanner(SpannerRequest(g, comp, terms, (len(terms) + 1) // 2), on_move=on_move)
+        owner.update(dict.fromkeys(h, len(parts)))  # the new part's position
+        parts.append(Part(len(parts) + 1, h, a, b, frozenset(p.index for p in adjacent)))
+        uncovered -= h
+
+    result = Decomposition(t, tuple(parts))
+    reason = decomposition_violation(g, result, pool, spanner_checked=True)
+    if reason is not None:
+        raise InvariantViolation(f"completed decomposition failed recheck: {reason}")
+    return result
 
 
 def build_auxiliary_reference(g: Graph, d: Decomposition) -> Graph:

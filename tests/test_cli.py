@@ -91,7 +91,7 @@ class TestColor:
         calls = []
 
         def counted_decompose(*args, **kwargs):
-            calls.append(kwargs["within"])
+            calls.append(kwargs["walk"].piece)  # the region run_color hands over
             return decompose(*args, **kwargs)
 
         monkeypatch.setattr(cli, "decompose", counted_decompose)
@@ -132,8 +132,8 @@ class TestColor:
         assert all(comp.isdisjoint(bipartite) for comp in growths + spanned)
         assert result.exit_code == (3 if stuck else 0)
 
-        def unhanded(*args, walk=None, **kwargs):  # decompose walks each component itself
-            return decompose(*args, **kwargs)
+        def unhanded(g, t, on_move=None, *, walk):  # decompose walks each component itself
+            return decompose(g, t, walk.piece, on_move)
 
         monkeypatch.setattr(cli, "decompose", unhanded)
         expected = run_color(g, 3)

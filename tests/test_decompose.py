@@ -1,5 +1,6 @@
 import importlib
 import random
+import sys
 import time
 from collections import deque
 
@@ -14,10 +15,9 @@ from oddcluster.decompose import (
     decompose,
     decomposition_to_json,
     decomposition_violation,
-    maximal_bipartite_part,
     pick_component,
 )
-from oddcluster.graph import Graph, GraphError, InvariantViolation, bfs, connected_components
+from oddcluster.graph import Graph, GraphError, InvariantViolation, bfs, component_walks, connected_components
 from oddcluster.cli import run_color
 from oddcluster.graph_io import read_edgelist
 from oddcluster.spanner import SpannerRequest
@@ -29,7 +29,9 @@ from helpers import (
     bipartite_growth,
     bipartition_or_odd_cycle,
     build_auxiliary_reference,
+    decompose_reference,
     decomposition_violation_reference,
+    first_part,
     is_connected_reference,
     load_workloads,
     maximal_bipartite_part_reference,
@@ -143,23 +145,23 @@ BIPARTITE_REGION_CASES = {
 
 class TestMaximalBipartitePart:
     def test_bipartite_graph_is_swallowed_whole(self, c6):
-        part = maximal_bipartite_part(c6)
+        part = first_part(c6)
         assert part.vertices == frozenset(range(6))
         assert part.side_a == frozenset({0, 2, 4})
 
     def test_c5_stops_at_path(self, c5):
-        part = maximal_bipartite_part(c5)
+        part = first_part(c5)
         assert part.vertices == frozenset({0, 1, 2, 3})
         assert (part.side_a, part.side_b) == (frozenset({0, 2}), frozenset({1, 3}))
 
     def test_triangle(self):
-        part = maximal_bipartite_part(gen.complete(3))
+        part = first_part(gen.complete(3))
         assert part.vertices == frozenset({0, 1})
 
     @given(connected_graphs(max_n=12))
     @settings(max_examples=60)
     def test_result_is_maximal(self, g):
-        part = maximal_bipartite_part(g)
+        part = first_part(g)
         color = {v: (1 if v in part.side_b else 0) for v in part.vertices}
         for u, v in g.edges():
             if u in color and v in color:
@@ -174,14 +176,14 @@ class TestMaximalBipartitePart:
     @settings(max_examples=300)
     def test_matches_reference(self, case):
         g, pool = case
-        assert outcome(maximal_bipartite_part, g, pool) == outcome(maximal_bipartite_part_reference, g, pool)
+        assert outcome(first_part, g, pool) == outcome(maximal_bipartite_part_reference, g, pool)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_reference_on_larger_graphs(self, seed):
         rng = random.Random(seed)
         g = gen.connected_gnp(300, rng.uniform(0.005, 0.03), seed)
         for pool in (None, frozenset(v for v in range(g.n) if rng.random() < 0.7)):
-            assert maximal_bipartite_part(g, pool) == maximal_bipartite_part_reference(g, pool)
+            assert first_part(g, pool) == maximal_bipartite_part_reference(g, pool)
 
     @pytest.mark.parametrize(
         "host, faulty, nbrs, message",
@@ -215,7 +217,7 @@ class TestMaximalBipartitePart:
                 return nbrs if v == faulty else super().neighbors(v)
 
         g = Faulty(host.n, host.edges())
-        for call in (maximal_bipartite_part, lambda g: decompose(g, 4), lambda g: run_color(g, 4)):
+        for call in (first_part, lambda g: decompose(g, 4), lambda g: run_color(g, 4)):
             with pytest.raises(InvariantViolation) as exc:
                 call(g)
             assert str(exc.value) == message
@@ -226,7 +228,7 @@ class TestMaximalBipartitePart:
         # and the growth does not run
         g, pool = region()
         growths = count_growths(monkeypatch)
-        part = maximal_bipartite_part(g, pool)
+        part = first_part(g, pool)
         assert part == bipartite_growth(g, pool)
         assert growths == []
         assert not isinstance(bipartition_or_odd_cycle(g, part.vertices), OddClosedWalk)
@@ -236,7 +238,7 @@ class TestMaximalBipartitePart:
         # decompose on the region's bipartite piece, all of it but for any
         # far vertices: part 1 covers it, and no component is picked
         g, pool = region()
-        part = maximal_bipartite_part(g, pool)
+        part = first_part(g, pool)
         picks = []
         real = decompose_module.pick_component
         monkeypatch.setattr(decompose_module, "pick_component", lambda *args: picks.append(args) or real(*args))
@@ -250,13 +252,13 @@ class TestMaximalBipartitePart:
         graphs = [gen.complete(3)] + [read_edgelist(text) for text, _ in load_workloads().build("dense_batch", 0)]
         growths = count_growths(monkeypatch)
         for g in graphs:
-            assert maximal_bipartite_part(g) == bipartite_growth(g)
+            assert first_part(g) == bipartite_growth(g)
         assert len(growths) == len(graphs)
 
 
 class TestPickComponent:
     def test_k5_after_first_part(self, k5):
-        first = maximal_bipartite_part(k5)
+        first = first_part(k5)
         assert pick(k5, [first]) == (frozenset({2, 3, 4}), [first])
 
     def test_lowest_vertex_component_first(self):
@@ -282,7 +284,7 @@ class TestPickComponent:
         assert pick(g, parts, pool) == pick_component_reference(g, parts, pool) == (frozenset({3}), parts[:3])
 
     def test_all_covered_rejected(self, c6):
-        part = maximal_bipartite_part(c6)
+        part = first_part(c6)
         with pytest.raises(GraphError, match="cover"):
             pick(c6, [part])
 
@@ -375,13 +377,11 @@ def test_terminals_scanned_only_for_spanner_parts(monkeypatch):
 @pytest.mark.parametrize(
     "call",
     [
-        lambda g: maximal_bipartite_part(g, {-1, 0}),
-        lambda g: maximal_bipartite_part(g, {0, 6}),
         lambda g: decompose(g, 3, {-1, 0}),
         lambda g: decompose(g, 3, {0, 6}),
     ],
-    # pick_component trusts the region, which decompose checks once
-    ids=["first-part-negative", "first-part-too-large", "decompose-negative", "decompose-too-large"],
+    # maximal_bipartite_part and pick_component trust the region, which decompose checks once
+    ids=["decompose-negative", "decompose-too-large"],
 )
 def test_out_of_range_region_rejected(c6, call):
     with pytest.raises(GraphError, match="out of range"):
@@ -394,17 +394,17 @@ def test_out_of_range_region_message(c6):
     assert str(exc.value) == "vertex 7 out of range for n=6"
 
 
-# A completed run proves its region connected, and a stuck one walks it; so
-# a disconnected region is refused however the run would have gone on.
+# The walk that gives part 1 proves the region connected, so a disconnected
+# region is refused right after part 1, however the run would have gone on.
 DISCONNECTED_REGIONS = [
     pytest.param(
         # triangle {0, 2, 3}: part 1 is {0, 2}, and the stray vertex 1 is the
-        # minimum uncovered vertex, picked with no adjacent part
+        # minimum uncovered vertex, which has no adjacent part
         Graph(5, [(0, 2), (0, 3), (2, 3), (1, 4)]), 3, None,
         id="stray-piece-picked-first",
     ),
     pytest.param(
-        # K5 gets stuck at t=3 on {4} before the stray edge 5-6 is reached
+        # K5 would get stuck at t=3 on {4} before the stray edge 5-6 is reached
         Graph(7, [*gen.complete(5).edges(), (5, 6)]), 3, None,
         id="root-piece-stuck-first",
     ),
@@ -426,41 +426,83 @@ def test_disconnected_region_rejected(g, t, within):
 # pieces are left uncovered: {5}, next to part 1, and {6,7}, whose minimum
 # sees no part but whose 7 sees part 2.
 K5_AND_TWO_PIECES = [*gen.complete(5).edges(), (0, 5), (1, 5), (6, 7), (2, 7), (3, 7)]
+PIECES_THAT_TOUCH_PARTS = [
+    pytest.param(Graph(8, K5_AND_TWO_PIECES), None, id="whole-graph"),
+    # vertex 8, outside the sub-region, hangs off 4
+    pytest.param(Graph(9, K5_AND_TWO_PIECES + [(4, 8)]), set(range(8)), id="sub-region"),
+    # the stray edge 8-9 is linked to 4 through 10
+    pytest.param(Graph(11, K5_AND_TWO_PIECES + [(8, 9), (9, 10), (4, 10)]), None, id="long-stuck-component"),
+]
+A_PIECE_THAT_TOUCHES_NO_PART = [
+    pytest.param(Graph(10, K5_AND_TWO_PIECES + [(8, 9)]), None, id="whole-graph"),
+    # vertex 10, the only link of the stray edge, is left out
+    pytest.param(Graph(11, K5_AND_TWO_PIECES + [(8, 9), (9, 10), (4, 10)]), set(range(10)), id="sub-region"),
+]
+
+
+def at_t3(cases, prefix):
+    """The (g, within) cases as (g, 3, within), their ids prefixed."""
+    return [pytest.param(p.values[0], 3, p.values[1], id=prefix + p.id) for p in cases]
+
+
+def k5_and_thousands_of_pieces():
+    """K5 plus 20,000 vertices next to 0 and 1: at t=3 a run gets stuck on
+    {4} and leaves 20,000 singleton pieces, each touching part 1."""
+    n = 20_005
+    return Graph(n, [*gen.complete(5).edges(), *((v, u) for u in range(5, n) for v in (0, 1))])
 
 
 class TestStuckRegionWalk:
-    """A stuck run walks only the uncovered vertices outside its component."""
+    """A stuck run walks none of the uncovered vertices outside its
+    component: the region's one walk, before part 1, proved them connected."""
 
-    @pytest.mark.parametrize(
-        "g, within",
-        [
-            (Graph(8, K5_AND_TWO_PIECES), None),
-            # vertex 8, outside the sub-region, hangs off 4
-            (Graph(9, K5_AND_TWO_PIECES + [(4, 8)]), set(range(8))),
-            # the stray edge 8-9 is linked to 4 through 10
-            (Graph(11, K5_AND_TWO_PIECES + [(8, 9), (9, 10), (4, 10)]), None),
-        ],
-        ids=["whole-graph", "sub-region", "long-stuck-component"],
-    )
+    @pytest.mark.parametrize("g, within", PIECES_THAT_TOUCH_PARTS)
     def test_pieces_that_touch_parts_keep_the_stuck_state(self, g, within):
         stuck = decompose(g, 3, within)
         assert isinstance(stuck, StuckState)
         assert [sorted(p.vertices) for p in stuck.parts] == [[0, 1], [2, 3]]
         assert 4 in stuck.component and [p.index for p in stuck.adjacent_parts] == [1, 2]
 
-    @pytest.mark.parametrize(
-        "g, within",
-        [
-            (Graph(10, K5_AND_TWO_PIECES + [(8, 9)]), None),
-            # vertex 10, the only link of the stray edge, is left out
-            (Graph(11, K5_AND_TWO_PIECES + [(8, 9), (9, 10), (4, 10)]), set(range(10))),
-        ],
-        ids=["whole-graph", "sub-region"],
-    )
+    @pytest.mark.parametrize("g, within", A_PIECE_THAT_TOUCHES_NO_PART)
     def test_a_piece_that_touches_no_part_is_refused(self, g, within):
         with pytest.raises(GraphError) as exc:
             decompose(g, 3, within)
         assert str(exc.value) == "region must induce a connected subgraph"
+
+    @pytest.mark.parametrize(
+        "g, t, within",
+        DISCONNECTED_REGIONS + at_t3(A_PIECE_THAT_TOUCHES_NO_PART, "k5-"),
+    )
+    def test_a_disconnected_region_is_refused_before_any_pick(self, monkeypatch, g, t, within):
+        picks = []
+        real = decompose_module.pick_component
+        monkeypatch.setattr(decompose_module, "pick_component", lambda *args: picks.append(args) or real(*args))
+        with pytest.raises(GraphError) as exc:
+            decompose(g, t, within)
+        assert str(exc.value) == "region must induce a connected subgraph"
+        assert picks == []
+
+    @pytest.mark.parametrize(
+        "g, within",
+        [
+            pytest.param(gen.complete(5), None, id="k5"),
+            *PIECES_THAT_TOUCH_PARTS,
+            pytest.param(k5_and_thousands_of_pieces(), None, id="k5-and-thousands-of-pieces"),
+        ],
+    )
+    def test_a_stuck_run_walks_only_its_picks(self, monkeypatch, g, within):
+        # every BFS of the run is a pick's walk of its component: none
+        # walks the leftover pieces
+        callers = []
+        real = decompose_module.bfs
+
+        def traced(*args):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return real(*args)
+
+        monkeypatch.setattr(decompose_module, "bfs", traced)
+        assert isinstance(decompose(g, 3, within), StuckState)
+        assert callers and set(callers) == {"pick_component"}
 
     @pytest.mark.parametrize("t", [3, 4, 5])
     @given(case=graphs_with_pools())
@@ -474,13 +516,11 @@ class TestStuckRegionWalk:
         assert refused == (not is_connected_reference(g, region))
 
     def test_thousands_of_pieces_take_one_walk(self):
-        # K5 plus 20,000 vertices next to 0 and 1: at t=3 the run gets stuck
-        # on {4} and leaves 20,000 singleton pieces, each touching part 1.
-        # A walk that copied the rest of the uncovered vertices once per piece
-        # would take about 150 times one component walk of the graph; a walk
-        # that visits each vertex once takes 6-10.
-        n = 20_005
-        g = Graph(n, [*gen.complete(5).edges(), *((v, u) for u in range(5, n) for v in (0, 1))])
+        # The walk of the region before part 1 visits each vertex once, and
+        # the stuck run walks none of the 20,000 leftover pieces, so the run
+        # takes a few component walks of the graph; a walk that copied the
+        # rest of the uncovered vertices once per piece would take about 150.
+        g = k5_and_thousands_of_pieces()
 
         def best_of_3(f, *args):
             times = []
@@ -495,6 +535,40 @@ class TestStuckRegionWalk:
         assert isinstance(stuck, StuckState) and stuck.component == {4}
         assert [sorted(p.vertices) for p in stuck.parts] == [[0, 1], [2, 3]]
         assert run < 40 * walk
+
+
+class TestDecomposeAgainstReference:
+    """decompose against decompose_reference, the version that proved the
+    region connected lazily: the same result or the same error, message
+    included. They differ by design only where a spanner error could fire
+    on a disconnected region before the lazy proof refused it, which needs
+    t >= 15 (terminal budget) or a bug."""
+
+    @pytest.mark.parametrize("t", [3, 4, 5, 6])
+    @given(case=graphs_with_pools())
+    @settings(max_examples=150, deadline=None)
+    def test_random_regions(self, t, case):
+        g, pool = case
+        assert outcome(decompose, g, t, pool) == outcome(decompose_reference, g, t, pool)
+
+    @pytest.mark.parametrize(
+        "g, t, within",
+        DISCONNECTED_REGIONS
+        + at_t3(PIECES_THAT_TOUCH_PARTS, "k5-touch-")
+        + at_t3(A_PIECE_THAT_TOUCHES_NO_PART, "k5-refused-"),
+    )
+    def test_hand_built_regions(self, g, t, within):
+        assert outcome(decompose, g, t, within) == outcome(decompose_reference, g, t, within)
+
+    @pytest.mark.parametrize("seed", [0, 13])
+    def test_every_dense_batch_component(self, seed):
+        # each component by itself, as a region and as run_color hands it over
+        for text, t in load_workloads().build("dense_batch", seed):
+            g = read_edgelist(text)
+            for walk in component_walks(g):
+                expected = outcome(decompose_reference, g, t, walk.piece)
+                assert outcome(decompose, g, t, walk.piece) == expected
+                assert outcome(decompose, g, t, walk=walk) == expected
 
 
 class TestDecompose:

@@ -250,6 +250,24 @@ class TestDimacs:
     def test_round_trip_property(self, g):
         assert read_dimacs(format_dimacs(g)) == g
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("p edge 3 1\ne 1 4\n", "edge line 'e 1 4' out of range for n=3"),
+            ("p edge 3 1\ne 0 1\n", "edge line 'e 0 1' out of range for n=3"),
+            # the first such line, as the file has it, comments and blank lines between
+            ("p edge 3 3\ne 1 2\nc x\n\n  e  2\t9 \ne -1 3\n", "edge line 'e  2\\t9' out of range for n=3"),
+            # a loop or a repeat before it is reported first, as Graph reports them
+            ("p edge 3 2\ne 2 2\ne 1 4\n", "self-loop at vertex 1"),
+            ("p edge 3 3\ne 1 2\ne 2 1\ne 1 4\n", "duplicate edge (1,0)"),
+        ],
+        ids=["past-n", "zero", "first-as-written", "loop-first", "repeat-first"],
+    )
+    def test_out_of_range_edge_names_its_line(self, text, message):
+        with pytest.raises(GraphError) as exc:
+            read_dimacs(text)
+        assert str(exc.value) == message
+
 
 class TestGenerators:
     def test_cycle(self):
