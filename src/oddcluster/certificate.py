@@ -44,13 +44,14 @@ def extract_certificate(g: Graph, t: int, stuck: StuckState) -> OddExpansionCert
     parts = parts[: t - 1]
     comp = stuck.component
     k = len(parts)  # the component's tree index
-    # per tree pair i < j, the minimum vertex of tree j adjacent to part i,
-    # scanned once: for each part, the component first, then each later part
+    # per tree pair i < j, the minimum vertex of tree j adjacent to part i: the
+    # first to touch it of tree j's vertices, sorted once for trees 1..k. For
+    # each part, the component first, then each later part
+    later = [sorted(q.vertices) for q in parts[1:]] + [sorted(comp)]
     touch: dict[tuple[int, int], int] = {}
     for i, p in enumerate(parts):
         for j in (k, *range(i + 1, k)):
-            later = parts[j].vertices if j < k else comp
-            y = min(touching(g, later, p.vertices), default=None)
+            y = next(touching(g, later[j - 1], p.vertices), None)
             if y is None and j == k:
                 raise GraphError(f"part {p.index} is not adjacent to the component")
             if y is None:

@@ -190,8 +190,9 @@ def decompose(
             return StuckState(comp, tuple(adjacent), tuple(parts))
         if len(comp) == 1:
             h, a, b = comp, comp, frozenset()
-        else:  # per adjacent part, the least component vertex next to it
-            terms = frozenset(min(touching(g, comp, p.vertices)) for p in adjacent)
+        else:  # per adjacent part, the least component vertex next to it: the first in order
+            order = sorted(comp)
+            terms = frozenset(next(touching(g, order, p.vertices)) for p in adjacent)
             h, a, b, _ = build_spanner(SpannerRequest(g, comp, terms, (len(terms) + 1) // 2), on_move=on_move)
         owner.update(dict.fromkeys(h, len(parts)))  # the new part's position
         parts.append(Part(len(parts) + 1, h, a, b, frozenset(p.index for p in adjacent)))

@@ -2,9 +2,12 @@
 
 Each vertex keeps its neighbors as one sorted tuple, and nothing else.
 Construction is bulk, over one flat list of endpoints (`Graph.from_ends`):
-a range check, per-vertex lists sorted into tuples, and a count of their
-distinct entries, short on a loop or a repeated edge. A failed check
-rescans the edges in order for the first bad one.
+per-vertex lists, filled edge by edge and sorted into tuples, then two
+checks on the tuples. An endpoint at or past n, or below -n, fails as an
+index while the lists fill; one in -n..-1 is stored in its partner's
+tuple, which then starts below 0; and a loop or a repeated edge makes a
+tuple longer than its set of distinct entries. A failed check rescans the
+edges in order for the first bad one.
 
 `bfs` is the construction side's one breadth-first search over induced
 subgraphs: from a root, inside a vertex set, neighbors in ascending order.
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import compress
-from operator import not_
+from operator import itemgetter, not_
 from typing import AbstractSet, Collection, Iterable, Iterator, NamedTuple
 
 Edge = tuple[int, int]
@@ -42,18 +45,25 @@ def norm_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+def first_bad_edge(n: int, ends: list[int]) -> int:
+    """The index of the first edge, edge i from ends[2i] to ends[2i+1], that
+    is out of range, a loop or a repeat, for a list a bulk check has failed."""
+    seen: set[Edge] = set()
+    for i, (u, v) in enumerate(zip(ends[::2], ends[1::2])):
+        e = norm_edge(u, v)
+        if not (0 <= u < n and 0 <= v < n) or u == v or e in seen:
+            return i
+        seen.add(e)
+    raise InvariantViolation("a bulk edge check failed, but no edge fails it")
+
+
 def _raise_first_offender(n: int, ends: list[int]) -> None:
     """Raise for the first edge that is out of range, a loop or a repeat."""
-    seen: set[Edge] = set()
-    for u, v in zip(ends[::2], ends[1::2]):
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphError(f"edge ({u},{v}) out of range for n={n}")
-        if u == v:
-            raise GraphError(f"self-loop at vertex {u}")
-        if norm_edge(u, v) in seen:
-            raise GraphError(f"duplicate edge ({u},{v})")
-        seen.add(norm_edge(u, v))
-    raise InvariantViolation("a bulk edge check failed, but no edge fails it")
+    i = first_bad_edge(n, ends)
+    u, v = ends[2 * i], ends[2 * i + 1]
+    if not (0 <= u < n and 0 <= v < n):
+        raise GraphError(f"edge ({u},{v}) out of range for n={n}")
+    raise GraphError(f"self-loop at vertex {u}" if u == v else f"duplicate edge ({u},{v})")
 
 
 class Graph:
@@ -82,18 +92,22 @@ class Graph:
             raise GraphError("vertex count must be nonnegative")
         if n > MAX_VERTICES:  # checked before any vertex is allocated
             raise GraphError(f"vertex count {n} above the limit of {MAX_VERTICES}")
-        if ends and (min(ends) < 0 or max(ends) >= n):
-            _raise_first_offender(n, ends)
         lists: list[list[int]] = [[] for _ in range(n)]
         pairs = iter(ends)
-        for u, v in zip(pairs, pairs):
-            lists[u].append(v)
-            lists[v].append(u)
-        self._nbrs = tuple([tuple(a.sort() or a) for a in lists])
-        # a loop at u lists u twice in u's tuple, a repeated edge uv lists v twice:
-        # either way a throwaway set of that tuple is shorter than the tuple
-        if sum(map(len, map(set, self._nbrs))) != len(ends):
+        try:  # an endpoint at or past n, or below -n, is no index of `lists`
+            for u, v in zip(pairs, pairs):
+                lists[u].append(v)
+                lists[v].append(u)
+        except IndexError:
             _raise_first_offender(n, ends)
+        nbrs = tuple([tuple(a.sort() or a) for a in lists])
+        # an endpoint in -n..-1 indexed a list from its end, and its partner's
+        # tuple starts with it; a loop at u lists u twice in u's tuple, a repeated
+        # edge uv lists v twice: either way a throwaway set of that tuple is shorter
+        least = min(map(itemgetter(0), filter(None, nbrs)), default=0)
+        if least < 0 or sum(map(len, map(set, nbrs))) != len(ends):
+            _raise_first_offender(n, ends)
+        self._nbrs = nbrs
         self.n = n
         self.m = len(ends) // 2
 

@@ -7,7 +7,7 @@ import json
 from pathlib import Path
 from typing import Any
 
-from .graph import Edge, Graph, GraphError
+from .graph import MAX_VERTICES, Edge, Graph, GraphError, first_bad_edge
 
 FORMATS = ("edgelist", "dimacs")
 _DIGITS = str.maketrans("", "", "0123456789")
@@ -30,13 +30,16 @@ def read_edgelist(text: str) -> Graph:
     lines = body.count(" ")  # a plain line holds one space
     if lines and body.translate(_DIGITS) == " \n" * (lines - 1) + " ":
         try:
-            n, m, *ends = json.loads("[" + body.replace(" ", ",").replace("\n", ",") + "]")
+            nums = json.loads("[" + body.replace(" ", ",").replace("\n", ",") + "]")
         except ValueError:
             pass
         else:
+            n, m = nums[0], nums[1]  # two a line, so the header is there
             if m == lines - 1:
-                del body  # free the text's copy before the build: 6% of the peak at 10^6 vertices
-                return Graph.from_ends(n, ends)
+                # free the text's copy before the build (6% of the peak at 10^6 vertices),
+                # and drop the header in place: the endpoints are not copied
+                del body, nums[:2]
+                return Graph.from_ends(n, nums)
     return _read_lines(text)
 
 
@@ -67,8 +70,9 @@ def format_edgelist(g: Graph) -> str:
 
 
 def read_dimacs(text: str) -> Graph:
-    """Parse DIMACS: one "p edge n m" header plus "e u v" lines (1-based). An
-    endpoint outside 1..n is reported with its "e u v" line as written."""
+    """Parse DIMACS: one "p edge n m" header plus "e u v" lines (1-based). The
+    first edge out of range, a loop or a repeat, in file order, is reported by
+    its "e u v" line as written."""
     n = None
     m = 0
     ends: list[int] = []  # 0-based, two per edge, as Graph.from_ends takes them
@@ -96,12 +100,17 @@ def read_dimacs(text: str) -> Graph:
         raise GraphError("missing 'p edge n m' line")
     if len(ends) != 2 * m:
         raise GraphError(f"expected {m} edges, found {len(ends) // 2}")
-    if ends and (min(ends) < 0 or max(ends) >= n):  # name the first such line as the file has it
-        i = next(i for i, x in enumerate(ends) if not 0 <= x < n) // 2
-        Graph.from_ends(n, ends[: 2 * i])  # a loop or repeat before it comes first, as in Graph
-        line = [ln.strip() for ln in text.splitlines() if ln.strip().startswith("e")][i]
+    try:
+        return Graph.from_ends(n, ends)
+    except GraphError:
+        if not 0 <= n <= MAX_VERTICES:  # the vertex count, refused before any edge
+            raise
+        i = first_bad_edge(n, ends)
+    u, v = ends[2 * i], ends[2 * i + 1]
+    line = [ln.strip() for ln in text.splitlines() if ln.strip().startswith("e")][i]
+    if not (0 <= u < n and 0 <= v < n):
         raise GraphError(f"edge line {line!r} out of range for n={n}")
-    return Graph.from_ends(n, ends)
+    raise GraphError(f"edge line {line!r} {'is a self-loop' if u == v else 'repeats an earlier edge'}")
 
 
 def load_graph(path: str | Path, fmt: str = "edgelist") -> Graph:

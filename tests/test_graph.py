@@ -108,8 +108,10 @@ class TestAgainstReference:
     """The traversals against the queue loops they replaced, and the bulk
     construction against the per-edge one."""
 
+    # endpoints from -(n+2) to n+2: in range, in -n..-1, where an index wraps
+    # around, and at or past n or below -n, where it raises
     @given(st.integers(min_value=-1, max_value=9).flatmap(
-        lambda n: st.tuples(st.just(n), st.lists(st.tuples(*[st.integers(-1, n + 1)] * 2), max_size=14))
+        lambda n: st.tuples(st.just(n), st.lists(st.tuples(*[st.integers(-(n + 2), n + 2)] * 2), max_size=14))
     ))
     @settings(max_examples=500)
     def test_construction(self, case):

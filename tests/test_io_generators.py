@@ -257,13 +257,21 @@ class TestDimacs:
             ("p edge 3 1\ne 0 1\n", "edge line 'e 0 1' out of range for n=3"),
             # the first such line, as the file has it, comments and blank lines between
             ("p edge 3 3\ne 1 2\nc x\n\n  e  2\t9 \ne -1 3\n", "edge line 'e  2\\t9' out of range for n=3"),
-            # a loop or a repeat before it is reported first, as Graph reports them
-            ("p edge 3 2\ne 2 2\ne 1 4\n", "self-loop at vertex 1"),
-            ("p edge 3 3\ne 1 2\ne 2 1\ne 1 4\n", "duplicate edge (1,0)"),
+            ("p edge 3 1\ne 2 2\n", "edge line 'e 2 2' is a self-loop"),
+            ("p edge 3 2\ne 1 2\ne 1 2\n", "edge line 'e 1 2' repeats an earlier edge"),
+            ("p edge 3 2\ne 1 2\ne 2 1\n", "edge line 'e 2 1' repeats an earlier edge"),
+            # the first bad line in file order, whatever is wrong with it
+            ("p edge 3 2\ne 2 2\ne 1 4\n", "edge line 'e 2 2' is a self-loop"),
+            ("p edge 3 3\ne 1 2\ne 2 1\ne 1 4\n", "edge line 'e 2 1' repeats an earlier edge"),
+            ("p edge 3 3\ne 1 2\ne 1 4\ne 2 1\n", "edge line 'e 1 4' out of range for n=3"),
+            ("p edge 3 3\ne 1 2\ne  3   3\ne 2 1\n", "edge line 'e  3   3' is a self-loop"),
+            # the vertex count is refused before any edge
+            ("p edge -1 1\ne 1 2\n", "vertex count must be nonnegative"),
         ],
-        ids=["past-n", "zero", "first-as-written", "loop-first", "repeat-first"],
+        ids=["past-n", "zero", "first-as-written", "loop", "repeat", "reversed-repeat", "loop-first",
+             "repeat-first", "range-first", "loop-as-written", "negative-count"],
     )
-    def test_out_of_range_edge_names_its_line(self, text, message):
+    def test_bad_edge_names_its_line(self, text, message):
         with pytest.raises(GraphError) as exc:
             read_dimacs(text)
         assert str(exc.value) == message
