@@ -14,7 +14,11 @@ _DIGITS = str.maketrans("", "", "0123456789")
 
 
 def _int_pair(parts: list[str], context: str) -> Edge:
+    """Two ASCII integers: `int()` alone also takes `_` and non-ASCII digits."""
+    pair = parts[0] + parts[1]
     try:
+        if not pair.isascii() or "_" in pair:
+            raise ValueError(pair)
         return int(parts[0]), int(parts[1])
     except ValueError as exc:
         raise GraphError(f"bad {context} line: {' '.join(parts)!r}") from exc

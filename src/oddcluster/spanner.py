@@ -312,20 +312,32 @@ def triple_violation(req: SpannerRequest, triple: Triple) -> str | None:
 
 
 def refine_triple(req: SpannerRequest, start: Triple, on_move: OnMove | None = None) -> Triple:
-    """Apply the two improving moves until neither fires.
+    """Make improving moves, one checked step each, until none fires.
 
-    Reconnect: while the crossing subgraph is disconnected, swap the side
+    Reconnect, while the crossing subgraph is disconnected: swap the side
     labels on the piece holding the minimum vertex of H against the rest;
     same-side edges between the pieces become crossing edges. That piece is
     the walk `cross_bfs(host, H, A, B)`, which misses a vertex of H exactly
     when the subgraph is disconnected; the start checks range-check H.
+    Crossing edges and side components are recounted from scratch.
 
-    Extend: the smallest outside vertex adjacent to H that misses side A
-    (else side B) joins that side; all its edges into H become crossing.
+    Extend, once it is connected: the smallest outside vertex adjacent to H
+    that misses side A (else side B) joins that side; all its edges into H
+    become crossing. An extend keeps the crossing subgraph connected, so
+    after the first one the walk is not made again, and each extend costs
+    O(deg v log n): candidates come from a min-heap frontier, built before
+    the loop since a reconnect leaves H alone, that each outside neighbor
+    of H enters once, and a popped candidate that sees both sides is
+    dropped for good, since H and both sides only grow. An extended vertex
+    v has no neighbor on its new side, so it is a singleton there, and its
+    gain in crossing edges is its number of neighbors in H, counted in the
+    one pass that queues its other region neighbors.
 
-    Both moves strictly increase the crossing-edge count and preserve the
-    side-component bound, so the loop ends within the region's induced edge
-    count. Violations of either fact raise InvariantViolation.
+    After either move the step runs the only copy of the checks, with no
+    call per move: a gain of at least 1, at most `cap` moves (the region's
+    induced edge count), the side bound (for an extend, in O(deg v): no
+    neighbor on the new side), and only then the `on_move` event. A failed
+    check raises InvariantViolation.
 
     That move cap is counted lazily, and the check stays exact. The edges
     inside H are a lower bound on it, since H stays inside the region, and
@@ -335,22 +347,6 @@ def refine_triple(req: SpannerRequest, start: Triple, on_move: OnMove | None = N
     are counted, once, only when a MoveEvent needs the cap or the move
     count passes the bound. A correct run never passes it: every move adds
     a crossing edge, and crossing edges lie inside H.
-
-    Reconnects run first and recount crossing edges and side components
-    from scratch. Extends keep the crossing subgraph connected, so once it
-    is connected only extends fire, and each costs O(deg v log n):
-    candidates come from a min-heap frontier that each outside neighbor of
-    H enters once, and a popped candidate that sees both sides is dropped
-    for good, since H and both sides only grow. An extended vertex v has no
-    neighbor on its new side, so it is a singleton there and the crossing
-    count rises by its number of neighbors in H, counted in the one pass
-    that queues its other region neighbors. The per-move checks test these
-    facts in O(deg v): no neighbor on the new side, a gain of at least 1, at
-    most `cap` moves.
-
-    Each loop checks its own moves in its body, with no call per move, in
-    one order: a gain of at least 1, the move cap, the side bound (for an
-    extend, no neighbor on the new side), and only then the `on_move` event.
     """
     g = req.host
     h = set(start.h_vertices)
@@ -367,48 +363,44 @@ def refine_triple(req: SpannerRequest, start: Triple, on_move: OnMove | None = N
     cap: int | None = None  # the region's induced edge count, once counted
     cross = count_cross_edges(g, a, b)
     moves = 0
-
-    while h and len(piece := cross_bfs(g, h, a, b)[0]) < len(h):
-        x = set(piece)  # the piece holding min(H)
-        y = h - x
-        a, b = (x & a) | (y & b), (x & b) | (y & a)
-        bound_holds = max(max_side_component(g, a), max_side_component(g, b)) <= req.bound
-        new_cross = count_cross_edges(g, a, b)
-        moves += 1
-        if new_cross <= cross:
-            raise InvariantViolation("move failed to increase crossing edges")
-        if cap is None and (moves > inner or on_move is not None):
-            cap = induced_edge_count(g, req.component)
-        if cap is not None and moves > cap:
-            raise InvariantViolation("move count exceeded the region's edge count")
-        if not bound_holds:
-            raise InvariantViolation("move broke the side-component bound")
-        if on_move is not None:
-            on_move(MoveEvent("reconnect", cross, new_cross, moves, cap))
-        cross = new_cross
-
     region = req.component  # a local: it is read once per neighbor
     frontier = sorted((g.neighborhood(h) & region) - h)  # a sorted list is a heap
     queued = set(frontier)  # every vertex that entered the frontier; H is tested first
-    while frontier:
-        v = heapq.heappop(frontier)
-        nbrs = g.neighbors(v)
-        if a.isdisjoint(nbrs):
-            side = a
-        elif b.isdisjoint(nbrs):
-            side = b
+    joined = False  # whether the crossing subgraph is known to be connected
+
+    while True:
+        if not joined and h and len(piece := cross_bfs(g, h, a, b)[0]) < len(h):
+            kind = "reconnect"
+            x = set(piece)  # the piece holding min(H)
+            y = h - x
+            a, b = (x & a) | (y & b), (x & b) | (y & a)
+            broken = max(max_side_component(g, a), max_side_component(g, b)) > req.bound
+            gain = count_cross_edges(g, a, b) - cross
         else:
-            continue  # sees both sides, and will for good: H only grows
-        gain = 0  # v has no neighbor on `side`: its neighbors in H are on the other one
-        for w in nbrs:
-            if w in h:
-                gain += 1
-            elif w in region and w not in queued:
-                queued.add(w)
-                heapq.heappush(frontier, w)
-        h.add(v)
-        side.add(v)
-        inner += gain
+            kind = "extend"
+            joined = True
+            side = None
+            while side is None and frontier:
+                v = heapq.heappop(frontier)
+                nbrs = g.neighbors(v)
+                if a.isdisjoint(nbrs):
+                    side = a
+                elif b.isdisjoint(nbrs):
+                    side = b
+                # else v sees both sides, and will for good: H only grows
+            if side is None:
+                break
+            gain = 0  # v has no neighbor on `side`: its neighbors in H are on the other one
+            for w in nbrs:
+                if w in h:
+                    gain += 1
+                elif w in region and w not in queued:
+                    queued.add(w)
+                    heapq.heappush(frontier, w)
+            h.add(v)
+            side.add(v)
+            inner += gain
+            broken = not side.isdisjoint(nbrs)
         moves += 1
         if gain < 1:
             raise InvariantViolation("move failed to increase crossing edges")
@@ -416,10 +408,10 @@ def refine_triple(req: SpannerRequest, start: Triple, on_move: OnMove | None = N
             cap = induced_edge_count(g, region)
         if cap is not None and moves > cap:
             raise InvariantViolation("move count exceeded the region's edge count")
-        if not side.isdisjoint(nbrs):
+        if broken:
             raise InvariantViolation("move broke the side-component bound")
         if on_move is not None:
-            on_move(MoveEvent("extend", cross, cross + gain, moves, cap))
+            on_move(MoveEvent(kind, cross, cross + gain, moves, cap))
         cross += gain
     return Triple(frozenset(h), frozenset(a), frozenset(b), cross)
 

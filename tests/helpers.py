@@ -10,7 +10,9 @@ G(n,p) in time linear in n + m, for tests at sizes where the pair loop of
 seed. `random_tree`, `sparse_bipartite` (the same skipping over the cross
 pairs of a random tree) and `complete_bipartite` build bipartite inputs,
 and `BIPARTITE_FAMILIES` collects them, with grids and denser graphs, for
-the runs at every t. The `*_reference` functions are earlier versions of pipeline
+the runs at every t. `partial_ktree`, `triangulated_grid` and `apollonian`
+build inputs with no K_{k+2} or K_5 minor, for the runs at the t they
+exclude. The `*_reference` functions are earlier versions of pipeline
 functions, kept so differential tests can compare the rewrites against
 them:
 
@@ -41,6 +43,9 @@ them:
   least component vertex next to it, found by testing every component
   vertex; decompose scans for these only when it builds a spanner request,
   and the tests hold each request's terminals to it;
+* `refine_triple_two_loops`: the local search as one loop per move kind,
+  reconnects then extends, each with its own copy of the per-move checks
+  and the `MoveEvent`, before every move became one checked step;
 * `bounded_bipartition_reference`: the recursive backtracking, one Python
   frame per vertex;
 * `minimum_connector_reference`: the connector program with no bound, which
@@ -78,7 +83,9 @@ for the one-vertex parts that decompose makes without it; and
 region's minimum vertex: the reference for the first parts that
 maximal_bipartite_part finds by its 2-coloring walk, without the growth;
 and `decompose_reference`, which calls the pipeline's pick, spanner and
-recheck, so that only decompose's own steps differ. `first_part` runs
+recheck, so that only decompose's own steps differ; and
+`refine_triple_two_loops`, which calls the pipeline's crossing walk and
+counts, so that only the shape of the move loop differs. `first_part` runs
 maximal_bipartite_part on a region as decompose does, on the walk of the
 region from its minimum vertex: the tests reach the function only through
 it. `load_workloads` loads the benchmark's input generator from
@@ -92,6 +99,7 @@ import heapq
 import importlib
 import math
 import random
+import re
 import types
 from collections import deque
 from contextlib import contextmanager
@@ -136,6 +144,8 @@ from oddcluster.spanner import (
     bounded_bipartition,
     build_spanner,
     count_cross_edges,
+    cross_bfs,
+    max_side_component,
     minimum_connector,
     refine_triple,
 )
@@ -207,6 +217,56 @@ def sparse_bipartite(n: int, p: float, seed: int = 0) -> Graph:
         if k >= len(xs) * len(ys):
             return Graph(n, sorted(edges))
         edges.add(norm_edge(xs[k // len(ys)], ys[k % len(ys)]))
+
+
+def partial_ktree(n: int, k: int, keep: float, seed: int = 0) -> Graph:
+    """A random k-tree on n vertices, each edge then kept with probability
+    `keep`, the labels shuffled. The k-tree starts from a clique on min(n,
+    k+1) vertices, and each later vertex joins every vertex of a uniform
+    k-clique made so far. Its treewidth is at most k, so it has no K_{k+2}
+    minor."""
+    rng = random.Random(seed)
+    label = list(range(n))
+    rng.shuffle(label)
+    edges = [(u, v) for v in range(min(n, k + 1)) for u in range(v)]
+    cliques = [tuple(u for u in range(k + 1) if u != w) for w in range(k + 1)] if n > k else []
+    for v in range(k + 1, n):
+        clique = rng.choice(cliques)
+        edges.extend((u, v) for u in clique)
+        cliques.extend(clique[:i] + clique[i + 1:] + (v,) for i in range(k))
+    return Graph(n, [(label[u], label[v]) for u, v in edges if rng.random() < keep])
+
+
+def triangulated_grid(s: int) -> Graph:
+    """The s x s grid with the diagonal from each cell's top-left to its
+    bottom-right corner: planar, so it has no K_5 minor."""
+    edges = []
+    for r in range(s):
+        for c in range(s):
+            v = r * s + c
+            if c + 1 < s:
+                edges.append((v, v + 1))
+            if r + 1 < s:
+                edges.append((v, v + s))
+                if c + 1 < s:
+                    edges.append((v, v + s + 1))
+    return Graph(s * s, edges)
+
+
+def apollonian(n: int, seed: int = 0) -> Graph:
+    """A random Apollonian network on n >= 3 vertices: a triangle, then each
+    later vertex placed in a uniform face, joined to its three corners, and
+    splitting it into three. Planar, so it has no K_5 minor."""
+    rng = random.Random(seed)
+    edges = [(0, 1), (0, 2), (1, 2)]
+    faces = [(0, 1, 2)]
+    for v in range(3, n):
+        i = rng.randrange(len(faces))
+        a, b, c = faces[i]
+        edges += (a, v), (b, v), (c, v)
+        faces[i] = (a, b, v)
+        faces += (a, c, v), (b, c, v)
+    return Graph(n, edges)
 
 
 def complete_bipartite(a: int, b: int) -> Graph:
@@ -314,6 +374,8 @@ def graph_reference(n: int, edges: Iterable[Edge] = ()) -> Graph:
 
 def _int_pair_reference(parts: list[str], context: str) -> Edge:
     try:
+        if not all(re.fullmatch("[+-]?[0-9]+", tok) for tok in parts[:2]):
+            raise ValueError(parts)
         return int(parts[0]), int(parts[1])
     except ValueError as exc:
         raise GraphError(f"bad {context} line: {' '.join(parts)!r}") from exc
@@ -746,6 +808,119 @@ def refine_triple_reference(req: SpannerRequest, start: Triple, on_move: OnMove 
         if on_move is not None:
             on_move(MoveEvent(kind, cross, new_cross, moves, cap))
         cross = new_cross
+    return Triple(frozenset(h), frozenset(a), frozenset(b), cross)
+
+
+def refine_triple_two_loops(req: SpannerRequest, start: Triple, on_move: OnMove | None = None) -> Triple:
+    """Apply the two improving moves until neither fires.
+
+    Reconnect: while the crossing subgraph is disconnected, swap the side
+    labels on the piece holding the minimum vertex of H against the rest;
+    same-side edges between the pieces become crossing edges. That piece is
+    the walk `cross_bfs(host, H, A, B)`, which misses a vertex of H exactly
+    when the subgraph is disconnected; the start checks range-check H.
+
+    Extend: the smallest outside vertex adjacent to H that misses side A
+    (else side B) joins that side; all its edges into H become crossing.
+
+    Both moves strictly increase the crossing-edge count and preserve the
+    side-component bound, so the loop ends within the region's induced edge
+    count. Violations of either fact raise InvariantViolation.
+
+    That move cap is counted lazily, and the check stays exact. The edges
+    inside H are a lower bound on it, since H stays inside the region, and
+    they are known at no cost: an extended vertex brings exactly its gain
+    in edges into H, and a reconnect leaves H alone. While the move count
+    stays within that bound, it is within the cap too. The region's edges
+    are counted, once, only when a MoveEvent needs the cap or the move
+    count passes the bound. A correct run never passes it: every move adds
+    a crossing edge, and crossing edges lie inside H.
+
+    Reconnects run first and recount crossing edges and side components
+    from scratch. Extends keep the crossing subgraph connected, so once it
+    is connected only extends fire, and each costs O(deg v log n):
+    candidates come from a min-heap frontier that each outside neighbor of
+    H enters once, and a popped candidate that sees both sides is dropped
+    for good, since H and both sides only grow. An extended vertex v has no
+    neighbor on its new side, so it is a singleton there and the crossing
+    count rises by its number of neighbors in H, counted in the one pass
+    that queues its other region neighbors. The per-move checks test these
+    facts in O(deg v): no neighbor on the new side, a gain of at least 1, at
+    most `cap` moves.
+
+    Each loop checks its own moves in its body, with no call per move, in
+    one order: a gain of at least 1, the move cap, the side bound (for an
+    extend, no neighbor on the new side), and only then the `on_move` event.
+    """
+    g = req.host
+    h = set(start.h_vertices)
+    a = set(start.side_a)
+    b = set(start.side_b)
+    if (a | b) != h or (a & b):
+        raise GraphError("start sides do not partition H")
+    if not req.terminals <= start.h_vertices <= req.component:
+        raise GraphError("start H must sit between terminals and component")
+    if max_side_component(g, a) > req.bound or max_side_component(g, b) > req.bound:
+        raise GraphError("start violates the side-component bound")
+
+    inner = induced_edge_count(g, h)  # edges inside H: a lower bound on the cap
+    cap: int | None = None  # the region's induced edge count, once counted
+    cross = count_cross_edges(g, a, b)
+    moves = 0
+
+    while h and len(piece := cross_bfs(g, h, a, b)[0]) < len(h):
+        x = set(piece)  # the piece holding min(H)
+        y = h - x
+        a, b = (x & a) | (y & b), (x & b) | (y & a)
+        bound_holds = max(max_side_component(g, a), max_side_component(g, b)) <= req.bound
+        new_cross = count_cross_edges(g, a, b)
+        moves += 1
+        if new_cross <= cross:
+            raise InvariantViolation("move failed to increase crossing edges")
+        if cap is None and (moves > inner or on_move is not None):
+            cap = induced_edge_count(g, req.component)
+        if cap is not None and moves > cap:
+            raise InvariantViolation("move count exceeded the region's edge count")
+        if not bound_holds:
+            raise InvariantViolation("move broke the side-component bound")
+        if on_move is not None:
+            on_move(MoveEvent("reconnect", cross, new_cross, moves, cap))
+        cross = new_cross
+
+    region = req.component  # a local: it is read once per neighbor
+    frontier = sorted((g.neighborhood(h) & region) - h)  # a sorted list is a heap
+    queued = set(frontier)  # every vertex that entered the frontier; H is tested first
+    while frontier:
+        v = heapq.heappop(frontier)
+        nbrs = g.neighbors(v)
+        if a.isdisjoint(nbrs):
+            side = a
+        elif b.isdisjoint(nbrs):
+            side = b
+        else:
+            continue  # sees both sides, and will for good: H only grows
+        gain = 0  # v has no neighbor on `side`: its neighbors in H are on the other one
+        for w in nbrs:
+            if w in h:
+                gain += 1
+            elif w in region and w not in queued:
+                queued.add(w)
+                heapq.heappush(frontier, w)
+        h.add(v)
+        side.add(v)
+        inner += gain
+        moves += 1
+        if gain < 1:
+            raise InvariantViolation("move failed to increase crossing edges")
+        if cap is None and (moves > inner or on_move is not None):
+            cap = induced_edge_count(g, region)
+        if cap is not None and moves > cap:
+            raise InvariantViolation("move count exceeded the region's edge count")
+        if not side.isdisjoint(nbrs):
+            raise InvariantViolation("move broke the side-component bound")
+        if on_move is not None:
+            on_move(MoveEvent("extend", cross, cross + gain, moves, cap))
+        cross += gain
     return Triple(frozenset(h), frozenset(a), frozenset(b), cross)
 
 

@@ -49,6 +49,26 @@ class TestEdgelist:
     def test_round_trip_property(self, g):
         assert read_edgelist(format_edgelist(g)) == g
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("30 1\n0 1_0\n", "bad edge line: '0 1_0'"),
+            ("30 1\r\n0 1_0\r\n", "bad edge line: '0 1_0'"),
+            ("3 1\n0 \u0662\n", "bad edge line: '0 \u0662'"),
+            ("3 1\n\uff10 2\n", "bad edge line: '\uff10 2'"),
+            ("3_0 1\n0 1\n", "bad header line: '3_0 1'"),
+            ("\uff13 1\n0 1\n", "bad header line: '\uff13 1'"),
+            ("3 1\n+0 _1\n", "bad edge line: '+0 _1'"),
+        ],
+        ids=["underscore", "underscore-crlf", "arabic-indic-digit", "full-width-digit", "underscore-n",
+             "full-width-n", "leading-underscore"],
+    )
+    def test_only_ascii_decimal_integers(self, text, message):
+        # int() reads each of these tokens; the format takes digits after an optional sign
+        with pytest.raises(GraphError) as exc:
+            read_edgelist(text)
+        assert str(exc.value) == message
+
 
 # Edits to one token: a sign, an underscore, a non-ASCII digit, a token past
 # the int digit limit, a minus, a leading zero, a fraction, an exponent, an
@@ -272,6 +292,22 @@ class TestDimacs:
              "repeat-first", "range-first", "loop-as-written", "negative-count"],
     )
     def test_bad_edge_names_its_line(self, text, message):
+        with pytest.raises(GraphError) as exc:
+            read_dimacs(text)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("p edge 30 1\ne 1 1_0\n", "bad edge line: '1 1_0'"),
+            ("p edge 3 1\ne 1 \u0662\n", "bad edge line: '1 \u0662'"),
+            ("p edge 3 1\ne \uff11 3\n", "bad edge line: '\uff11 3'"),
+            ("p edge 3_0 1\ne 1 2\n", "bad problem line: '3_0 1'"),
+            ("p edge \uff13 1\ne 1 2\n", "bad problem line: '\uff13 1'"),
+        ],
+        ids=["underscore", "arabic-indic-digit", "full-width-digit", "underscore-n", "full-width-n"],
+    )
+    def test_only_ascii_decimal_integers(self, text, message):
         with pytest.raises(GraphError) as exc:
             read_dimacs(text)
         assert str(exc.value) == message

@@ -1,5 +1,8 @@
+import importlib
 import random
 import re
+from collections import Counter
+from contextlib import contextmanager
 from itertools import product
 
 import pytest
@@ -24,7 +27,7 @@ from oddcluster.spanner import (
 from oddcluster import generators as gen
 from oddcluster import spanner
 
-from conftest import graphs, graphs_with_terminals
+from conftest import connected_graphs, graphs, graphs_with_terminals
 from helpers import (
     bounded_bipartition_reference,
     connected_components_reference,
@@ -34,6 +37,7 @@ from helpers import (
     minimum_connector_reference,
     outcome,
     refine_triple_reference,
+    refine_triple_two_loops,
     spanner_general_path,
     spanner_requests,
     sparse_gnp,
@@ -84,6 +88,67 @@ def loose_sides(draw):
     g = draw(graphs(max_n=14))
     vertex_sets = st.sets(st.integers(min_value=0, max_value=g.n - 1))
     return g, draw(vertex_sets), draw(vertex_sets), draw(vertex_sets)
+
+
+@st.composite
+def connected_starts(draw):
+    """A refine_triple request and start: a connected H grown inside a
+    connected graph from a random vertex, a random split of H under the least
+    bound that fits it, terminals in H, and a region of H and any other
+    vertices. A random split often leaves the crossing subgraph
+    disconnected, so reconnects fire, and extends after them."""
+    g = draw(connected_graphs(min_n=2, max_n=12))
+    h = [draw(st.integers(0, g.n - 1))]
+    for _ in range(draw(st.integers(0, g.n - 1))):
+        h.append(draw(st.sampled_from(sorted(g.neighborhood(h) - set(h)))))
+    in_a = draw(st.lists(st.booleans(), min_size=len(h), max_size=len(h)))
+    hs = frozenset(h)
+    side_a = frozenset(v for v, bit in zip(h, in_a) if bit)
+    side_b = hs - side_a
+    bound = max(max_side_component(g, side_a), max_side_component(g, side_b))
+    terms = draw(st.frozensets(st.sampled_from(h)))
+    region = hs | draw(st.frozensets(st.integers(0, g.n - 1)))
+    req = SpannerRequest(g, region, terms, bound)
+    return req, Triple(hs, side_a, side_b, count_cross_edges(g, side_a, side_b))
+
+
+def faulty_host(host, table):
+    """`host` with the neighbor tuples of `table` in place of its own."""
+    class Faulty(Graph):
+        def neighbors(self, v):
+            return table[v] if v in table else super().neighbors(v)
+
+    return Faulty(host.n, host.edges())
+
+
+@contextmanager
+def refine_calls():
+    """Within the block, the request and start of every refine_triple call,
+    the spanner's and part 1's growth alike."""
+    calls = []
+    real = spanner.refine_triple
+    decompose_module = importlib.import_module("oddcluster.decompose")  # the package exports a function of that name
+
+    def recording(req, start, on_move=None):
+        calls.append((req, start))
+        return real(req, start, on_move=on_move)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spanner, "refine_triple", recording)
+        mp.setattr(decompose_module, "refine_triple", recording)
+        yield calls
+
+
+def same_as_two_loops(req, start):
+    """refine_triple and the two-loop version on one start must give the same
+    outcome, result or error, and the same MoveEvents; without the hook, the
+    same outcome. The events, for the caller to count."""
+    runs = []
+    for fn in (refine_triple, refine_triple_two_loops):
+        events = []
+        runs.append((outcome(fn, req, start, on_move=events.append), events, outcome(fn, req, start)))
+    assert runs[0] == runs[1]
+    return runs[0][1]
 
 
 class TestCrossConnected:
@@ -382,6 +447,86 @@ class TestRefine:
             refine_triple(req, Triple(frozenset(range(3)), frozenset(range(3)), frozenset(), 0))
 
 
+class TestOneStepMatchesTwoLoops:
+    """refine_triple makes every move through one checked step; the version
+    with one loop per move kind must agree with it on every start."""
+
+    @pytest.mark.parametrize(
+        "workload, seed, calls, extends",
+        [("sparse_gnp", 0, 43, 2775), ("sparse_gnp", 13, 52, 2746),
+         ("dense_batch", 0, 1533, 41029), ("dense_batch", 13, 1530, 41177)],
+    )
+    def test_every_call_on_the_benchmark_inputs(self, workload, seed, calls, extends):
+        # spanner and part 1 growth alike (the traced benchmark counts only the
+        # spanner's moves); the pipeline never reconnects
+        with refine_calls() as made:
+            for text, t, *_ in load_workloads().build(workload, seed):
+                run_color(read_edgelist(text), t)
+        kinds = Counter(e.kind for req, start in made for e in same_as_two_loops(req, start))
+        assert (len(made), kinds) == (calls, Counter(extend=extends))
+
+    @pytest.mark.parametrize(
+        "host, table, terms",
+        [
+            (gen.grid(1, 6), {4: ()}, {0, 2}),
+            (gen.grid(1, 6), {4: (3, 4)}, {0, 2}),
+            (gen.cycle(8), {5: ()}, {0, 2}),
+            (gen.cycle(8), {5: (4, 5)}, {0, 2}),
+            (Graph(7, [(0, 1), (1, 2), (2, 3), (2, 4), (2, 5), (2, 6)]), {1: (2,), 2: ()}, {0, 2}),
+            (gen.grid(1, 3), {1: ()}, {0}),
+            (gen.grid(1, 3), {1: (0, 1)}, {0}),
+            (gen.cycle(6), {2: ()}, {0}),
+            (gen.cycle(6), {2: (1, 2, 3)}, {0}),
+            (gen.grid(3, 3), {4: ()}, {0}),
+            (gen.grid(3, 3), {4: (1, 3, 4, 5, 7)}, {0}),
+        ],
+        ids=[
+            "path-no-edge-into-H",
+            "path-neighbor-on-its-side",
+            "c8-no-edge-into-H",
+            "c8-neighbor-on-its-side",
+            "move-cap",
+            "part-1-no-edge-into-H",
+            "part-1-neighbor-on-its-side",
+            "part-1-c6-depth-2-no-edge-into-H",
+            "part-1-c6-depth-2-neighbor-on-its-side",
+            "part-1-grid-3x3-depth-2-no-edge-into-H",
+            "part-1-grid-3x3-depth-2-neighbor-on-its-side",
+        ],
+    )
+    def test_faulty_hosts(self, host, table, terms):
+        # the hosts of the per-move-check tests: from the spanner's start and
+        # from part 1's growth start, both versions fail the same check
+        # after the same events (the move cap's only with the hook, which
+        # counts the region's edges at the first move)
+        g = faulty_host(host, table)
+        region, terms = frozenset(range(g.n)), frozenset(terms)
+        if len(terms) == 1:
+            starts = [(SpannerRequest(g, region, terms, 1), Triple(terms, terms, frozenset(), 0))]
+        else:
+            with refine_calls() as starts:
+                outcome(build_spanner, SpannerRequest(g, region, terms, 1))
+            assert len(starts) == 1
+        for req, start in starts:
+            same_as_two_loops(req, start)
+            assert outcome(refine_triple, req, start, on_move=lambda e: None)[0] is InvariantViolation
+
+    def test_random_connected_starts(self):
+        # many starts have a disconnected crossing subgraph, and reconnects
+        # must be made, some followed by extends
+        seen = Counter()
+
+        @given(connected_starts())
+        @settings(max_examples=400, deadline=None)
+        def check(case):
+            kinds = [e.kind for e in same_as_two_loops(*case)]
+            seen.update(kinds)
+            seen["reconnect then extend"] += "reconnect" in kinds and kinds[-1] == "extend"
+
+        check()
+        assert min(seen[k] for k in ("reconnect", "extend", "reconnect then extend")) > 0, seen
+
+
 class TestBuildSpanner:
     def test_c6_two_terminals(self, c6):
         req = SpannerRequest(c6, frozenset(range(6)), frozenset({0, 3}), 1)
@@ -454,16 +599,12 @@ class TestBuildSpanner:
         # listing the vertex itself puts a neighbor on its new side. Only the
         # per-move checks stand between either and a wrong part; the events
         # before it are those of the sound host, and none comes after
-        class Faulty(Graph):
-            def neighbors(self, v):
-                return faulty[v] if v in faulty else super().neighbors(v)
-
         region, terms = frozenset(range(host.n)), frozenset({0, 2})
         sound = []
         build_spanner(SpannerRequest(host, region, terms, 1), on_move=sound.append)
         events = []
         with pytest.raises(InvariantViolation) as exc:
-            build_spanner(SpannerRequest(Faulty(host.n, host.edges()), region, terms, 1),
+            build_spanner(SpannerRequest(faulty_host(host, faulty), region, terms, 1),
                           on_move=events.append if hooked else None)
         assert str(exc.value) == message
         assert len(events) == (before if hooked else 0)
@@ -475,12 +616,7 @@ class TestBuildSpanner:
         # own count, so with the hook, which counts them at the first move,
         # the fourth extend passes the cap
         host = Graph(7, [(0, 1), (1, 2), (2, 3), (2, 4), (2, 5), (2, 6)])
-
-        class Faulty(Graph):
-            def neighbors(self, v):
-                return {1: (2,), 2: ()}.get(v, super().neighbors(v))
-
-        req = SpannerRequest(Faulty(host.n, host.edges()), frozenset(range(7)), frozenset({0, 2}), 1)
+        req = SpannerRequest(faulty_host(host, {1: (2,), 2: ()}), frozenset(range(7)), frozenset({0, 2}), 1)
         events = []
         with pytest.raises(InvariantViolation) as exc:
             build_spanner(req, on_move=events.append)
