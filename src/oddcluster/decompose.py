@@ -13,18 +13,8 @@ from collections import deque
 from itertools import combinations
 from typing import AbstractSet, Iterable, NamedTuple, Sequence, Union
 
-from .graph import (
-    Graph, GraphError, InvariantViolation, Walk, _checked_set, bfs, component_walk, is_connected, touching
-)
-from .spanner import (
-    OnMove,
-    SpannerRequest,
-    Triple,
-    build_spanner,
-    cross_connected,
-    max_side_component,
-    refine_triple,
-)
+from .graph import Graph, GraphError, InvariantViolation, Walk, _checked_set, bfs, component_walk, touching
+from .spanner import OnMove, SpannerRequest, Triple, build_spanner, refine_triple
 
 
 class Part(NamedTuple):
@@ -151,15 +141,16 @@ def decompose(
     without the growth, and pick_component's state (owner map, uncovered
     set, sorted queue) is built only when part 1 leaves a vertex. A spanner
     part's are checked by build_spanner's triple_violation under a side
-    bound (k+1)//2, no larger than the recheck's (t-1)//2. A one-vertex
-    part has nothing to check.
+    bound (k+1)//2, no larger than the decomposition's (t-1)//2. A
+    one-vertex part has nothing to check.
 
     A new part records the parts next to its component as `earlier`, its
     earlier neighbors: it lies in the component and holds a terminal next
     to each. A picked component's adjacent parts must be pairwise adjacent
     by their records; a miss is a bug, not an input problem. A completed
-    run is rechecked, records included, by decomposition_violation with
-    `spanner_checked` before it is returned.
+    run is rechecked, records included, by decomposition_violation before
+    it is returned; the recheck takes each part's local guarantees from
+    these checks.
     """
     if t < 3:
         raise GraphError("t must be >= 3")
@@ -199,48 +190,50 @@ def decompose(
         uncovered -= h
 
     result = Decomposition(t, tuple(parts))
-    reason = decomposition_violation(g, result, pool, spanner_checked=True)
+    reason = decomposition_violation(g, result, pool)
     if reason is not None:
         raise InvariantViolation(f"completed decomposition failed recheck: {reason}")
     return result
 
 
-def decomposition_violation(
-    g: Graph, d: Decomposition, within: Iterable[int] | None = None, *, spanner_checked: bool = False
-) -> str | None:
-    """First violated decomposition guarantee, or None if clean; with
-    `spanner_checked`, every part takes its local guarantees from the step
-    that built it.
+def decomposition_violation(g: Graph, d: Decomposition, within: Iterable[int] | None = None) -> str | None:
+    """First violated decomposition guarantee, or None if clean; every part
+    takes its local guarantees from the step that built it.
 
-    Checks, for every part: sides partition it, it is connected, same-side
-    components respect ceil((t-2)/2), and the crossing subgraph is connected.
-    With `spanner_checked`, set by decompose alone, no part gets the last
-    three: decompose checked them where it built each part, under a side
-    bound no larger, and for a one-vertex part the partition check implies
-    them, as t >= 3 makes the bound at least 1. So they cannot fail here and
-    the first failure stays the same. The other checks run on every part.
-    Then, for every prefix H_1..H_k: uncovered neighbors of H_k see both its
-    sides, and every uncovered component touches at most t-2 parts which are
-    pairwise adjacent. The first failure in that order is reported: by
-    prefix, side checks before component checks, then by vertex or by the
-    component's minimum vertex; the records `earlier` are checked last.
+    A part's local guarantees are that it is connected, that its same-side
+    components respect ceil((t-2)/2), and that its crossing subgraph is
+    connected. They are not checked here: decompose checks them where it
+    builds each part, under a side bound no larger (part 1 by the 2-coloring
+    walk or refine_triple's per-move checks, a spanner part by
+    triple_violation), and for a one-vertex part the partition check implies
+    them, as t >= 3 makes the bound at least 1. Parts built elsewhere must be
+    checked for them first; the verdict below assumes them.
 
-    The per-part and cover checks come first, so the parts are disjoint,
-    connected and cover the region: the rest after prefix k is the union of
-    the whole parts k+1..l, and its components are unions of whole parts.
-    One pass from the last part to the first grows the rest. Its vertices
-    that see one side of H_k only are the symmetric difference of N(A_k)
-    and N(B_k) within it; the parts holding their union are the later parts
-    adjacent to H_k, which also gives each part its earlier neighbors for
-    the record check. A component of the rest touches the same parts at
-    every prefix where it exists, as its outside neighbors are all covered,
-    so one check, at the earliest, decides them all: the parts are added
-    back from last to first into a union-find over part indices, and each
-    component is checked just before it merges with the part being added
-    back. Part 1 is never added back; the components left are those after it.
+    Checks, for every part: its index is its position plus one, its sides
+    partition it, and it overlaps no earlier part; then the parts cover the
+    region, which is range-checked. Then, for every prefix H_1..H_k:
+    uncovered neighbors of H_k see both its sides, and every uncovered
+    component touches at most t-2 parts which are pairwise adjacent. The
+    first failure in that order is reported: by prefix, side checks before
+    component checks, then by vertex or by the component's minimum vertex;
+    the records `earlier` are checked last.
+
+    The per-part and cover checks come first, so the parts, each connected
+    as assumed above, are disjoint and cover the region: the rest after
+    prefix k is the union of the whole parts k+1..l, and its components are
+    unions of whole parts. One pass from the last part to the first grows
+    the rest. Its vertices that see one side of H_k only are the symmetric
+    difference of N(A_k) and N(B_k) within it; the parts holding their union
+    are the later parts adjacent to H_k, which also gives each part its
+    earlier neighbors for the record check. A component of the rest touches
+    the same parts at every prefix where it exists, as its outside neighbors
+    are all covered, so one check, at the earliest, decides them all: the
+    parts are added back from last to first into a union-find over part
+    indices, and each component is checked just before it merges with the
+    part being added back. Part 1 is never added back; the components left
+    are those after it.
     """
-    pool = frozenset(range(g.n)) if within is None else frozenset(within)
-    bound = (d.t - 1) // 2  # ceil((t-2)/2)
+    pool = frozenset(range(g.n)) if within is None else _checked_set(g, within)
     seen: set[int] = set()
     for i, p in enumerate(d.parts):
         if p.index != i + 1:
@@ -250,16 +243,6 @@ def decomposition_violation(
         if p.vertices & seen:
             return f"part {p.index}: overlaps an earlier part"
         seen |= p.vertices
-        if spanner_checked:
-            continue
-        # the crossing subgraph spans the part: when it is connected, so is the part
-        crossing = cross_connected(g, p.vertices, p.side_a, p.side_b)
-        if not crossing and not is_connected(g, p.vertices):
-            return f"part {p.index}: not connected"
-        if max_side_component(g, p.side_a) > bound or max_side_component(g, p.side_b) > bound:
-            return f"part {p.index}: same-side component exceeds {bound}"
-        if not crossing:
-            return f"part {p.index}: crossing subgraph disconnected"
     if seen != pool:
         return "parts do not cover the region"
 

@@ -13,15 +13,16 @@ FORMATS = ("edgelist", "dimacs")
 _DIGITS = str.maketrans("", "", "0123456789")
 
 
-def _int_pair(parts: list[str], context: str) -> Edge:
-    """Two ASCII integers: `int()` alone also takes `_` and non-ASCII digits."""
+def _int_pair(parts: list[str], context: str, line: str) -> Edge:
+    """Two ASCII integers: `int()` alone also takes `_` and non-ASCII digits. A bad
+    one is reported by `line`, the text it was read from."""
     pair = parts[0] + parts[1]
     try:
         if not pair.isascii() or "_" in pair:
             raise ValueError(pair)
         return int(parts[0]), int(parts[1])
     except ValueError as exc:
-        raise GraphError(f"bad {context} line: {' '.join(parts)!r}") from exc
+        raise GraphError(f"bad {context} line: {line!r}") from exc
 
 
 def read_edgelist(text: str) -> Graph:
@@ -55,7 +56,7 @@ def _read_lines(text: str) -> Graph:
     head = lines[0].split()
     if len(head) != 2:
         raise GraphError(f"bad header {lines[0]!r}, expected 'n m'")
-    n, m = _int_pair(head, "header")
+    n, m = _int_pair(head, "header", " ".join(head))
     if len(lines) - 1 != m:
         raise GraphError(f"expected {m} edge lines, found {len(lines) - 1}")
     edges = []
@@ -63,7 +64,7 @@ def _read_lines(text: str) -> Graph:
         parts = ln.split()
         if len(parts) != 2:
             raise GraphError(f"bad edge line {ln!r}")
-        edges.append(_int_pair(parts, "edge"))
+        edges.append(_int_pair(parts, "edge", " ".join(parts)))
     return Graph(n, edges)
 
 
@@ -74,9 +75,10 @@ def format_edgelist(g: Graph) -> str:
 
 
 def read_dimacs(text: str) -> Graph:
-    """Parse DIMACS: one "p edge n m" header plus "e u v" lines (1-based). The
-    first edge out of range, a loop or a repeat, in file order, is reported by
-    its "e u v" line as written."""
+    """Parse DIMACS: one "p edge n m" header plus "e u v" lines (1-based). Every
+    bad line is reported as written: a bad number by its "p" or "e" line, and
+    the first edge out of range, a loop or a repeat, in file order, by its
+    "e u v" line."""
     n = None
     m = 0
     ends: list[int] = []  # 0-based, two per edge, as Graph.from_ends takes them
@@ -90,13 +92,13 @@ def read_dimacs(text: str) -> Graph:
                 raise GraphError(f"bad problem line {line!r}")
             if n is not None:
                 raise GraphError(f"repeated problem line {line!r}")
-            n, m = _int_pair(parts[2:], "problem")
+            n, m = _int_pair(parts[2:], "problem", line)
         elif parts[0] == "e":
             if n is None:
                 raise GraphError("edge line before problem line")
             if len(parts) != 3:
                 raise GraphError(f"bad edge line {line!r}")
-            u, v = _int_pair(parts[1:], "edge")
+            u, v = _int_pair(parts[1:], "edge", line)
             ends += u - 1, v - 1
         else:
             raise GraphError(f"unrecognized line {line!r}")

@@ -312,7 +312,8 @@ def triple_violation(req: SpannerRequest, triple: Triple) -> str | None:
 
 
 def refine_triple(req: SpannerRequest, start: Triple, on_move: OnMove | None = None) -> Triple:
-    """Make improving moves, one checked step each, until none fires.
+    """Make improving moves, one checked step each, until none fires. The
+    start's crossing edges are counted here: its `cross_edges` is not read.
 
     Reconnect, while the crossing subgraph is disconnected: swap the side
     labels on the piece holding the minimum vertex of H against the rest;
@@ -420,8 +421,7 @@ def build_spanner(req: SpannerRequest, on_move: OnMove | None = None) -> Triple:
     """Connector, feasible split, then refinement; satisfies all three guarantees."""
     w = minimum_connector(req.host, req.component, req.terminals)
     side_a, side_b = bounded_bipartition(req.host, w, req.bound)
-    start = Triple(w, side_a, side_b, count_cross_edges(req.host, side_a, side_b))
-    result = refine_triple(req, start, on_move=on_move)
+    result = refine_triple(req, Triple(w, side_a, side_b, 0), on_move=on_move)
     reason = triple_violation(req, result)
     if reason is not None:
         raise InvariantViolation(f"spanner postcondition failed: {reason}")

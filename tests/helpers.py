@@ -51,10 +51,14 @@ them:
 * `minimum_connector_reference`: the connector program with no bound, which
   grows every state over the whole component, the full subset's too, and
   finds terminals in different pieces only when the full subset is empty;
-* `decomposition_violation_reference`: the recheck that recomputes the
+* `decomposition_violation_reference`: the recheck that checks every
+  part's local guarantees (`part_fault_reference`), recomputes the
   uncovered components at every prefix and scans every earlier part for
   each of them, cubic in the worst case, and then every pair of parts for
-  the records;
+  the records. `full_recheck` is the check the tests hold decompose's
+  outputs to: `part_fault_reference` on every part, then
+  `decomposition_violation`, which leaves each part's local guarantees to
+  the step that built it;
 * `decompose_reference`: decompose while it proved the region connected
   lazily, by a raise on a pick with no adjacent part and a walk of every
   leftover piece of a stuck run, before the region's one walk proved it
@@ -748,8 +752,7 @@ def spanner_general_path(req: SpannerRequest, on_move: OnMove | None = None) -> 
     without its postcondition check."""
     w = minimum_connector(req.host, req.component, req.terminals)
     side_a, side_b = bounded_bipartition(req.host, w, req.bound)
-    start = Triple(w, side_a, side_b, count_cross_edges(req.host, side_a, side_b))
-    return refine_triple(req, start, on_move=on_move)
+    return refine_triple(req, Triple(w, side_a, side_b, 0), on_move=on_move)
 
 
 def refine_triple_reference(req: SpannerRequest, start: Triple, on_move: OnMove | None = None) -> Triple:
@@ -1032,13 +1035,9 @@ def decomposition_violation_reference(
         if p.vertices & seen:
             return f"part {p.index}: overlaps an earlier part"
         seen |= p.vertices
-        if not is_connected_reference(g, p.vertices):
-            return f"part {p.index}: not connected"
-        sides = (p.side_a, p.side_b)
-        if max(max_side_component_reference(g, side) for side in sides) > bound:
-            return f"part {p.index}: same-side component exceeds {bound}"
-        if len(cross_components_reference(g, p.vertices, p.side_a, p.side_b)) > 1:
-            return f"part {p.index}: crossing subgraph disconnected"
+        reason = part_fault_reference(g, p, bound)
+        if reason is not None:
+            return reason
     if seen != pool:
         return "parts do not cover the region"
 
@@ -1067,6 +1066,34 @@ def decomposition_violation_reference(
         if {q.index for q in d.parts[:i] if parts_adjacent_reference(g, q, p)} != p.earlier:
             return f"part {p.index}: recorded earlier parts differ from those it touches"
     return None
+
+
+def part_fault_reference(g: Graph, p: Part, bound: int) -> str | None:
+    """The first local guarantee that part p breaks, or None: it must be
+    connected, each side's components must have at most `bound` vertices,
+    and its crossing subgraph must be connected."""
+    if not is_connected_reference(g, p.vertices):
+        return f"part {p.index}: not connected"
+    if max(max_side_component_reference(g, side) for side in (p.side_a, p.side_b)) > bound:
+        return f"part {p.index}: same-side component exceeds {bound}"
+    if len(cross_components_reference(g, p.vertices, p.side_a, p.side_b)) > 1:
+        return f"part {p.index}: crossing subgraph disconnected"
+    return None
+
+
+def full_recheck(g: Graph, d: Decomposition, within: Iterable[int] | None = None) -> str | None:
+    """Every part's local guarantees by part_fault_reference, in part order,
+    then decomposition_violation, which takes them from the step that built
+    each part. The part checks share no code with the pipeline, so they also
+    catch a fault in the spanner checks that vouch for decompose's parts.
+    Where every part's index, sides and overlap are sound, the verdict is
+    decomposition_violation_reference's."""
+    bound = (d.t - 1) // 2  # ceil((t-2)/2)
+    for p in d.parts:
+        reason = part_fault_reference(g, p, bound)
+        if reason is not None:
+            return reason
+    return decomposition_violation(g, d, within)
 
 
 def parts_adjacent_reference(g: Graph, p: Part, q: Part) -> bool:
@@ -1138,7 +1165,7 @@ def decompose_reference(
         uncovered -= h
 
     result = Decomposition(t, tuple(parts))
-    reason = decomposition_violation(g, result, pool, spanner_checked=True)
+    reason = decomposition_violation(g, result, pool)
     if reason is not None:
         raise InvariantViolation(f"completed decomposition failed recheck: {reason}")
     return result

@@ -21,10 +21,11 @@ from oddcluster.coloring import (
     coloring_from_json,
     verify_coloring,
 )
-from oddcluster.decompose import StuckState, decompose, decomposition_violation
+from oddcluster.decompose import StuckState, decompose
 from oddcluster.graph import Graph, InvariantViolation
 from oddcluster.spanner import minimum_connector
 
+from helpers import full_recheck
 from oracle import OracleBudget, has_odd_expansion, min_connector_bruteforce
 
 N_RANDOM = 500
@@ -253,7 +254,7 @@ def test_criterion_8_invariant_suite(corpus):
     for run in corpus.runs:
         for d in run.decompositions:
             region = frozenset().union(*(p.vertices for p in d.parts))
-            reason = decomposition_violation(run.graph, d, region)
+            reason = full_recheck(run.graph, d, region)  # every part's own guarantees, then the recheck
             if reason is not None:
                 failures.append(f"graph {run.graph_id} t={run.t}: {reason}")
                 continue

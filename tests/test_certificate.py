@@ -62,6 +62,22 @@ def assert_part_trees_match_reference(g, t, stuck):
         assert tree == spanning_tree_reference(g, p.vertices, crossing)
 
 
+def with_tree(cert, i, vertices, edges):
+    """The certificate with tree i replaced."""
+    trees = list(cert.trees)
+    trees[i] = TreeSubgraph(frozenset(vertices), frozenset(edges))
+    return cert._replace(trees=tuple(trees))
+
+
+def with_join(cert, pair, edge):
+    """The certificate with the join of a tree pair replaced."""
+    return cert._replace(joins={**cert.joins, pair: edge})
+
+
+K5 = complete(5)
+K5_WITHOUT_23 = Graph(5, [e for e in K5.edges() if e != (2, 3)])
+
+
 @pytest.fixture
 def k5_certificate(k5):
     stuck = decompose(k5, 3)
@@ -209,6 +225,26 @@ class TestVerifier:
         bad = OddExpansionCertificate(3, tuple(trees), k5_certificate.coloring, k5_certificate.joins)
         assert verify_certificate(k5, bad) == "tree 0 has a malformed edge (0, {})"
 
+    @pytest.mark.parametrize(
+        "g, edit, message",
+        [
+            (K5, lambda c: c._replace(t=0), "t must be a positive integer"),
+            (K5, lambda c: with_tree(c, 0, (), ()), "tree 0 is empty"),
+            (K5, lambda c: with_tree(c, 0, {0, 1}, {(0, 2)}), "tree 0 edge (0,2) leaves its vertex set"),
+            (K5_WITHOUT_23, lambda c: c, "tree 1 edge (2,3) not in graph"),
+            # three edges on four vertices: a triangle, and vertex 3 apart
+            (K5, lambda c: with_tree(c, 0, {0, 1, 2, 3}, {(0, 1), (1, 2), (0, 2)}), "tree 0 is not connected"),
+            (K5, lambda c: with_join(c, (0, 1), (0, 7)), "join vertex 7 out of range"),
+            # an edge from tree 0 to tree 1, given as the join of trees 0 and 2
+            (K5, lambda c: with_join(c, (0, 2), (1, 3)), "join edge (1,3) does not link trees 0 and 2"),
+        ],
+        ids=["t", "empty-tree", "edge-leaves-tree", "edge-not-in-graph", "tree-disconnected",
+             "join-out-of-range", "join-between-other-trees"],
+    )
+    def test_each_clause_names_its_fault(self, k5_certificate, g, edit, message):
+        # K5's certificate at t=3, trees {0,1}, {2,3} and {4}, edited in one place
+        assert verify_certificate(g, edit(k5_certificate)) == message
+
     def test_named_tuple_edges_accepted(self, k5, k5_certificate):
         # any tuple of two ints is an edge, a caller's namedtuple too
         Edge = collections.namedtuple("Edge", "u v")
@@ -230,6 +266,29 @@ class TestJson:
         assert obj["trees"][0] == {"vertices": [0, 1], "edges": [[0, 1]]}
         assert obj["coloring"]["4"] == 1
         assert obj["joins"][0] == {"pair": [0, 1], "edge": [0, 2]}
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda obj: obj["coloring"].update({"01": obj["coloring"].pop("1")}), "coloring key '01' is not a vertex id"),
+            (lambda obj: obj["coloring"].update({"x": 1}), "invalid literal for int() with base 10: 'x'"),
+            (lambda obj: obj["coloring"].update({"4": 1.0}), "vertex color must be an integer, got 1.0"),
+            (lambda obj: obj["trees"][2]["vertices"].append(4), "a tree vertex is listed twice"),
+            (lambda obj: obj["trees"][0]["edges"].append([0, 1]), "a tree edge is listed twice"),
+            (lambda obj: obj["joins"].append(obj["joins"][0]), "join pair [0, 1] is listed twice"),
+            (lambda obj: obj.update(t="3"), "t must be an integer, got '3'"),
+        ],
+        ids=["key-not-a-vertex-id", "key-not-a-number", "float-color", "repeated-tree-vertex",
+             "repeated-tree-edge", "repeated-join-pair", "string-t"],
+    )
+    def test_each_clause_names_its_fault(self, k5_certificate, edit, message):
+        # K5's certificate at t=3 as JSON, edited in one place; GraphError is a
+        # ValueError, so every message comes under the one prefix
+        obj = certificate_to_json(k5_certificate)
+        edit(obj)
+        with pytest.raises(GraphError) as exc:
+            certificate_from_json(obj)
+        assert str(exc.value) == "malformed certificate JSON: " + message
 
     @pytest.mark.parametrize("obj", [{}, {"t": 3}, {"t": 3, "trees": [{"vertices": [0]}], "coloring": {}, "joins": []}])
     def test_malformed(self, obj):

@@ -313,6 +313,16 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "-i", graph_path, "--artifact", str(art_path))
         assert code == 2
 
+    @pytest.mark.parametrize("rows", [3, 5], ids=["short", "long"])
+    def test_coloring_must_cover_the_graph(self, tmp_path, capsys, k4, rows):
+        # K4's four vertices, one color row each, and one row missing or to spare
+        graph_path = write_graph(tmp_path, k4)
+        art_path = tmp_path / "coloring.json"
+        art_path.write_text(json.dumps({"t": 5, "colors": [[1 + v, 1] for v in range(rows)]}))
+        code, out, _ = run_cli(capsys, "verify", "-i", graph_path, "--artifact", str(art_path))
+        assert code == 2
+        assert json.loads(out) == {"accepted": False, "reason": f"coloring covers {rows} of 4 vertices"}
+
     @pytest.mark.parametrize(
         "graph, edit",
         [

@@ -27,6 +27,15 @@ from helpers import build_auxiliary_reference, outcome, verify_coloring_referenc
 Color = collections.namedtuple("Color", "hue side")
 
 
+class DistinctHue(int):
+    """An int equal only to itself: every copy is a color class of its own.
+    Plain ints in range make at most 2t-2 classes, so only such a type
+    reaches the verifier's color limit."""
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+
 def path_of_parts(earlier=({1}, {2})):
     """Three parts in a path of adjacencies: {0,1} - {2,3} - {4,5}; parts 2
     and 3 record `earlier` as given, by default their true records."""
@@ -324,6 +333,11 @@ NAMED_VERIFIER_CASES = [
         Graph(3, [(0, 1), (1, 2)]), {v: Color(1, 1 + v % 2) for v in range(3)}, 3,
         ColoringReport(colors_used=2, max_component=1, max_defect=0),
         id="namedtuple-colors",
+    ),
+    pytest.param(
+        Graph(5, []), {v: (DistinctHue(1), 1) for v in range(5)}, 3,
+        ColoringRejection("5 colors used, above the 2t-2 = 4 limit"),
+        id="above-2t-2-colors",
     ),
 ]
 

@@ -32,6 +32,7 @@ from helpers import (
     decompose_reference,
     decomposition_violation_reference,
     first_part,
+    full_recheck,
     is_connected_reference,
     load_workloads,
     maximal_bipartite_part_reference,
@@ -620,7 +621,7 @@ class TestDecompose:
     def test_outcome_invariants(self, t, g):
         outcome = decompose(g, t)
         if isinstance(outcome, Decomposition):
-            assert decomposition_violation(g, outcome) is None
+            assert full_recheck(g, outcome) is None
         else:
             assert len(outcome.adjacent_parts) >= t - 1
             for i, p in enumerate(outcome.adjacent_parts):
@@ -674,6 +675,9 @@ PREFIXES_1_AND_3_PARTS = TWO_COMPONENTS_PARTS + (split_part(6, {10}, ()),)
 # Without the edges between parts 1 and 2, the component {4,...,9} after
 # prefix 2 touches both: prefix 2 beats the two failures at prefix 3.
 PREFIXES_2_AND_3 = Graph(10, TWO_COMPONENTS_EDGES)
+PART_FAULTS = (
+    "part 1: not connected", "part 1: same-side component exceeds 1", "part 1: crossing subgraph disconnected",
+)
 
 
 @pytest.mark.parametrize(
@@ -759,7 +763,10 @@ PREFIXES_2_AND_3 = Graph(10, TWO_COMPONENTS_EDGES)
     ],
 )
 def test_tampered_decomposition_rejected(g, d, message):
-    assert decomposition_violation(g, d) == message
+    # a fault in a part's own guarantees is caught where decompose builds the
+    # part, so only the test-side part checks before the recheck report it
+    check = full_recheck if message in PART_FAULTS else decomposition_violation
+    assert check(g, d) == message
     assert decomposition_violation_reference(g, d) == message
 
 
@@ -843,7 +850,7 @@ class TestRecheckAgainstReference:
     def test_matches_reference(self, kind, rng):
         case = recheck_case(kind, rng)
         if case is not None:
-            assert decomposition_violation(*case) == decomposition_violation_reference(*case)
+            assert full_recheck(*case) == decomposition_violation_reference(*case)
 
     def test_sweep_reaches_every_prefix_message(self):
         reached = set()
@@ -852,7 +859,7 @@ class TestRecheckAgainstReference:
             if case is None:
                 continue
             expected = decomposition_violation_reference(*case)
-            assert decomposition_violation(*case) == expected, seed
+            assert full_recheck(*case) == expected, seed
             reached.add(expected and expected.split()[0])
         # None, then the side check, the part count and the part pair
         assert {None, "vertex", "a", "parts"} <= reached
@@ -871,7 +878,7 @@ class TestRecheckAgainstReference:
                 a = frozenset(v for v in vs if in_a[v])
                 parts.append(Part(len(parts) + 1, vs, a, vs - a))
         d = Decomposition(data.draw(st.integers(min_value=3, max_value=6)), with_records(g, parts))
-        assert decomposition_violation(g, d) == decomposition_violation_reference(g, d)
+        assert full_recheck(g, d) == decomposition_violation_reference(g, d)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_reference_on_larger_graphs(self, seed):
@@ -882,7 +889,7 @@ class TestRecheckAgainstReference:
             assert isinstance(d, Decomposition)
             for t in range(3, 7):
                 case = (g, Decomposition(t, d.parts), region)
-                assert decomposition_violation(*case) == decomposition_violation_reference(*case)
+                assert full_recheck(*case) == decomposition_violation_reference(*case)
 
 
 def flip_vertex(p, v):
@@ -937,7 +944,7 @@ class TestRecheckAtBenchmarkSize:
     def test_matches_reference(self, benchmark_size_decomposition, kind, message):
         g, d = benchmark_size_decomposition
         case = benchmark_size_case(d, kind)
-        assert decomposition_violation(g, case) == decomposition_violation_reference(g, case) == message
+        assert full_recheck(g, case) == decomposition_violation_reference(g, case) == message
 
     def test_grid_matches_reference(self):
         g = gen.grid(100, 100)
@@ -945,7 +952,7 @@ class TestRecheckAtBenchmarkSize:
         assert len(d.parts) == 1
         flipped = Decomposition(4, (flip_vertex(d.parts[0], 5050),))
         for case, message in ((d, None), (flipped, "part 1: same-side component exceeds 1")):
-            assert decomposition_violation(g, case) == decomposition_violation_reference(g, case) == message
+            assert full_recheck(g, case) == decomposition_violation_reference(g, case) == message
 
 
 def assert_records_match_reference(g, d):
@@ -956,15 +963,12 @@ def assert_records_match_reference(g, d):
         assert p.earlier == {q + 1 for q in aux.neighbors(pos) if q < pos}, p.index
 
 
-# the 100x100 grid's vertices by the parity of row + column
-GRID_SIDES = [[v for v in range(10**4) if (v // 100 + v % 100) % 2 == parity] for parity in (0, 1)]
-
-
 class TestRecheckOfSpannerParts:
     """decompose rechecks its parts without the part-local checks made where
-    each was built: refine_triple's per-move checks on part 1, the partition
-    check on a one-vertex part, build_spanner's triple_violation on the
-    rest. Every direct call makes them all."""
+    each was built: refine_triple's per-move checks or the 2-coloring walk
+    on part 1, the partition check on a one-vertex part, build_spanner's
+    triple_violation on the rest. The tests run those checks on every part
+    of every output, by full_recheck, before the recheck."""
 
     @pytest.mark.parametrize(
         "g, t, part, message",
@@ -981,35 +985,7 @@ class TestRecheckOfSpannerParts:
     )
     def test_bad_first_part_fails_the_recheck(self, g, t, part, message):
         d = Decomposition(t, (part, split_part(2, {g.n - 1}, (), earlier={1})))
-        assert decomposition_violation(g, d) == decomposition_violation_reference(g, d) == message
-
-    @pytest.mark.parametrize(
-        "g, parts",
-        [
-            # part 1 covers the grid, sides by the parity of row + column
-            (gen.grid(100, 100), (split_part(1, *GRID_SIDES),)),
-            # part 1 is the edge 0-1, and {2} sees both its sides
-            (gen.complete(3), (split_part(1, {0}, {1}), split_part(2, {2}, (), earlier={1}))),
-        ],
-        ids=["grid", "k3"],
-    )
-    def test_decompose_walks_no_part_again(self, monkeypatch, g, parts):
-        # the checks made where each part is built vouch for it, part 1 and
-        # one-vertex parts included, so the recheck makes no part-local walk
-        def walk(*args):
-            raise AssertionError("a part-local check ran in the recheck")
-
-        for name in ("cross_connected", "is_connected", "max_side_component"):
-            monkeypatch.setattr(decompose_module, name, walk)
-        assert decompose(g, 4) == Decomposition(4, parts)
-
-    def test_direct_call_checks_every_part(self):
-        # part 2 has the same-side edge 2-3: only decompose may vouch for it
-        d = Decomposition(3, (split_part(1, {0}, {1}), split_part(2, {2, 3}, ())))
-        assert decomposition_violation(PATH4, d) == "part 2: same-side component exceeds 1"
-        assert decomposition_violation_reference(PATH4, d) == "part 2: same-side component exceeds 1"
-        # vouched for, part 2 still faces the prefix checks: 2 sees side B of part 1 only
-        assert decomposition_violation(PATH4, d, spanner_checked=True) == "vertex 2 adjacent to part 1 misses a side"
+        assert full_recheck(g, d) == decomposition_violation_reference(g, d) == message
 
     @pytest.mark.parametrize(
         "parts, message",
@@ -1025,16 +1001,14 @@ class TestRecheckOfSpannerParts:
         ids=["index", "partition", "overlap", "cover"],
     )
     def test_vouched_parts_keep_the_other_checks(self, parts, message):
-        d = Decomposition(3, parts)
-        assert decomposition_violation(PATH4, d, spanner_checked=True) == message
-        assert decomposition_violation(PATH4, d) == message
+        assert decomposition_violation(PATH4, Decomposition(3, parts)) == message
 
     def test_benchmark_size_outputs_pass_the_full_recheck(self, benchmark_size_decomposition):
         g, d = benchmark_size_decomposition
-        assert decomposition_violation(g, d) is None
+        assert full_recheck(g, d) is None
         assert_records_match_reference(g, d)
         g = gen.grid(100, 100)
-        assert decomposition_violation(g, decompose(g, 4)) is None
+        assert full_recheck(g, decompose(g, 4)) is None
 
     def test_dense_outputs_pass_the_full_recheck(self):
         # the benchmark's dense batch: n in 80..160, p in 0.03..0.15, t 3..6;
@@ -1045,7 +1019,7 @@ class TestRecheckOfSpannerParts:
             g = gen.connected_gnp(rng.randint(80, 160), rng.uniform(0.03, 0.15), seed)
             d = decompose(g, 3 + seed % 4)
             if isinstance(d, Decomposition):
-                assert decomposition_violation(g, d) is None
+                assert full_recheck(g, d) is None
                 assert_records_match_reference(g, d)
                 completed += 1
         assert completed >= 20
@@ -1055,18 +1029,27 @@ class TestRecheckOfSpannerParts:
         g = gen.chain_components(sparse_gnp(10**5, 6 / (10**5 - 1)))
         d = decompose(g, 4)
         assert isinstance(d, Decomposition) and len(d.parts) > 1000
-        assert decomposition_violation(g, d) is None
+        assert full_recheck(g, d) is None
         assert_records_match_reference(g, d)
 
 
 class TestRecheckGuards:
     def test_out_of_range_vertex_in_a_part(self):
-        # PATH3 has no vertex 5; the first per-part walk meets it
+        # PATH3 has no vertex 5; the region's range check meets it
         d = Decomposition(3, (split_part(1, {0, 2, 5}, {1}),))
         with pytest.raises(GraphError) as exc:
             decomposition_violation(PATH3, d, {0, 1, 2, 5})
         assert str(exc.value) == "vertex 5 out of range for n=3"
         assert outcome(decomposition_violation_reference, PATH3, d, {0, 1, 2, 5}) == (GraphError, str(exc.value))
+
+    def test_negative_vertex_in_the_region(self):
+        # a negative id is refused, not read from the end of a neighbor table
+        d = Decomposition(3, (split_part(1, {0, 2, -1}, {1}),))
+        with pytest.raises(GraphError) as exc:
+            decomposition_violation(PATH3, d, {0, 1, 2, -1})
+        assert str(exc.value) == "vertex -1 out of range for n=3"
+        # with no region given, the region is every vertex, and such a part fails the cover check
+        assert decomposition_violation(PATH3, d) == "parts do not cover the region"
 
     @pytest.mark.parametrize("position", [0, 1, 2, 3])
     @pytest.mark.parametrize("t", [3, 4])

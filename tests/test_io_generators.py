@@ -299,13 +299,14 @@ class TestDimacs:
     @pytest.mark.parametrize(
         "text, message",
         [
-            ("p edge 30 1\ne 1 1_0\n", "bad edge line: '1 1_0'"),
-            ("p edge 3 1\ne 1 \u0662\n", "bad edge line: '1 \u0662'"),
-            ("p edge 3 1\ne \uff11 3\n", "bad edge line: '\uff11 3'"),
-            ("p edge 3_0 1\ne 1 2\n", "bad problem line: '3_0 1'"),
-            ("p edge \uff13 1\ne 1 2\n", "bad problem line: '\uff13 1'"),
+            ("p edge 30 1\ne 1 1_0\n", "bad edge line: 'e 1 1_0'"),
+            ("p edge 3 1\ne 1 \u0662\n", "bad edge line: 'e 1 \u0662'"),
+            ("p edge 3 1\ne \uff11 3\n", "bad edge line: 'e \uff11 3'"),
+            ("p edge 3_0 1\ne 1 2\n", "bad problem line: 'p edge 3_0 1'"),
+            ("p edge \uff13 1\ne 1 2\n", "bad problem line: 'p edge \uff13 1'"),
+            ("p edge 30 1\ne  1   1_0 \n", "bad edge line: 'e  1   1_0'"),
         ],
-        ids=["underscore", "arabic-indic-digit", "full-width-digit", "underscore-n", "full-width-n"],
+        ids=["underscore", "arabic-indic-digit", "full-width-digit", "underscore-n", "full-width-n", "as-written"],
     )
     def test_only_ascii_decimal_integers(self, text, message):
         with pytest.raises(GraphError) as exc:

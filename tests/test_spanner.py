@@ -286,7 +286,25 @@ class TestMinimumConnector:
             assert got == outcome(minimum_connector_reference, g, region, terms)
 
 
+# the path 0-1-2 and the edge 3-4, apart
+PATH_AND_EDGE = Graph(5, [(0, 1), (1, 2), (3, 4)])
+
+
 class TestBoundedBipartition:
+    @pytest.mark.parametrize(
+        "h_vertices, bound, message",
+        [
+            ({0, 1, 2}, 0, "bound must be >= 1"),
+            ((), 1, "h_vertices must be nonempty"),
+            ({0, 1, 3}, 1, "h_vertices does not induce a connected subgraph"),
+        ],
+        ids=["bound", "empty", "disconnected"],
+    )
+    def test_start_checks(self, h_vertices, bound, message):
+        with pytest.raises(GraphError) as exc:
+            bounded_bipartition(PATH_AND_EDGE, h_vertices, bound)
+        assert str(exc.value) == message
+
     def test_p3_parity_split(self):
         g = Graph(3, [(0, 1), (1, 2)])
         feasible = splits_within_bound(g, range(3), 1)
@@ -445,6 +463,24 @@ class TestRefine:
         req = SpannerRequest(g, frozenset(range(3)), frozenset({0}), 1)
         with pytest.raises(GraphError, match="bound"):
             refine_triple(req, Triple(frozenset(range(3)), frozenset(range(3)), frozenset(), 0))
+
+    @pytest.mark.parametrize(
+        "side_a, side_b, message",
+        [
+            ({0}, {0, 1}, "start sides do not partition H"),
+            ({1}, {2}, "start H must sit between terminals and component"),  # H misses terminal 0
+            ({0, 2}, {1, 3}, "start H must sit between terminals and component"),  # 3 is outside the region
+            ({0, 1}, (), "start violates the side-component bound"),
+        ],
+        ids=["partition", "terminal", "component", "bound"],
+    )
+    def test_start_checks(self, side_a, side_b, message):
+        # the region is the path 0-1-2 of PATH_AND_EDGE, with terminal 0 and bound 1
+        req = SpannerRequest(PATH_AND_EDGE, frozenset({0, 1, 2}), frozenset({0}), 1)
+        a, b = frozenset(side_a), frozenset(side_b)
+        with pytest.raises(GraphError) as exc:
+            refine_triple(req, Triple(a | b, a, b, 0))
+        assert str(exc.value) == message
 
 
 class TestOneStepMatchesTwoLoops:
