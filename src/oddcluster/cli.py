@@ -73,10 +73,9 @@ def run_color(g: Graph, t: int, on_move: OnMove | None = None) -> PipelineResult
     walking the rest, or else a verified coloring.
 
     Each component is found by one component_walk from its minimum vertex,
-    made only when the one before it has been decomposed, and that walk is
-    handed to decompose as the region, whose first part is read from it:
-    no component is walked twice to find it and its first part, and none is
-    range-checked or proved connected again.
+    made only when the one before it has been decomposed, and decompose
+    takes that walk, whose piece is its region and whose first part is read
+    from it: no component is walked twice.
 
     Hues are assigned per component, which is safe: no edges cross
     components, so color reuse cannot merge monochromatic pieces. The
@@ -89,7 +88,7 @@ def run_color(g: Graph, t: int, on_move: OnMove | None = None) -> PipelineResult
         raise GraphError("t must be >= 3")
     completed: list[Decomposition] = []
     for walk in component_walks(g):
-        outcome = decompose(g, t, on_move=on_move, walk=walk)
+        outcome = decompose(g, t, walk, on_move)
         if isinstance(outcome, StuckState):
             cert = extract_certificate(g, t, outcome)
             reason = verify_certificate(g, cert)

@@ -13,7 +13,7 @@ from collections import deque
 from itertools import combinations
 from typing import AbstractSet, Iterable, NamedTuple, Sequence, Union
 
-from .graph import Graph, GraphError, InvariantViolation, Walk, _checked_set, bfs, component_walk, touching
+from .graph import Graph, GraphError, InvariantViolation, Walk, _checked_set, bfs, touching
 from .spanner import OnMove, SpannerRequest, Triple, build_spanner, refine_triple
 
 
@@ -50,8 +50,8 @@ def maximal_bipartite_part(g: Graph, walk: Walk) -> Part:
     walk's piece until no adjacent vertex can join without creating an odd
     cycle.
 
-    `walk` is decompose's component_walk of the region from its minimum
-    vertex r. This is refine_triple's extend search for the one terminal r
+    `walk` is the component_walk decompose is given, from the minimum
+    vertex r of its piece. This is refine_triple's extend search for the one terminal r
     and bound 1, from H = A = {r}: a candidate whose neighbors in H all lie
     on one side joins the other. With one vertex in H no reconnect fires.
     Side A holds the root. refine_triple's checks vouch for the part: each
@@ -102,29 +102,15 @@ def pick_component(
     return comp, [parts[i] for i in sorted(set(map(owner.__getitem__, boundary)))]
 
 
-def decompose(
-    g: Graph,
-    t: int,
-    within: Iterable[int] | None = None,
-    on_move: OnMove | None = None,
-    *,
-    walk: Walk | None = None,
-) -> DecomposeOutcome:
-    """Build parts until the region is covered, or halt with a StuckState
-    when a component sees t-1 earlier parts.
+def decompose(g: Graph, t: int, walk: Walk, on_move: OnMove | None = None) -> DecomposeOutcome:
+    """Build parts until the piece of `walk` is covered, or halt with a
+    StuckState when a component sees t-1 earlier parts.
 
-    The region must induce a connected subgraph. decompose range-checks it
-    and walks it once, by component_walk from its minimum vertex, and hands
-    the walk to maximal_bipartite_part for part 1. The walk gives the root's
-    piece, so right after part 1 the region is refused unless that piece is
-    all of it: the check comes after part 1, so that a fault that part 1's
-    per-move checks catch is reported as theirs. With the region connected
-    and part 1 non-empty, every picked component touches a part, and
-    pick_component trusts the region's vertices.
-
-    `walk`, set by run_color alone, is the component_walk that found the
-    region, a whole component of g, from its minimum vertex; the region is
-    then its piece, `within` is not read, and the component is walked once.
+    `walk` is a component_walk from the minimum vertex of its piece, the
+    region; run_color hands over the one that found a component of g. The
+    piece is connected as walked, so every picked component touches a part,
+    and pick_component trusts its vertices. maximal_bipartite_part reads or
+    grows part 1 from the walk.
 
     A picked component of two or more vertices becomes build_spanner's part
     over k <= t-2 terminals, one per adjacent part: the least component
@@ -154,19 +140,9 @@ def decompose(
     """
     if t < 3:
         raise GraphError("t must be >= 3")
-    if walk is None:
-        pool = frozenset(range(g.n)) if within is None else _checked_set(g, within)
-        if not pool:
-            raise GraphError("empty region")
-        walk = component_walk(g, min(pool), pool)
-    else:
-        pool = walk.piece
-
     parts = [maximal_bipartite_part(g, walk)]
-    if len(walk.piece) != len(pool):
-        raise GraphError("region must induce a connected subgraph")
-    covered = len(parts[0].vertices) == len(pool)  # part 1 covers the region: no state to keep
-    uncovered = set() if covered else set(pool) - parts[0].vertices
+    covered = len(parts[0].vertices) == len(walk.piece)  # part 1 covers the region: no state to keep
+    uncovered = set() if covered else set(walk.piece) - parts[0].vertices
     owner = {} if covered else dict.fromkeys(parts[0].vertices, 0)
     pending = deque(sorted(uncovered))
     while uncovered:
@@ -190,7 +166,7 @@ def decompose(
         uncovered -= h
 
     result = Decomposition(t, tuple(parts))
-    reason = decomposition_violation(g, result, pool)
+    reason = decomposition_violation(g, result, walk.piece)
     if reason is not None:
         raise InvariantViolation(f"completed decomposition failed recheck: {reason}")
     return result

@@ -16,7 +16,8 @@ tree edges and depth parity, and `is_connected` is built on it.
 `component_walk` is the one walk that finds a component: a level at a
 time, it gives the root's piece and, when the piece is bipartite, its
 depth-parity split. `connected_components` lists the pieces of
-`component_walks`, and `run_color` hands each walk on to the first part.
+`component_walks`, and `run_color` hands each walk to `decompose`, which
+decomposes its piece and reads part 1 from it.
 `touching` is the one scan for the vertices with a neighbor in a set.
 `spanner.cross_bfs(host, H, A, B)` walks side-crossing edges only, from min(H).
 """

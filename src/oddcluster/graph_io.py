@@ -56,15 +56,15 @@ def _read_lines(text: str) -> Graph:
     head = lines[0].split()
     if len(head) != 2:
         raise GraphError(f"bad header {lines[0]!r}, expected 'n m'")
-    n, m = _int_pair(head, "header", " ".join(head))
+    n, m = _int_pair(head, "header", lines[0])
     if len(lines) - 1 != m:
         raise GraphError(f"expected {m} edge lines, found {len(lines) - 1}")
     edges = []
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 2:
-            raise GraphError(f"bad edge line {ln!r}")
-        edges.append(_int_pair(parts, "edge", " ".join(parts)))
+            raise GraphError(f"bad edge line: {ln!r}")
+        edges.append(_int_pair(parts, "edge", ln))
     return Graph(n, edges)
 
 

@@ -59,10 +59,10 @@ them:
   outputs to: `part_fault_reference` on every part, then
   `decomposition_violation`, which leaves each part's local guarantees to
   the step that built it;
-* `decompose_reference`: decompose while it proved the region connected
-  lazily, by a raise on a pick with no adjacent part and a walk of every
-  leftover piece of a stuck run, before the region's one walk proved it
-  right after part 1;
+* `decompose_reference`: decompose while it took a vertex set as its
+  region and proved it connected lazily, by a raise on a pick with no
+  adjacent part and a walk of every leftover piece of a stuck run, before
+  it took the walk of a connected piece;
 * `parts_adjacent_reference`: the graph scan that tested two parts for
   adjacency, which decompose ran on every pair of a picked component's
   adjacent parts before each part recorded its earlier neighbors;
@@ -89,12 +89,12 @@ maximal_bipartite_part finds by its 2-coloring walk, without the growth;
 and `decompose_reference`, which calls the pipeline's pick, spanner and
 recheck, so that only decompose's own steps differ; and
 `refine_triple_two_loops`, which calls the pipeline's crossing walk and
-counts, so that only the shape of the move loop differs. `first_part` runs
-maximal_bipartite_part on a region as decompose does, on the walk of the
-region from its minimum vertex: the tests reach the function only through
-it. `load_workloads` loads the benchmark's input generator from
-`perfbench/workloads.py`, and `spanner_requests` records every request
-decompose sends build_spanner.
+counts, so that only the shape of the move loop differs. `region_walk`
+walks a region from its minimum vertex, the walk decompose takes, and
+`first_part` runs maximal_bipartite_part on that walk as decompose does:
+the tests reach the function only through it. `load_workloads` loads the
+benchmark's input generator from `perfbench/workloads.py`, and
+`spanner_requests` records every request decompose sends build_spanner.
 """
 
 from __future__ import annotations
@@ -311,14 +311,22 @@ def bipartite_growth(g: Graph, within: Iterable[int] | None = None) -> Part:
     return Part(1, grown.h_vertices, grown.side_a, grown.side_b)
 
 
+def region_walk(g: Graph, region: Iterable[int] | None = None) -> Walk:
+    """component_walk of the region (all of g when None) from its minimum
+    vertex: the walk to hand decompose. Its piece is the region when the
+    region is connected, else the region's piece holding that vertex."""
+    pool = None if region is None else frozenset(region)
+    return component_walk(g, min(range(g.n) if pool is None else pool), pool)
+
+
 def first_part(g: Graph, within: Iterable[int] | None = None) -> Part:
-    """maximal_bipartite_part on the walk decompose makes of the region (all
-    of g when None): range-checked, refused when empty, walked from its
-    minimum vertex."""
+    """maximal_bipartite_part on the region's walk (all of g when None), as
+    decompose runs it: range-checked and refused when empty, as
+    maximal_bipartite_part_reference refuses it."""
     pool = frozenset(range(g.n)) if within is None else _checked_set(g, within)
     if not pool:
         raise GraphError("empty region")
-    return maximal_bipartite_part(g, component_walk(g, min(pool), pool))
+    return maximal_bipartite_part(g, region_walk(g, pool))
 
 
 @contextmanager
@@ -376,13 +384,16 @@ def graph_reference(n: int, edges: Iterable[Edge] = ()) -> Graph:
     return g
 
 
-def _int_pair_reference(parts: list[str], context: str) -> Edge:
+def _int_pair_reference(line: str, context: str) -> Edge:
+    """The two numbers of a stripped line of two tokens; a bad one is
+    reported by the line as written."""
+    parts = line.split()
     try:
-        if not all(re.fullmatch("[+-]?[0-9]+", tok) for tok in parts[:2]):
+        if not all(re.fullmatch("[+-]?[0-9]+", tok) for tok in parts):
             raise ValueError(parts)
         return int(parts[0]), int(parts[1])
     except ValueError as exc:
-        raise GraphError(f"bad {context} line: {' '.join(parts)!r}") from exc
+        raise GraphError(f"bad {context} line: {line!r}") from exc
 
 
 def read_edgelist_reference(text: str) -> Graph:
@@ -395,15 +406,14 @@ def read_edgelist_reference(text: str) -> Graph:
     head = lines[0].split()
     if len(head) != 2:
         raise GraphError(f"bad header {lines[0]!r}, expected 'n m'")
-    n, m = _int_pair_reference(head, "header")
+    n, m = _int_pair_reference(lines[0], "header")
     if len(lines) - 1 != m:
         raise GraphError(f"expected {m} edge lines, found {len(lines) - 1}")
     edges = []
     for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise GraphError(f"bad edge line {ln!r}")
-        edges.append(_int_pair_reference(parts, "edge"))
+        if len(ln.split()) != 2:
+            raise GraphError(f"bad edge line: {ln!r}")
+        edges.append(_int_pair_reference(ln, "edge"))
     return graph_reference(n, edges)
 
 
@@ -1112,18 +1122,13 @@ def with_records(g: Graph, parts: Iterable[Part]) -> tuple[Part, ...]:
 
 
 def decompose_reference(
-    g: Graph,
-    t: int,
-    within: Iterable[int] | None = None,
-    on_move: OnMove | None = None,
-    *,
-    walk: Walk | None = None,
+    g: Graph, t: int, within: Iterable[int] | None = None, on_move: OnMove | None = None
 ) -> DecomposeOutcome:
-    """decompose as it was while it proved the region connected lazily: a
-    pick with no adjacent part raised, and a stuck run walked every piece of
-    the uncovered vertices outside its component for one that touches no
-    part. Its code is copied as it was, but for part 1, which a region with
-    no walk takes from first_part, the old `within` path of
+    """decompose as it was while it took a region and proved it connected
+    lazily: a pick with no adjacent part raised, and a stuck run walked
+    every piece of the uncovered vertices outside its component for one
+    that touches no part. Its code is copied as it was, but for part 1,
+    which it takes from first_part, the old `within` path of
     maximal_bipartite_part."""
     if t < 3:
         raise GraphError("t must be >= 3")
@@ -1132,7 +1137,7 @@ def decompose_reference(
         raise GraphError("empty region")
     disconnected = "region must induce a connected subgraph"
 
-    parts = [first_part(g, pool) if walk is None else maximal_bipartite_part(g, walk)]  # its two old paths
+    parts = [first_part(g, pool)]
     covered = len(parts[0].vertices) == len(pool)  # part 1 covers the region: no state to keep
     uncovered = set() if covered else set(pool) - parts[0].vertices
     owner = {} if covered else dict.fromkeys(parts[0].vertices, 0)

@@ -25,7 +25,7 @@ from oddcluster.decompose import StuckState, decompose
 from oddcluster.graph import Graph, InvariantViolation
 from oddcluster.spanner import minimum_connector
 
-from helpers import full_recheck
+from helpers import full_recheck, region_walk
 from oracle import OracleBudget, has_odd_expansion, min_connector_bruteforce
 
 N_RANDOM = 500
@@ -186,7 +186,7 @@ def test_criterion_5_worked_traces_reproduce():
     failures = []
 
     k5 = gen.complete(5)
-    stuck = decompose(k5, 3)
+    stuck = decompose(k5, 3, region_walk(k5))
     if not isinstance(stuck, StuckState):
         failures.append("K5 t=3 did not get stuck")
     elif [sorted(p.vertices) for p in stuck.parts] != [[0, 1], [2, 3]]:

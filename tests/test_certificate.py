@@ -19,6 +19,7 @@ from conftest import connected_graphs
 from helpers import (
     OddClosedWalk,
     bipartition_or_odd_cycle,
+    region_walk,
     spanning_tree_reference,
     tree_depth_parity_reference,
 )
@@ -80,7 +81,7 @@ K5_WITHOUT_23 = Graph(5, [e for e in K5.edges() if e != (2, 3)])
 
 @pytest.fixture
 def k5_certificate(k5):
-    stuck = decompose(k5, 3)
+    stuck = decompose(k5, 3, region_walk(k5))
     assert isinstance(stuck, StuckState)
     return extract_certificate(k5, 3, stuck)
 
@@ -97,13 +98,13 @@ class TestExtraction:
         assert verify_certificate(k5, cert) is None
 
     def test_too_few_parts_rejected(self, k5):
-        stuck = decompose(k5, 3)
+        stuck = decompose(k5, 3, region_walk(k5))
         with pytest.raises(GraphError, match="adjacent parts"):
             extract_certificate(k5, 4, stuck)
 
     def test_part_without_spanning_crossing_edges_rejected(self, k5):
         # part 1 is {0,1}; with both vertices on side A no edge of it crosses
-        stuck = decompose(k5, 3)
+        stuck = decompose(k5, 3, region_walk(k5))
         first = stuck.adjacent_parts[0]
         assert first == Part(1, frozenset({0, 1}), frozenset({0}), frozenset({1}))
         bad = first._replace(side_a=first.vertices, side_b=frozenset())
@@ -115,7 +116,8 @@ class TestExtraction:
         # K5 plus a vertex 5 on 0..3 but not on 4: the parts of K5 stay
         # adjacent to {4, 5}, which is not connected
         g = Graph(6, complete(5).edges() + [(v, 5) for v in range(4)])
-        stuck = decompose(complete(5), 3)._replace(component=frozenset({4, 5}))
+        k5 = complete(5)
+        stuck = decompose(k5, 3, region_walk(k5))._replace(component=frozenset({4, 5}))
         with pytest.raises(GraphError, match="the stuck component is not connected"):
             extract_certificate(g, 3, stuck)
 
@@ -134,7 +136,7 @@ class TestExtraction:
         # K5's parts {0,1} and {2,3} and component {4}, read against K5 less some edges
         g = Graph(5, sorted(set(k5.edges()) - set(removed)))
         with pytest.raises(GraphError) as exc:
-            extract_certificate(g, 3, decompose(k5, 3))
+            extract_certificate(g, 3, decompose(k5, 3, region_walk(k5)))
         assert str(exc.value) == message
 
 
@@ -301,7 +303,7 @@ class TestRoundTripProperty:
     @given(g=STUCK_GRAPHS)
     @settings(max_examples=120, deadline=None)
     def test_every_extracted_certificate_verifies(self, t, g):
-        outcome = decompose(g, t)
+        outcome = decompose(g, t, region_walk(g))
         if isinstance(outcome, StuckState):
             cert = extract_certificate(g, t, outcome)
             assert verify_certificate(g, cert) is None
@@ -315,7 +317,7 @@ class TestRoundTripProperty:
         # tree must be what extraction built before it used graph.bfs.
         edges = [(u + 4, v + 4) for u, v in tail.edges()]
         g = Graph(tail.n + 4, complete(5).edges() + edges)
-        outcome = decompose(g, 3)
+        outcome = decompose(g, 3, region_walk(g))
         assert outcome.component == frozenset(range(4, g.n))
         cert = extract_certificate(g, 3, outcome)
         tree = spanning_tree_reference(g, outcome.component)
@@ -329,7 +331,7 @@ class TestRoundTripProperty:
     @given(g=st.one_of(STUCK_GRAPHS, dense_gnp()))
     @settings(max_examples=60, deadline=None)
     def test_part_trees_match_reference(self, t, g):
-        outcome = decompose(g, t)
+        outcome = decompose(g, t, region_walk(g))
         if isinstance(outcome, StuckState):
             assert_part_trees_match_reference(g, t, outcome)
 
@@ -338,7 +340,7 @@ class TestRoundTripProperty:
         for seed in range(60):
             g = gnp(10 + seed % 9, 0.5 + (seed % 5) / 10, seed)
             t = 3 + seed % 3
-            outcome = decompose(g, t)
+            outcome = decompose(g, t, region_walk(g))
             if isinstance(outcome, StuckState):
                 stuck += 1
                 assert_part_trees_match_reference(g, t, outcome)
@@ -347,7 +349,7 @@ class TestRoundTripProperty:
     @given(STUCK_GRAPHS)
     @settings(max_examples=120, deadline=None)
     def test_accepted_t3_certificate_implies_odd_cycle(self, g):
-        outcome = decompose(g, 3)
+        outcome = decompose(g, 3, region_walk(g))
         if isinstance(outcome, StuckState):
             cert = extract_certificate(g, 3, outcome)
             assert verify_certificate(g, cert) is None

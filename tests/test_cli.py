@@ -16,7 +16,7 @@ from oddcluster.graph import MAX_VERTICES, Graph, GraphError, InvariantViolation
 from oddcluster.graph_io import format_edgelist, load_graph
 from oddcluster import generators as gen
 
-from helpers import format_dimacs
+from helpers import format_dimacs, region_walk
 
 graph_module = importlib.import_module("oddcluster.graph")
 decompose_module = importlib.import_module("oddcluster.decompose")  # the package exports a function of that name
@@ -90,9 +90,9 @@ class TestColor:
         g = Graph(8, k5.edges() + [(5, 6), (6, 7)])
         calls = []
 
-        def counted_decompose(*args, **kwargs):
-            calls.append(kwargs["walk"].piece)  # the region run_color hands over
-            return decompose(*args, **kwargs)
+        def counted_decompose(g, t, walk, on_move=None):
+            calls.append(walk.piece)  # the region run_color hands over
+            return decompose(g, t, walk, on_move)
 
         monkeypatch.setattr(cli, "decompose", counted_decompose)
         result = run_color(g, 3)
@@ -119,7 +119,6 @@ class TestColor:
             monkeypatch.setattr(module, name, lambda *a, **kw: log.append(key(*a)) or real(*a, **kw))
 
         counting(graph_module, "component_walk", walks, lambda g, root, within=None: root)
-        counting(decompose_module, "component_walk", walks, lambda g, root, within=None: root)
         counting(decompose_module, "refine_triple", growths, lambda req, start: req.component)
         counting(spanner_module, "refine_triple", spanned, lambda req, start: req.component)
         result = run_color(g, 3)
@@ -132,10 +131,10 @@ class TestColor:
         assert all(comp.isdisjoint(bipartite) for comp in growths + spanned)
         assert result.exit_code == (3 if stuck else 0)
 
-        def unhanded(g, t, on_move=None, *, walk):  # decompose walks each component itself
-            return decompose(g, t, walk.piece, on_move)
+        def rewalked(g, t, walk, on_move=None):  # each component walked again, as a region
+            return decompose(g, t, region_walk(g, walk.piece), on_move)
 
-        monkeypatch.setattr(cli, "decompose", unhanded)
+        monkeypatch.setattr(cli, "decompose", rewalked)
         expected = run_color(g, 3)
         assert handed == [expected.payload, expected.decompositions, expected.certificate]
 

@@ -22,7 +22,7 @@ from oddcluster.graph import Graph, GraphError
 from oddcluster import generators as gen
 
 from conftest import connected_graphs, graphs
-from helpers import build_auxiliary_reference, outcome, verify_coloring_reference, with_records
+from helpers import build_auxiliary_reference, outcome, region_walk, verify_coloring_reference, with_records
 
 Color = collections.namedtuple("Color", "hue side")
 
@@ -50,12 +50,12 @@ def path_of_parts(earlier=({1}, {2})):
 
 class TestAuxiliary:
     def test_single_part_is_edgeless(self, c6):
-        d = decompose(c6, 3)
+        d = decompose(c6, 3, region_walk(c6))
         aux = build_auxiliary(d)
         assert aux.n == 1 and aux.m == 0
 
     def test_k4_two_adjacent_parts(self, k4):
-        d = decompose(k4, 3)
+        d = decompose(k4, 3, region_walk(k4))
         aux = build_auxiliary(d)
         assert aux.n == 2 and aux.edges() == [(0, 1)]
 
@@ -86,7 +86,7 @@ class TestPartHues:
 
 class TestProductColoring:
     def test_k4(self, k4):
-        d = decompose(k4, 3)
+        d = decompose(k4, 3, region_walk(k4))
         hues = color_parts(build_auxiliary(d), 3)
         coloring = product_coloring(d, hues)
         assert coloring.colors == {0: (1, 1), 1: (1, 2), 2: (2, 1), 3: (2, 2)}
@@ -94,14 +94,14 @@ class TestProductColoring:
         assert report == ColoringReport(colors_used=4, max_component=1, max_defect=0)
 
     def test_c6_uses_two_colors(self, c6):
-        d = decompose(c6, 3)
+        d = decompose(c6, 3, region_walk(c6))
         hues = color_parts(build_auxiliary(d), 3)
         coloring = product_coloring(d, hues)
         assert set(coloring.colors.values()) == {(1, 1), (1, 2)}
 
     def test_single_vertex(self):
         g = Graph(1, [])
-        d = decompose(g, 3)
+        d = decompose(g, 3, region_walk(g))
         coloring = product_coloring(d, {1: 1})
         assert coloring.colors == {0: (1, 1)}
 
@@ -140,7 +140,7 @@ class TestPipelineProperty:
     @settings(max_examples=80, deadline=None)
     def test_completed_decompositions_always_verify(self, t, g):
         # the coloring bounds hold for every completed run, stuck or not being possible
-        outcome = decompose(g, t)
+        outcome = decompose(g, t, region_walk(g))
         if not isinstance(outcome, Decomposition):
             return
         hues = color_parts(build_auxiliary(outcome), t)
@@ -153,7 +153,7 @@ class TestPipelineProperty:
     @given(connected_graphs(max_n=16))
     @settings(max_examples=60, deadline=None)
     def test_monochromatic_components_stay_inside_one_side(self, g):
-        outcome = decompose(g, 4)
+        outcome = decompose(g, 4, region_walk(g))
         if not isinstance(outcome, Decomposition):
             return
         hues = color_parts(build_auxiliary(outcome), 4)
@@ -180,7 +180,7 @@ class TestPipelineProperty:
 
 class TestJson:
     def test_round_trip(self, k4):
-        d = decompose(k4, 3)
+        d = decompose(k4, 3, region_walk(k4))
         coloring = product_coloring(d, color_parts(build_auxiliary(d), 3))
         obj = coloring_to_json(coloring, 4)
         assert obj == {"t": 3, "colors": [[1, 1], [1, 2], [2, 1], [2, 2]]}
@@ -203,7 +203,7 @@ class TestAuxiliaryAgainstReference:
     @given(g=connected_graphs(max_n=20))
     @settings(max_examples=60, deadline=None)
     def test_matches_reference_on_decompositions(self, t, g):
-        result = decompose(g, t)
+        result = decompose(g, t, region_walk(g))
         if isinstance(result, Decomposition):
             # rechecked at a smaller t too, where a part may see too many earlier ones
             for t2 in range(3, t + 1):
@@ -232,7 +232,7 @@ def tampered_coloring(rng):
     n = rng.randint(1, 24)
     g = gen.connected_gnp(n, rng.uniform(0.05, 0.5), rng.randrange(10**6))
     t = rng.randint(2, 6)
-    result = decompose(g, max(t, 3))
+    result = decompose(g, max(t, 3), region_walk(g))
     if isinstance(result, Decomposition) and rng.random() < 0.5:
         d = Decomposition(max(t, 3), result.parts)
         colors = dict(product_coloring(d, color_parts(build_auxiliary(d), d.t)).colors)
@@ -351,7 +351,7 @@ class TestVerifierNamedCases:
 
     def test_grid_coloring_and_a_tampered_copy(self):
         g = gen.grid(100, 100)
-        d = decompose(g, 4)
+        d = decompose(g, 4, region_walk(g))
         coloring = product_coloring(d, color_parts(build_auxiliary(d), 4))
         expected = ColoringReport(colors_used=2, max_component=1, max_defect=0)
         assert verify_coloring(g, coloring, 4) == verify_coloring_reference(g, coloring, 4) == expected

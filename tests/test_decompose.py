@@ -5,7 +5,7 @@ import time
 from collections import deque
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oddcluster.decompose import (
@@ -33,13 +33,13 @@ from helpers import (
     decomposition_violation_reference,
     first_part,
     full_recheck,
-    is_connected_reference,
     load_workloads,
     maximal_bipartite_part_reference,
     outcome,
     parts_adjacent_reference,
     pick_component_reference,
     random_tree,
+    region_walk,
     spanner_general_path,
     spanner_requests,
     sparse_gnp,
@@ -218,7 +218,7 @@ class TestMaximalBipartitePart:
                 return nbrs if v == faulty else super().neighbors(v)
 
         g = Faulty(host.n, host.edges())
-        for call in (first_part, lambda g: decompose(g, 4), lambda g: run_color(g, 4)):
+        for call in (first_part, lambda g: decompose(g, 4, region_walk(g)), lambda g: run_color(g, 4)):
             with pytest.raises(InvariantViolation) as exc:
                 call(g)
             assert str(exc.value) == message
@@ -244,7 +244,7 @@ class TestMaximalBipartitePart:
         real = decompose_module.pick_component
         monkeypatch.setattr(decompose_module, "pick_component", lambda *args: picks.append(args) or real(*args))
         for t in (3, 4, 6):
-            assert decompose(g, t, part.vertices) == Decomposition(t, (part,))
+            assert decompose(g, t, region_walk(g, part.vertices)) == Decomposition(t, (part,))
         assert picks == []
 
     def test_odd_cycle_runs_the_growth(self, monkeypatch):
@@ -300,7 +300,7 @@ class TestPickComponent:
     @settings(max_examples=60, deadline=None)
     def test_matches_reference_on_decomposition_prefixes(self, t, g):
         with spanner_requests() as sent:
-            parts = decompose(g, t).parts
+            parts = decompose(g, t, region_walk(g)).parts
         check_requests(g, parts, sent)
         for k in range(1, len(parts) + 1):
             prefix = parts[:k]
@@ -314,7 +314,7 @@ class TestPickComponent:
         sub = frozenset(bfs(g, 0, frozenset(v for v in range(g.n) if rng.random() < 0.7) | {0}))
         for pool in (None, sub):
             with spanner_requests() as sent:
-                parts = decompose(g, 3 + seed, pool).parts
+                parts = decompose(g, 3 + seed, region_walk(g, pool)).parts
             check_requests(g, parts, sent, pool)
             for k in range(1, len(parts) + 1):
                 prefix = parts[:k]
@@ -342,11 +342,11 @@ def test_one_vertex_components_on_benchmark_inputs(monkeypatch, name, singles):
     made = 0
     for text, t in load_workloads().build(name, 0):
         g = read_edgelist(text)
-        for comp in connected_components(g):
+        for walk in component_walks(g):
             picked.clear()
             with spanner_requests() as sent:
-                outcome = decompose(g, t, comp)
-            check_requests(g, outcome.parts, sent, comp)
+                outcome = decompose(g, t, walk)
+            check_requests(g, outcome.parts, sent, walk.piece)
             singles_made = [p for p in outcome.parts[1:] if len(p.vertices) == 1]
             for p in singles_made:
                 assert p.vertices <= picked
@@ -369,43 +369,25 @@ def test_terminals_scanned_only_for_spanner_parts(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(decompose_module, "touching", counted)
-    outcome = decompose(gen.complete(6), 3)
+    k6 = gen.complete(6)
+    outcome = decompose(k6, 3, region_walk(k6))
     assert isinstance(outcome, StuckState) and outcome.component == frozenset({4, 5})
     assert [p.vertices for p in outcome.parts] == [frozenset({0, 1}), frozenset({2, 3})]
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize(
-    "call",
-    [
-        lambda g: decompose(g, 3, {-1, 0}),
-        lambda g: decompose(g, 3, {0, 6}),
-    ],
-    # maximal_bipartite_part and pick_component trust the region, which decompose checks once
-    ids=["decompose-negative", "decompose-too-large"],
-)
-def test_out_of_range_region_rejected(c6, call):
-    with pytest.raises(GraphError, match="out of range"):
-        call(c6)
-
-
-def test_out_of_range_region_message(c6):
-    with pytest.raises(GraphError) as exc:
-        decompose(c6, 3, {0, 1, 7})
-    assert str(exc.value) == "vertex 7 out of range for n=6"
-
-
-# The walk that gives part 1 proves the region connected, so a disconnected
-# region is refused right after part 1, however the run would have gone on.
+# Disconnected regions: the region's walk from its minimum vertex reaches
+# only that vertex's piece, and decompose runs on that piece alone.
 DISCONNECTED_REGIONS = [
     pytest.param(
-        # triangle {0, 2, 3}: part 1 is {0, 2}, and the stray vertex 1 is the
-        # minimum uncovered vertex, which has no adjacent part
+        # the triangle {0, 2, 3} and the stray edge 1-4: the walk from 0
+        # reaches the triangle only, covered by the parts {0, 2} and {3}
         Graph(5, [(0, 2), (0, 3), (2, 3), (1, 4)]), 3, None,
         id="stray-piece-picked-first",
     ),
     pytest.param(
-        # K5 would get stuck at t=3 on {4} before the stray edge 5-6 is reached
+        # K5 and the stray edge 5-6: the walk from 0 reaches K5 only, which
+        # gets stuck at t=3 on {4}
         Graph(7, [*gen.complete(5).edges(), (5, 6)]), 3, None,
         id="root-piece-stuck-first",
     ),
@@ -415,12 +397,6 @@ DISCONNECTED_REGIONS = [
         id="root-piece-stuck-first-in-a-sub-region",
     ),
 ]
-
-
-@pytest.mark.parametrize("g, t, within", DISCONNECTED_REGIONS)
-def test_disconnected_region_rejected(g, t, within):
-    with pytest.raises(GraphError, match="connected"):
-        decompose(g, t, within)
 
 
 # K5 gets stuck at t=3 on {4} after the parts {0,1} and {2,3}. Two other
@@ -453,35 +429,26 @@ def k5_and_thousands_of_pieces():
     return Graph(n, [*gen.complete(5).edges(), *((v, u) for u in range(5, n) for v in (0, 1))])
 
 
+def for_each_region(cases):
+    """A Hypothesis @example(case=(g, within)) for each (g, ..., within) case."""
+    def add(test):
+        for p in cases:
+            test = example(case=(p.values[0], p.values[-1]))(test)
+        return test
+    return add
+
+
 class TestStuckRegionWalk:
     """A stuck run walks none of the uncovered vertices outside its
-    component: the region's one walk, before part 1, proved them connected."""
+    component: its region is the piece of the walk it is given, connected as
+    walked."""
 
     @pytest.mark.parametrize("g, within", PIECES_THAT_TOUCH_PARTS)
     def test_pieces_that_touch_parts_keep_the_stuck_state(self, g, within):
-        stuck = decompose(g, 3, within)
+        stuck = decompose(g, 3, region_walk(g, within))
         assert isinstance(stuck, StuckState)
         assert [sorted(p.vertices) for p in stuck.parts] == [[0, 1], [2, 3]]
         assert 4 in stuck.component and [p.index for p in stuck.adjacent_parts] == [1, 2]
-
-    @pytest.mark.parametrize("g, within", A_PIECE_THAT_TOUCHES_NO_PART)
-    def test_a_piece_that_touches_no_part_is_refused(self, g, within):
-        with pytest.raises(GraphError) as exc:
-            decompose(g, 3, within)
-        assert str(exc.value) == "region must induce a connected subgraph"
-
-    @pytest.mark.parametrize(
-        "g, t, within",
-        DISCONNECTED_REGIONS + at_t3(A_PIECE_THAT_TOUCHES_NO_PART, "k5-"),
-    )
-    def test_a_disconnected_region_is_refused_before_any_pick(self, monkeypatch, g, t, within):
-        picks = []
-        real = decompose_module.pick_component
-        monkeypatch.setattr(decompose_module, "pick_component", lambda *args: picks.append(args) or real(*args))
-        with pytest.raises(GraphError) as exc:
-            decompose(g, t, within)
-        assert str(exc.value) == "region must induce a connected subgraph"
-        assert picks == []
 
     @pytest.mark.parametrize(
         "g, within",
@@ -502,24 +469,31 @@ class TestStuckRegionWalk:
             return real(*args)
 
         monkeypatch.setattr(decompose_module, "bfs", traced)
-        assert isinstance(decompose(g, 3, within), StuckState)
+        assert isinstance(decompose(g, 3, region_walk(g, within)), StuckState)
         assert callers and set(callers) == {"pick_component"}
 
     @pytest.mark.parametrize("t", [3, 4, 5])
     @given(case=graphs_with_pools())
+    @for_each_region(DISCONNECTED_REGIONS + A_PIECE_THAT_TOUCHES_NO_PART)
     @settings(max_examples=200, deadline=None)
-    def test_refused_exactly_when_the_region_is_disconnected(self, t, case):
+    def test_a_region_is_decomposed_inside_its_walk(self, t, case):
+        # connected or not: a completed run covers exactly the piece of the
+        # region's walk from its minimum vertex, and a stuck one stops inside it
         g, pool = case
-        region = range(g.n) if pool is None else pool
-        if not region:
+        if pool is not None and not pool:  # an empty region has no walk
             return
-        refused = outcome(decompose, g, t, pool) == (GraphError, "region must induce a connected subgraph")
-        assert refused == (not is_connected_reference(g, region))
+        walk = region_walk(g, pool)
+        result = decompose(g, t, walk)
+        covered = frozenset().union(*(p.vertices for p in result.parts))
+        if isinstance(result, Decomposition):
+            assert covered == walk.piece
+        else:
+            assert covered.isdisjoint(result.component) and covered | result.component <= walk.piece
 
     def test_thousands_of_pieces_take_one_walk(self):
-        # The walk of the region before part 1 visits each vertex once, and
-        # the stuck run walks none of the 20,000 leftover pieces, so the run
-        # takes a few component walks of the graph; a walk that copied the
+        # The walk of the region visits each vertex once, and the stuck run
+        # walks none of the 20,000 leftover pieces, so the walk and the run
+        # take a few component walks of the graph; a walk that copied the
         # rest of the uncovered vertices once per piece would take about 150.
         g = k5_and_thousands_of_pieces()
 
@@ -531,7 +505,7 @@ class TestStuckRegionWalk:
                 times.append(time.perf_counter() - start)
             return out, min(times)
 
-        stuck, run = best_of_3(decompose, g, 3)
+        stuck, run = best_of_3(lambda g: decompose(g, 3, region_walk(g)), g)
         _, walk = best_of_3(connected_components, g)
         assert isinstance(stuck, StuckState) and stuck.component == {4}
         assert [sorted(p.vertices) for p in stuck.parts] == [[0, 1], [2, 3]]
@@ -539,18 +513,19 @@ class TestStuckRegionWalk:
 
 
 class TestDecomposeAgainstReference:
-    """decompose against decompose_reference, the version that proved the
-    region connected lazily: the same result or the same error, message
-    included. They differ by design only where a spanner error could fire
-    on a disconnected region before the lazy proof refused it, which needs
-    t >= 15 (terminal budget) or a bug."""
+    """decompose on a region's walk against decompose_reference, the version
+    that took the region and proved it connected lazily, on the walk's
+    piece: the same result or the same error, message included."""
 
     @pytest.mark.parametrize("t", [3, 4, 5, 6])
     @given(case=graphs_with_pools())
     @settings(max_examples=150, deadline=None)
     def test_random_regions(self, t, case):
         g, pool = case
-        assert outcome(decompose, g, t, pool) == outcome(decompose_reference, g, t, pool)
+        if pool is not None and not pool:  # an empty region has no walk
+            return
+        walk = region_walk(g, pool)
+        assert outcome(decompose, g, t, walk) == outcome(decompose_reference, g, t, walk.piece)
 
     @pytest.mark.parametrize(
         "g, t, within",
@@ -559,28 +534,29 @@ class TestDecomposeAgainstReference:
         + at_t3(A_PIECE_THAT_TOUCHES_NO_PART, "k5-refused-"),
     )
     def test_hand_built_regions(self, g, t, within):
-        assert outcome(decompose, g, t, within) == outcome(decompose_reference, g, t, within)
+        walk = region_walk(g, within)
+        assert outcome(decompose, g, t, walk) == outcome(decompose_reference, g, t, walk.piece)
 
     @pytest.mark.parametrize("seed", [0, 13])
     def test_every_dense_batch_component(self, seed):
-        # each component by itself, as a region and as run_color hands it over
+        # each component by itself, walked as a region and as run_color hands it over
         for text, t in load_workloads().build("dense_batch", seed):
             g = read_edgelist(text)
             for walk in component_walks(g):
                 expected = outcome(decompose_reference, g, t, walk.piece)
-                assert outcome(decompose, g, t, walk.piece) == expected
-                assert outcome(decompose, g, t, walk=walk) == expected
+                assert outcome(decompose, g, t, region_walk(g, walk.piece)) == expected
+                assert outcome(decompose, g, t, walk) == expected
 
 
 class TestDecompose:
     def test_c6_single_part(self, c6):
-        outcome = decompose(c6, 3)
+        outcome = decompose(c6, 3, region_walk(c6))
         assert isinstance(outcome, Decomposition)
         assert len(outcome.parts) == 1
         assert outcome.parts[0].vertices == frozenset(range(6))
 
     def test_k5_gets_stuck(self, k5):
-        outcome = decompose(k5, 3)
+        outcome = decompose(k5, 3, region_walk(k5))
         assert isinstance(outcome, StuckState)
         assert [sorted(p.vertices) for p in outcome.parts] == [[0, 1], [2, 3]]
         assert outcome.component == frozenset({4})
@@ -588,7 +564,7 @@ class TestDecompose:
 
     def test_k4_completes_without_certifying_anything(self, k4):
         # completion never claims the graph is odd-minor free
-        outcome = decompose(k4, 3)
+        outcome = decompose(k4, 3, region_walk(k4))
         assert isinstance(outcome, Decomposition)
         assert [sorted(p.vertices) for p in outcome.parts] == [[0, 1], [2, 3]]
 
@@ -596,19 +572,15 @@ class TestDecompose:
         # parts built without records: the stuck component {3, 4} sees parts 1 and 2 as apart
         monkeypatch.setattr(decompose_module, "Part", lambda *fields: Part(*fields[:4]))
         with pytest.raises(InvariantViolation) as exc:
-            decompose(k5, 3)
+            decompose(k5, 3, region_walk(k5))
         assert str(exc.value) == "adjacent parts 1 and 2 are not pairwise adjacent"
 
     def test_small_t_rejected(self, c6):
         with pytest.raises(GraphError):
-            decompose(c6, 2)
-
-    def test_disconnected_rejected(self):
-        with pytest.raises(GraphError, match="connected"):
-            decompose(Graph(4, [(0, 1), (2, 3)]), 3)
+            decompose(c6, 2, region_walk(c6))
 
     def test_region_restriction(self, k5):
-        outcome = decompose(k5, 4, within={2, 3, 4})
+        outcome = decompose(k5, 4, region_walk(k5, {2, 3, 4}))
         assert isinstance(outcome, Decomposition)
         covered = set()
         for p in outcome.parts:
@@ -619,7 +591,7 @@ class TestDecompose:
     @given(g=connected_graphs(max_n=20))
     @settings(max_examples=80, deadline=None)
     def test_outcome_invariants(self, t, g):
-        outcome = decompose(g, t)
+        outcome = decompose(g, t, region_walk(g))
         if isinstance(outcome, Decomposition):
             assert full_recheck(g, outcome) is None
         else:
@@ -636,7 +608,7 @@ class TestDecompose:
     def test_connected_bipartite_always_one_part(self, g):
         if isinstance(bipartition_or_odd_cycle(g, range(g.n)), OddClosedWalk):
             return
-        outcome = decompose(g, 3)
+        outcome = decompose(g, 3, region_walk(g))
         assert isinstance(outcome, Decomposition)
         assert len(outcome.parts) == 1
 
@@ -830,7 +802,7 @@ def recheck_case(kind, rng):
         parts = carve_bipartite_pieces(g, range(g.n) if region is None else region, rng)
         return g, Decomposition(rng.randint(3, 6), parts), region
     t = rng.randint(3, 6)
-    d = decompose(g, t, within=region)
+    d = decompose(g, t, region_walk(g, region))
     if not isinstance(d, Decomposition):
         return None
     t, parts = rng.randint(3, t), d.parts
@@ -885,7 +857,7 @@ class TestRecheckAgainstReference:
         rng = random.Random(seed)
         g = gen.connected_gnp(150, rng.uniform(0.02, 0.06), seed)
         for region in (None, connected_subregion(g, rng)):
-            d = decompose(g, 6, within=region)
+            d = decompose(g, 6, region_walk(g, region))
             assert isinstance(d, Decomposition)
             for t in range(3, 7):
                 case = (g, Decomposition(t, d.parts), region)
@@ -903,7 +875,7 @@ def flip_vertex(p, v):
 def benchmark_size_decomposition():
     """The size of the benchmark's sparse_gnp workload: n=3000, average degree 6, t=4."""
     g = gen.connected_gnp(3000, 6 / 2999, 0)
-    d = decompose(g, 4)
+    d = decompose(g, 4, region_walk(g))
     assert isinstance(d, Decomposition) and len(d.parts) > 100
     return g, d
 
@@ -948,7 +920,7 @@ class TestRecheckAtBenchmarkSize:
 
     def test_grid_matches_reference(self):
         g = gen.grid(100, 100)
-        d = decompose(g, 4)
+        d = decompose(g, 4, region_walk(g))
         assert len(d.parts) == 1
         flipped = Decomposition(4, (flip_vertex(d.parts[0], 5050),))
         for case, message in ((d, None), (flipped, "part 1: same-side component exceeds 1")):
@@ -1008,7 +980,7 @@ class TestRecheckOfSpannerParts:
         assert full_recheck(g, d) is None
         assert_records_match_reference(g, d)
         g = gen.grid(100, 100)
-        assert full_recheck(g, decompose(g, 4)) is None
+        assert full_recheck(g, decompose(g, 4, region_walk(g))) is None
 
     def test_dense_outputs_pass_the_full_recheck(self):
         # the benchmark's dense batch: n in 80..160, p in 0.03..0.15, t 3..6;
@@ -1017,7 +989,7 @@ class TestRecheckOfSpannerParts:
         for seed in range(80):
             rng = random.Random(seed)
             g = gen.connected_gnp(rng.randint(80, 160), rng.uniform(0.03, 0.15), seed)
-            d = decompose(g, 3 + seed % 4)
+            d = decompose(g, 3 + seed % 4, region_walk(g))
             if isinstance(d, Decomposition):
                 assert full_recheck(g, d) is None
                 assert_records_match_reference(g, d)
@@ -1027,7 +999,7 @@ class TestRecheckOfSpannerParts:
     @pytest.mark.slow
     def test_records_match_reference_at_scale(self):
         g = gen.chain_components(sparse_gnp(10**5, 6 / (10**5 - 1)))
-        d = decompose(g, 4)
+        d = decompose(g, 4, region_walk(g))
         assert isinstance(d, Decomposition) and len(d.parts) > 1000
         assert full_recheck(g, d) is None
         assert_records_match_reference(g, d)
@@ -1069,6 +1041,6 @@ class TestRecheckGuards:
 
 
 def test_json_round_trip(k4):
-    d = decompose(k4, 3)
+    d = decompose(k4, 3, region_walk(k4))
     obj = decomposition_to_json(d)
     assert obj["parts"][0]["H"] == [0, 1]

@@ -8,8 +8,12 @@ benchmark hashes.
 Every benchmark graph is connected, so the disconnected inputs below pin the
 per-component path by their own recorded hashes: many small components (many
 of them isolated vertices), and bipartite components with a K5 among them.
+
+On the same inputs, run_color must leave no cyclic garbage, so that a run
+with the cyclic collector disabled frees all it allocates.
 """
 
+import gc
 import hashlib
 import json
 from pathlib import Path
@@ -100,3 +104,28 @@ def test_verbose_stdout(tmp_path, capsys):
     out = capsys.readouterr().out
     assert len(json.loads(out)["decompositions"]) == 132
     assert sha256(out) == "70d6716363b2afd9008e7a6f9f911c6b4d5f93838d0c32568358fa090788c529"
+
+
+def test_runs_leave_no_cyclic_garbage():
+    # the seed-0 requests and the disconnected G(n,p) inputs: 402 + 12 runs.
+    # The payload is not dumped: json.dumps(indent=2) leaves its encoder's
+    # closures in cycles on every call.
+    inputs = [
+        (read_edgelist(text), t)
+        for name in sorted(GOLDEN["workloads"])
+        for text, t in load_workloads().build(name, GOLDEN["seed"])
+    ]
+    inputs += [(gen.gnp(300, 0.004, seed), t) for seed, t in sorted(GNP_PAYLOADS)]
+    assert len(inputs) == 414
+    gc.collect()
+    gc.freeze()  # each collection below then walks only what the runs made
+    gc.disable()
+    left = []
+    try:
+        for g, t in inputs:
+            run_color(g, t)
+            left.append(gc.collect())
+    finally:
+        gc.enable()
+        gc.unfreeze()
+    assert left == [0] * len(inputs)

@@ -59,12 +59,31 @@ class TestEdgelist:
             ("3_0 1\n0 1\n", "bad header line: '3_0 1'"),
             ("\uff13 1\n0 1\n", "bad header line: '\uff13 1'"),
             ("3 1\n+0 _1\n", "bad edge line: '+0 _1'"),
+            ("3 1\n0\t1_0\n", "bad edge line: '0\\t1_0'"),
+            ("3 1\r\n 0  1_0 \r\n", "bad edge line: '0  1_0'"),
+            ("3_0\t1\n0 1\n", "bad header line: '3_0\\t1'"),
         ],
         ids=["underscore", "underscore-crlf", "arabic-indic-digit", "full-width-digit", "underscore-n",
-             "full-width-n", "leading-underscore"],
+             "full-width-n", "leading-underscore", "tab", "spaces-crlf", "tab-n"],
     )
     def test_only_ascii_decimal_integers(self, text, message):
-        # int() reads each of these tokens; the format takes digits after an optional sign
+        # int() reads each of these tokens; the format takes digits after an
+        # optional sign. The bad line is quoted stripped but as written, as
+        # DIMACS quotes it: tabs and runs of spaces are kept
+        with pytest.raises(GraphError) as exc:
+            read_edgelist(text)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("3 1\n0  1 2\n", "bad edge line: '0  1 2'"),
+            ("3 1\r\n0\t1\t2\r\n", "bad edge line: '0\\t1\\t2'"),
+            ("3 1\n0\n", "bad edge line: '0'"),
+        ],
+        ids=["three-tokens", "three-tokens-tabs-crlf", "one-token"],
+    )
+    def test_wrong_token_count_quotes_the_line(self, text, message):
         with pytest.raises(GraphError) as exc:
             read_edgelist(text)
         assert str(exc.value) == message

@@ -11,6 +11,11 @@ bound ceil((t-2)/2) on every part and the reference recheck. A bipartite
 graph must be colored at t=3. The part checks passing on every part that
 decompose builds is what lets its recheck take them from the step that
 built each part.
+
+The spanner's connector program is held to the same corpus: on every
+connected labeled graph on 2 to 5 vertices, for every set of two or more
+terminals, it returns the reference program's set, of the brute-force
+oracle's size.
 """
 
 from collections import Counter
@@ -21,16 +26,18 @@ import pytest
 from oddcluster.cli import run_color
 from oddcluster.coloring import ColoringReport
 from oddcluster.graph import Graph
+from oddcluster.spanner import minimum_connector
 
 from helpers import (
     OddClosedWalk,
     bipartition_or_odd_cycle,
     connected_components_reference,
     decomposition_violation_reference,
+    minimum_connector_reference,
     part_fault_reference,
     verify_coloring_reference,
 )
-from oracle import OracleBudget, has_odd_expansion
+from oracle import OracleBudget, has_odd_expansion, min_connector_bruteforce
 
 T_VALUES = (3, 4, 5, 6)
 
@@ -85,3 +92,19 @@ def test_every_graph_on_up_to_five_vertices():
 def test_every_graph_on_six_vertices():
     # 2^15 graphs, four values of t each: 131,072 runs
     assert sweep([6]) == {0: 130456, 3: 616}
+
+
+@pytest.mark.slow
+def test_every_connector_on_up_to_five_vertices():
+    # 1, 4, 38 and 728 connected graphs on 2 to 5 vertices, with 1, 4, 11
+    # and 26 terminal sets each: 19,363 calls
+    calls = 0
+    for n in range(2, 6):
+        for g in (g for g in labeled_graphs(n) if len(connected_components_reference(g)) == 1):
+            for k in range(2, n + 1):
+                for terms in combinations(range(n), k):
+                    got = minimum_connector(g, range(n), terms)
+                    assert got == minimum_connector_reference(g, range(n), terms), (g.edges(), terms)
+                    assert len(got) == len(min_connector_bruteforce(g, terms)), (g.edges(), terms)
+                    calls += 1
+    assert calls == 19363

@@ -17,7 +17,7 @@ from oddcluster import generators as gen
 from oddcluster.certificate import OddExpansionCertificate
 from oddcluster.cli import PipelineResult, main, run_color
 from oddcluster.coloring import ClusteredColoring, ColoringRejection, ColoringReport
-from oddcluster.decompose import Decomposition, Part, StuckState
+from oddcluster.decompose import Decomposition, Part, StuckState, decompose
 from oddcluster.graph import Graph, TreeSubgraph
 from oddcluster.graph_io import format_edgelist
 from oddcluster.spanner import MoveEvent, SpannerRequest, Triple
@@ -46,6 +46,13 @@ def test_traced_functions_resolve():
 
 def test_run_color_takes_on_move():
     assert "on_move" in inspect.signature(run_color).parameters
+
+
+def test_decompose_takes_a_walk():
+    # the walk is the one way to name the region: there is no vertex-set entry
+    params = inspect.signature(decompose).parameters
+    assert list(params) == ["g", "t", "walk", "on_move"]
+    assert params["walk"].default is inspect.Parameter.empty
 
 
 def test_decompose_is_the_submodule():
