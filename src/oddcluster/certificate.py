@@ -202,7 +202,7 @@ def certificate_from_json(obj: dict) -> OddExpansionCertificate:
     """Parse the certificate format; every vertex, color, index and t must be
     a JSON integer and every edge or pair exactly two of them, and no tree
     vertex, tree edge or join pair may be listed twice; anything else raises
-    GraphError."""
+    GraphError, a wrong shape as "malformed certificate JSON: <reason>"."""
     try:
         trees = tuple(
             TreeSubgraph(
@@ -224,6 +224,8 @@ def certificate_from_json(obj: dict) -> OddExpansionCertificate:
                 raise GraphError(f"join pair {list(pair)} is listed twice")
             joins[pair] = json_pair(entry["edge"], "join edge")
         return OddExpansionCertificate(json_int(obj["t"], "t"), trees, coloring, joins)
+    except GraphError:  # names its own fault
+        raise
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise GraphError(f"malformed certificate JSON: {exc}") from exc
 

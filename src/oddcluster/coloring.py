@@ -151,10 +151,12 @@ def coloring_to_json(coloring: ClusteredColoring, n: int) -> dict:
 
 
 def coloring_from_json(obj: dict) -> ClusteredColoring:
-    """Parse the coloring format; every number must be a JSON integer and
-    every row a [hue, side] pair, anything else raises GraphError."""
+    """Parse the coloring format; every number must be a JSON integer and every row a
+    [hue, side] pair, else GraphError, a wrong shape as "malformed coloring JSON: ..."."""
     try:
         colors = {v: json_pair(row, f"color of vertex {v}") for v, row in enumerate(obj["colors"])}
         return ClusteredColoring(json_int(obj["t"], "t"), colors)
+    except GraphError:  # names its own fault
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise GraphError(f"malformed coloring JSON: {exc}") from exc

@@ -203,8 +203,10 @@ def component_walk(g: Graph, root: int, within: AbstractSet[int] | None = None) 
     reached vertex of the other parity: the edge it was reached by. A
     neighbor tuple that lists none is a bug, raised as the growth's extend
     check would raise it, and the growth, fed the same tuples, checks any
-    other fault.
+    other fault. A root outside `within` raises GraphError.
     """
+    if within is not None and root not in within:
+        raise GraphError(f"root {root} is not in the region")
     mine, other = {root}, set()  # reached vertices: the current level's parity, the other one
     level: AbstractSet[int] = mine
     while level:

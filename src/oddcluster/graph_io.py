@@ -14,12 +14,11 @@ _DIGITS = str.maketrans("", "", "0123456789")
 
 
 def _int_pair(parts: list[str], context: str, line: str) -> Edge:
-    """Two ASCII integers: `int()` alone also takes `_` and non-ASCII digits. A bad
-    one is reported by `line`, the text it was read from."""
-    pair = parts[0] + parts[1]
+    """The two ASCII integers that are `parts`: `int()` alone also takes `_` and non-ASCII
+    digits. A wrong token count or a bad one is reported by `line`, the text they came from."""
     try:
-        if not pair.isascii() or "_" in pair:
-            raise ValueError(pair)
+        if len(parts) != 2 or not (pair := parts[0] + parts[1]).isascii() or "_" in pair:
+            raise ValueError(line)
         return int(parts[0]), int(parts[1])
     except ValueError as exc:
         raise GraphError(f"bad {context} line: {line!r}") from exc
@@ -53,18 +52,12 @@ def _read_lines(text: str) -> Graph:
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines:
         raise GraphError("empty edge-list input")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise GraphError(f"bad header {lines[0]!r}, expected 'n m'")
-    n, m = _int_pair(head, "header", lines[0])
+    n, m = _int_pair(lines[0].split(), "header", lines[0])
     if len(lines) - 1 != m:
         raise GraphError(f"expected {m} edge lines, found {len(lines) - 1}")
     edges = []
     for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise GraphError(f"bad edge line: {ln!r}")
-        edges.append(_int_pair(parts, "edge", ln))
+        edges.append(_int_pair(ln.split(), "edge", ln))
     return Graph(n, edges)
 
 
@@ -76,7 +69,7 @@ def format_edgelist(g: Graph) -> str:
 
 def read_dimacs(text: str) -> Graph:
     """Parse DIMACS: one "p edge n m" header plus "e u v" lines (1-based). Every
-    bad line is reported as written: a bad number by its "p" or "e" line, and
+    bad line is reported as written: a bad token count or number by its "p" or "e" line, and
     the first edge out of range, a loop or a repeat, in file order, by its
     "e u v" line."""
     n = None
@@ -89,15 +82,13 @@ def read_dimacs(text: str) -> Graph:
         parts = line.split()
         if parts[0] == "p":
             if len(parts) != 4 or parts[1] not in ("edge", "col"):
-                raise GraphError(f"bad problem line {line!r}")
+                raise GraphError(f"bad problem line: {line!r}")
             if n is not None:
                 raise GraphError(f"repeated problem line {line!r}")
             n, m = _int_pair(parts[2:], "problem", line)
         elif parts[0] == "e":
             if n is None:
                 raise GraphError("edge line before problem line")
-            if len(parts) != 3:
-                raise GraphError(f"bad edge line {line!r}")
             u, v = _int_pair(parts[1:], "edge", line)
             ends += u - 1, v - 1
         else:

@@ -11,8 +11,8 @@ of V(H) into sides A and B such that:
      and a neighbor in B.
 
 The construction is connector + feasible split + local search. Each local
-move strictly increases the number of crossing edges, which bounds the
-number of moves by the region's induced edge count.
+move strictly increases the number of crossing edges, and those lie inside
+H, which bounds the number of moves by the edges inside H.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ class MoveEvent(NamedTuple):
     cross_before: int
     cross_after: int
     move_index: int  # 1-based within one refinement
-    edge_cap: int  # induced edge count of the region; hard move limit
+    edge_cap: int  # edges inside H after the move; cross_after never exceeds it
 
 OnMove = Callable[[MoveEvent], None]
 
@@ -335,19 +335,13 @@ def refine_triple(req: SpannerRequest, start: Triple, on_move: OnMove | None = N
     one pass that queues its other region neighbors.
 
     After either move the step runs the only copy of the checks, with no
-    call per move: a gain of at least 1, at most `cap` moves (the region's
-    induced edge count), the side bound (for an extend, in O(deg v): no
-    neighbor on the new side), and only then the `on_move` event. A failed
-    check raises InvariantViolation.
-
-    That move cap is counted lazily, and the check stays exact. The edges
-    inside H are a lower bound on it, since H stays inside the region, and
-    they are known at no cost: an extended vertex brings exactly its gain
-    in edges into H, and a reconnect leaves H alone. While the move count
-    stays within that bound, it is within the cap too. The region's edges
-    are counted, once, only when a MoveEvent needs the cap or the move
-    count passes the bound. A correct run never passes it: every move adds
-    a crossing edge, and crossing edges lie inside H.
+    call per move: a gain of at least 1, no more crossing edges than edges
+    inside H, the side bound (for an extend, in O(deg v): no neighbor on the
+    new side), and only then the `on_move` event. A failed check raises
+    InvariantViolation. The edges inside H are known at no cost: an
+    extended vertex brings exactly its gain in edges into H, and a
+    reconnect leaves H alone. Since every move adds a crossing edge, they
+    bound the move count too.
     """
     g = req.host
     h = set(start.h_vertices)
@@ -360,8 +354,7 @@ def refine_triple(req: SpannerRequest, start: Triple, on_move: OnMove | None = N
     if max_side_component(g, a) > req.bound or max_side_component(g, b) > req.bound:
         raise GraphError("start violates the side-component bound")
 
-    inner = induced_edge_count(g, h)  # edges inside H: a lower bound on the cap
-    cap: int | None = None  # the region's induced edge count, once counted
+    inner = induced_edge_count(g, h)  # edges inside H
     cross = count_cross_edges(g, a, b)
     moves = 0
     region = req.component  # a local: it is read once per neighbor
@@ -405,14 +398,12 @@ def refine_triple(req: SpannerRequest, start: Triple, on_move: OnMove | None = N
         moves += 1
         if gain < 1:
             raise InvariantViolation("move failed to increase crossing edges")
-        if cap is None and (moves > inner or on_move is not None):
-            cap = induced_edge_count(g, region)
-        if cap is not None and moves > cap:
-            raise InvariantViolation("move count exceeded the region's edge count")
+        if cross + gain > inner:
+            raise InvariantViolation("crossing edges exceeded the edges inside H")
         if broken:
             raise InvariantViolation("move broke the side-component bound")
         if on_move is not None:
-            on_move(MoveEvent(kind, cross, cross + gain, moves, cap))
+            on_move(MoveEvent(kind, cross, cross + gain, moves, inner))
         cross += gain
     return Triple(frozenset(h), frozenset(a), frozenset(b), cross)
 

@@ -405,7 +405,7 @@ def read_edgelist_reference(text: str) -> Graph:
         raise GraphError("empty edge-list input")
     head = lines[0].split()
     if len(head) != 2:
-        raise GraphError(f"bad header {lines[0]!r}, expected 'n m'")
+        raise GraphError(f"bad header line: {lines[0]!r}")
     n, m = _int_pair_reference(lines[0], "header")
     if len(lines) - 1 != m:
         raise GraphError(f"expected {m} edge lines, found {len(lines) - 1}")
@@ -767,7 +767,8 @@ def spanner_general_path(req: SpannerRequest, on_move: OnMove | None = None) -> 
 
 def refine_triple_reference(req: SpannerRequest, start: Triple, on_move: OnMove | None = None) -> Triple:
     """Apply the two improving moves until neither fires, rechecking the
-    crossing-edge count and both side bounds from scratch after every move."""
+    crossing-edge count, the edges inside H and both side bounds from
+    scratch after every move."""
     g = req.host
     h = set(start.h_vertices)
     a = set(start.side_a)
@@ -779,7 +780,6 @@ def refine_triple_reference(req: SpannerRequest, start: Triple, on_move: OnMove 
     if max(max_side_component_reference(g, a), max_side_component_reference(g, b)) > req.bound:
         raise GraphError("start violates the side-component bound")
 
-    cap = induced_edge_count(g, req.component)
     cross = count_cross_edges(g, a, b)
     moves = 0
     while True:
@@ -814,12 +814,13 @@ def refine_triple_reference(req: SpannerRequest, start: Triple, on_move: OnMove 
         new_cross = count_cross_edges(g, a, b)
         if new_cross <= cross:
             raise InvariantViolation("move failed to increase crossing edges")
-        if moves > cap:
-            raise InvariantViolation("move count exceeded the region's edge count")
+        inner = induced_edge_count(g, h)
+        if new_cross > inner:
+            raise InvariantViolation("crossing edges exceeded the edges inside H")
         if max(max_side_component_reference(g, a), max_side_component_reference(g, b)) > req.bound:
             raise InvariantViolation("move broke the side-component bound")
         if on_move is not None:
-            on_move(MoveEvent(kind, cross, new_cross, moves, cap))
+            on_move(MoveEvent(kind, cross, new_cross, moves, inner))
         cross = new_cross
     return Triple(frozenset(h), frozenset(a), frozenset(b), cross)
 
@@ -837,17 +838,11 @@ def refine_triple_two_loops(req: SpannerRequest, start: Triple, on_move: OnMove 
     (else side B) joins that side; all its edges into H become crossing.
 
     Both moves strictly increase the crossing-edge count and preserve the
-    side-component bound, so the loop ends within the region's induced edge
-    count. Violations of either fact raise InvariantViolation.
-
-    That move cap is counted lazily, and the check stays exact. The edges
-    inside H are a lower bound on it, since H stays inside the region, and
-    they are known at no cost: an extended vertex brings exactly its gain
-    in edges into H, and a reconnect leaves H alone. While the move count
-    stays within that bound, it is within the cap too. The region's edges
-    are counted, once, only when a MoveEvent needs the cap or the move
-    count passes the bound. A correct run never passes it: every move adds
-    a crossing edge, and crossing edges lie inside H.
+    side-component bound, and crossing edges lie inside H, so the loop ends
+    within the edges inside H. Violations of any of these facts raise
+    InvariantViolation. The edges inside H are known at no cost: an extended
+    vertex brings exactly its gain in edges into H, and a reconnect leaves
+    H alone.
 
     Reconnects run first and recount crossing edges and side components
     from scratch. Extends keep the crossing subgraph connected, so once it
@@ -858,12 +853,13 @@ def refine_triple_two_loops(req: SpannerRequest, start: Triple, on_move: OnMove 
     neighbor on its new side, so it is a singleton there and the crossing
     count rises by its number of neighbors in H, counted in the one pass
     that queues its other region neighbors. The per-move checks test these
-    facts in O(deg v): no neighbor on the new side, a gain of at least 1, at
-    most `cap` moves.
+    facts in O(deg v): no neighbor on the new side, a gain of at least 1, no
+    more crossing edges than edges inside H.
 
     Each loop checks its own moves in its body, with no call per move, in
-    one order: a gain of at least 1, the move cap, the side bound (for an
-    extend, no neighbor on the new side), and only then the `on_move` event.
+    one order: a gain of at least 1, the crossing edges against the edges
+    inside H, the side bound (for an extend, no neighbor on the new side),
+    and only then the `on_move` event.
     """
     g = req.host
     h = set(start.h_vertices)
@@ -876,8 +872,7 @@ def refine_triple_two_loops(req: SpannerRequest, start: Triple, on_move: OnMove 
     if max_side_component(g, a) > req.bound or max_side_component(g, b) > req.bound:
         raise GraphError("start violates the side-component bound")
 
-    inner = induced_edge_count(g, h)  # edges inside H: a lower bound on the cap
-    cap: int | None = None  # the region's induced edge count, once counted
+    inner = induced_edge_count(g, h)  # edges inside H
     cross = count_cross_edges(g, a, b)
     moves = 0
 
@@ -890,14 +885,12 @@ def refine_triple_two_loops(req: SpannerRequest, start: Triple, on_move: OnMove 
         moves += 1
         if new_cross <= cross:
             raise InvariantViolation("move failed to increase crossing edges")
-        if cap is None and (moves > inner or on_move is not None):
-            cap = induced_edge_count(g, req.component)
-        if cap is not None and moves > cap:
-            raise InvariantViolation("move count exceeded the region's edge count")
+        if new_cross > inner:
+            raise InvariantViolation("crossing edges exceeded the edges inside H")
         if not bound_holds:
             raise InvariantViolation("move broke the side-component bound")
         if on_move is not None:
-            on_move(MoveEvent("reconnect", cross, new_cross, moves, cap))
+            on_move(MoveEvent("reconnect", cross, new_cross, moves, inner))
         cross = new_cross
 
     region = req.component  # a local: it is read once per neighbor
@@ -925,14 +918,12 @@ def refine_triple_two_loops(req: SpannerRequest, start: Triple, on_move: OnMove 
         moves += 1
         if gain < 1:
             raise InvariantViolation("move failed to increase crossing edges")
-        if cap is None and (moves > inner or on_move is not None):
-            cap = induced_edge_count(g, region)
-        if cap is not None and moves > cap:
-            raise InvariantViolation("move count exceeded the region's edge count")
+        if cross + gain > inner:
+            raise InvariantViolation("crossing edges exceeded the edges inside H")
         if not side.isdisjoint(nbrs):
             raise InvariantViolation("move broke the side-component bound")
         if on_move is not None:
-            on_move(MoveEvent("extend", cross, cross + gain, moves, cap))
+            on_move(MoveEvent("extend", cross, cross + gain, moves, inner))
         cross += gain
     return Triple(frozenset(h), frozenset(a), frozenset(b), cross)
 

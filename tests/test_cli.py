@@ -323,16 +323,17 @@ class TestVerify:
         assert json.loads(out) == {"accepted": False, "reason": f"coloring covers {rows} of 4 vertices"}
 
     @pytest.mark.parametrize(
-        "graph, edit",
+        "graph, edit, message",
         [
-            ("k4", set_entry(("colors", 1), [1.9, 2.7])),
-            ("k4", set_entry(("colors", 0), [True, "1"])),
-            ("k4", set_entry(("colors", 3), [2, 2, 7])),
-            ("k5", set_entry(("trees", 0, "edges", 0), [0, 1, 99])),
-            ("k5", set_entry(("joins", 0, "edge"), [0, 2, "junk"])),
-            ("k6", duplicate_first_join),
-            ("k6", repeat_tree_vertices),
-            ("k6", repeat_tree_edge),
+            ("k4", set_entry(("colors", 1), [1.9, 2.7]), "color of vertex 1 must be an integer, got 1.9"),
+            ("k4", set_entry(("colors", 0), [True, "1"]), "color of vertex 0 must be an integer, got True"),
+            ("k4", set_entry(("colors", 3), [2, 2, 7]), "color of vertex 3 must be a pair of integers, got [2, 2, 7]"),
+            ("k5", set_entry(("trees", 0, "edges", 0), [0, 1, 99]), "tree edge must be a pair of integers, got [0, 1, 99]"),
+            ("k5", set_entry(("joins", 0, "edge"), [0, 2, "junk"]),
+             "join edge must be a pair of integers, got [0, 2, 'junk']"),
+            ("k6", duplicate_first_join, "join pair [0, 1] is listed twice"),
+            ("k6", repeat_tree_vertices, "a tree vertex is listed twice"),
+            ("k6", repeat_tree_edge, "a tree edge is listed twice"),
         ],
         ids=[
             "float-hue-side",
@@ -345,7 +346,7 @@ class TestVerify:
             "duplicate-tree-edge",
         ],
     )
-    def test_non_integer_or_long_entry_rejected(self, tmp_path, capsys, request, graph, edit):
+    def test_non_integer_or_long_entry_rejected(self, tmp_path, capsys, request, graph, edit, message):
         g = gen.complete(6) if graph == "k6" else request.getfixturevalue(graph)
         artifact = run_color(g, 3).artifact
         edit(artifact)
@@ -353,7 +354,7 @@ class TestVerify:
         art_path.write_text(json.dumps(artifact))
         code, out, err = run_cli(capsys, "verify", "-i", write_graph(tmp_path, g), "--artifact", str(art_path))
         assert code == 1 and out == ""
-        assert "malformed" in err
+        assert err == f"error: {message}\n"
 
     def test_repeated_key_rejected(self, tmp_path, capsys, k5):
         # with the last key winning, this certificate would verify

@@ -186,6 +186,24 @@ class TestJson:
         assert obj == {"t": 3, "colors": [[1, 1], [1, 2], [2, 1], [2, 2]]}
         assert coloring_from_json(obj) == coloring
 
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            ({"t": 3, "colors": [[1, 1.5]]}, "color of vertex 0 must be an integer, got 1.5"),
+            ({"t": 3, "colors": [[1, 1], 7]}, "color of vertex 1 must be a pair of integers, got 7"),
+            ({"t": True, "colors": []}, "t must be an integer, got True"),
+            ({"colors": [[1, 1]]}, "malformed coloring JSON: 't'"),
+            ({"t": 3, "colors": 7}, "malformed coloring JSON: 'int' object is not iterable"),
+        ],
+        ids=["float-side", "bare-number-row", "bool-t", "no-t", "colors-not-a-list"],
+    )
+    def test_each_fault_named(self, obj, message):
+        # a fault the parser names comes out as written, and only a malformed
+        # shape under the prefix
+        with pytest.raises(GraphError) as exc:
+            coloring_from_json(obj)
+        assert str(exc.value) == message
+
     def test_uncolored_vertex_rejected(self):
         coloring = ClusteredColoring(3, {0: (1, 1), 2: (1, 2)})
         with pytest.raises(GraphError) as exc:

@@ -21,6 +21,7 @@ from oddcluster.graph import (
     touching,
 )
 from oddcluster import generators as gen
+from oddcluster.decompose import decompose
 from oddcluster.graph_io import read_edgelist
 from oddcluster.spanner import cross_bfs
 
@@ -393,6 +394,14 @@ class TestComponentWalk:
         region = frozenset(region)
         for root in sorted(region)[:3]:  # the region's minimum, and roots above it
             check_walk(g, component_walk(g, root, region), root, region)
+
+    def test_root_outside_the_region_is_refused(self):
+        # on C6 the walk from 5 would reach 0 and widen the region {0, 1}:
+        # decompose would make the one part {0, 1, 5}
+        g = gen.cycle(6)
+        with pytest.raises(GraphError) as exc:
+            decompose(g, 3, component_walk(g, 5, {0, 1}))
+        assert str(exc.value) == "root 5 is not in the region"
 
     def test_listed_back_edge_is_checked(self):
         # the path 0-1-2 with vertex 1's tuple emptied: 1 lists no edge back

@@ -80,10 +80,13 @@ class TestEdgelist:
             ("3 1\n0  1 2\n", "bad edge line: '0  1 2'"),
             ("3 1\r\n0\t1\t2\r\n", "bad edge line: '0\\t1\\t2'"),
             ("3 1\n0\n", "bad edge line: '0'"),
+            ("3 1 2\n", "bad header line: '3 1 2'"),
+            ("3\t1  2\n0 1\n", "bad header line: '3\\t1  2'"),
         ],
-        ids=["three-tokens", "three-tokens-tabs-crlf", "one-token"],
+        ids=["three-tokens", "three-tokens-tabs-crlf", "one-token", "three-token-header", "three-token-header-tab"],
     )
     def test_wrong_token_count_quotes_the_line(self, text, message):
+        # worded as a bad number on the same line is
         with pytest.raises(GraphError) as exc:
             read_edgelist(text)
         assert str(exc.value) == message
@@ -328,6 +331,23 @@ class TestDimacs:
         ids=["underscore", "arabic-indic-digit", "full-width-digit", "underscore-n", "full-width-n", "as-written"],
     )
     def test_only_ascii_decimal_integers(self, text, message):
+        with pytest.raises(GraphError) as exc:
+            read_dimacs(text)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("p edge 3\n", "bad problem line: 'p edge 3'"),
+            ("p edge 3 1 2\ne 1 2\n", "bad problem line: 'p edge 3 1 2'"),
+            ("p cnf 3 1\ne 1 2\n", "bad problem line: 'p cnf 3 1'"),
+            ("p edge 3 1\ne\t1\n", "bad edge line: 'e\\t1'"),
+            ("p edge 3 1\ne 1 2 3\n", "bad edge line: 'e 1 2 3'"),
+        ],
+        ids=["short-problem", "long-problem", "not-edge", "short-edge-tab", "long-edge"],
+    )
+    def test_wrong_token_count_quotes_the_line(self, text, message):
+        # worded as a bad number on the same line is
         with pytest.raises(GraphError) as exc:
             read_dimacs(text)
         assert str(exc.value) == message

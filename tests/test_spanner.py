@@ -48,8 +48,8 @@ from oracle import min_connector_bruteforce
 
 def refine_both(req, start):
     """refine_triple and its from-scratch reference on one start: outcomes and
-    move events, `edge_cap` included. Without the event hook, which makes it
-    count the region's edges at once, refine_triple must end the same way."""
+    move events, `edge_cap` (the edges inside H after the move) included.
+    Without the event hook, refine_triple must end the same way."""
     runs = []
     for fn in (refine_triple, refine_triple_reference):
         events = []
@@ -137,6 +137,39 @@ def refine_calls():
         mp.setattr(spanner, "refine_triple", recording)
         mp.setattr(decompose_module, "refine_triple", recording)
         yield calls
+
+
+# hosts whose neighbor tuples break a guarantee the moves rely on, with the
+# terminals of the growth to run on them: two terminals give the spanner's
+# start, and {0} part 1's growth start
+FAULTY_HOSTS = [
+    pytest.param(gen.grid(1, 6), {4: ()}, {0, 2}, id="path-no-edge-into-H"),
+    pytest.param(gen.grid(1, 6), {4: (3, 4)}, {0, 2}, id="path-neighbor-on-its-side"),
+    pytest.param(gen.cycle(8), {5: ()}, {0, 2}, id="c8-no-edge-into-H"),
+    pytest.param(gen.cycle(8), {5: (4, 5)}, {0, 2}, id="c8-neighbor-on-its-side"),
+    pytest.param(Graph(7, [(0, 1), (1, 2), (2, 3), (2, 4), (2, 5), (2, 6)]), {1: (2,), 2: ()}, {0, 2},
+                 id="move-cap"),
+    pytest.param(gen.grid(1, 3), {1: ()}, {0}, id="part-1-no-edge-into-H"),
+    pytest.param(gen.grid(1, 3), {1: (0, 1)}, {0}, id="part-1-neighbor-on-its-side"),
+    pytest.param(gen.cycle(6), {2: ()}, {0}, id="part-1-c6-depth-2-no-edge-into-H"),
+    pytest.param(gen.cycle(6), {2: (1, 2, 3)}, {0}, id="part-1-c6-depth-2-neighbor-on-its-side"),
+    pytest.param(gen.grid(3, 3), {4: ()}, {0}, id="part-1-grid-3x3-depth-2-no-edge-into-H"),
+    pytest.param(gen.grid(3, 3), {4: (1, 3, 4, 5, 7)}, {0}, id="part-1-grid-3x3-depth-2-neighbor-on-its-side"),
+]
+
+
+def faulty_start(host, table, terms):
+    """The request and start of the growth on `host` with `table`'s tuples:
+    the spanner's, as build_spanner makes it, for two terminals; part 1's,
+    H = A = {r}, for one."""
+    g = faulty_host(host, table)
+    region, terms = frozenset(range(g.n)), frozenset(terms)
+    if len(terms) == 1:
+        return SpannerRequest(g, region, terms, 1), Triple(terms, terms, frozenset(), 0)
+    with refine_calls() as starts:
+        outcome(build_spanner, SpannerRequest(g, region, terms, 1))
+    assert len(starts) == 1
+    return starts[0]
 
 
 def same_as_two_loops(req, start):
@@ -444,19 +477,23 @@ class TestRefine:
         assert min(kinds.values()) > 0, kinds
 
     @pytest.mark.parametrize("hooked", [True, False], ids=["with-events", "without-events"])
-    def test_cap_stops_a_runaway_loop_at_the_region_edge_count(self, monkeypatch, hooked):
-        # a crossing count that keeps rising and a crossing subgraph that never
-        # connects: move 7 passes the 6 edges of C6, with or without the hook
+    def test_edges_inside_h_stop_a_runaway_loop(self, monkeypatch, hooked):
+        # a crossing count that keeps rising from 1 and a crossing subgraph
+        # that never connects, on the path 0..4 of C6, which has 4 edges:
+        # move 4 = 4 - 1 + 1 would make 5 crossing edges, with or without the hook
         counts = iter(range(1, 100))
         monkeypatch.setattr(spanner, "count_cross_edges", lambda *args: next(counts))
         monkeypatch.setattr(spanner, "cross_bfs", lambda *args: ([0], [0]))
         g = gen.cycle(6)
         req = SpannerRequest(g, frozenset(range(6)), frozenset({0}), 2)
-        start = Triple(frozenset({0, 1}), frozenset({0}), frozenset({1}), 1)
+        start = Triple(frozenset(range(5)), frozenset({0, 2, 4}), frozenset({1, 3}), 1)
         events = []
-        with pytest.raises(InvariantViolation, match="exceeded the region's edge count"):
+        with pytest.raises(InvariantViolation) as exc:
             refine_triple(req, start, on_move=events.append if hooked else None)
-        assert [(e.move_index, e.edge_cap) for e in events] == ([(i, 6) for i in range(1, 7)] if hooked else [])
+        assert str(exc.value) == "crossing edges exceeded the edges inside H"
+        assert [(e.move_index, e.cross_after, e.edge_cap) for e in events] == (
+            [(i, i + 1, 4) for i in range(1, 4)] if hooked else []
+        )
 
     def test_bad_start_rejected(self):
         g = Graph(3, [(0, 1), (1, 2)])
@@ -501,51 +538,18 @@ class TestOneStepMatchesTwoLoops:
         kinds = Counter(e.kind for req, start in made for e in same_as_two_loops(req, start))
         assert (len(made), kinds) == (calls, Counter(extend=extends))
 
-    @pytest.mark.parametrize(
-        "host, table, terms",
-        [
-            (gen.grid(1, 6), {4: ()}, {0, 2}),
-            (gen.grid(1, 6), {4: (3, 4)}, {0, 2}),
-            (gen.cycle(8), {5: ()}, {0, 2}),
-            (gen.cycle(8), {5: (4, 5)}, {0, 2}),
-            (Graph(7, [(0, 1), (1, 2), (2, 3), (2, 4), (2, 5), (2, 6)]), {1: (2,), 2: ()}, {0, 2}),
-            (gen.grid(1, 3), {1: ()}, {0}),
-            (gen.grid(1, 3), {1: (0, 1)}, {0}),
-            (gen.cycle(6), {2: ()}, {0}),
-            (gen.cycle(6), {2: (1, 2, 3)}, {0}),
-            (gen.grid(3, 3), {4: ()}, {0}),
-            (gen.grid(3, 3), {4: (1, 3, 4, 5, 7)}, {0}),
-        ],
-        ids=[
-            "path-no-edge-into-H",
-            "path-neighbor-on-its-side",
-            "c8-no-edge-into-H",
-            "c8-neighbor-on-its-side",
-            "move-cap",
-            "part-1-no-edge-into-H",
-            "part-1-neighbor-on-its-side",
-            "part-1-c6-depth-2-no-edge-into-H",
-            "part-1-c6-depth-2-neighbor-on-its-side",
-            "part-1-grid-3x3-depth-2-no-edge-into-H",
-            "part-1-grid-3x3-depth-2-neighbor-on-its-side",
-        ],
-    )
+    @pytest.mark.parametrize("host, table, terms", FAULTY_HOSTS)
     def test_faulty_hosts(self, host, table, terms):
         # the hosts of the per-move-check tests: from the spanner's start and
-        # from part 1's growth start, both versions fail the same check
-        # after the same events (the move cap's only with the hook, which
-        # counts the region's edges at the first move)
-        g = faulty_host(host, table)
-        region, terms = frozenset(range(g.n)), frozenset(terms)
-        if len(terms) == 1:
-            starts = [(SpannerRequest(g, region, terms, 1), Triple(terms, terms, frozenset(), 0))]
-        else:
-            with refine_calls() as starts:
-                outcome(build_spanner, SpannerRequest(g, region, terms, 1))
-            assert len(starts) == 1
-        for req, start in starts:
-            same_as_two_loops(req, start)
-            assert outcome(refine_triple, req, start, on_move=lambda e: None)[0] is InvariantViolation
+        # from part 1's growth start, both versions end the same way after
+        # the same events. Each fault is caught, the same way with and
+        # without the hook: by a per-move check, or on the move-cap host,
+        # whose tuples list some edges one way only, by the postcondition
+        req, start = faulty_start(host, table, terms)
+        same_as_two_loops(req, start)
+        caught = outcome(build_spanner, req)
+        assert caught[0] is InvariantViolation
+        assert outcome(build_spanner, req, on_move=lambda e: None) == caught
 
     def test_random_connected_starts(self):
         # many starts have a disconnected crossing subgraph, and reconnects
@@ -561,6 +565,37 @@ class TestOneStepMatchesTwoLoops:
 
         check()
         assert min(seen[k] for k in ("reconnect", "extend", "reconnect then extend")) > 0, seen
+
+
+class TestTheHookChangesNothing:
+    """refine_triple bounds its moves by the edges inside H, which it tracks
+    as H grows, and checks that bound the same way with or without
+    `on_move`: a run ends the same both ways, and each event's `edge_cap` is
+    the edge count of H after its move."""
+
+    @pytest.mark.parametrize("host, table, terms", FAULTY_HOSTS)
+    def test_faulty_hosts(self, host, table, terms):
+        # where the tuples list an edge one way only, the edges inside H that
+        # the moves add up and a recount of the tuples part ways (on the
+        # move-cap host 2, 3, 4, 5 against 1, 2, 2, 3), so here each event
+        # is held only to move_index <= cross_after <= edge_cap
+        req, start = faulty_start(host, table, terms)
+        events = []
+        assert outcome(refine_triple, req, start, on_move=events.append) == outcome(refine_triple, req, start)
+        for e in events:
+            assert e.move_index <= e.cross_after <= e.edge_cap
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("workload, seed", [("sparse_gnp", 0), ("sparse_gnp", 13), ("dense_batch", 0), ("dense_batch", 13)])
+    def test_every_call_on_the_benchmark_inputs(self, workload, seed):
+        # spanner and part 1 growth alike; the reference recounts the edges
+        # inside H from scratch after every move, for its check and its edge_cap
+        with refine_calls() as made:
+            for text, t, *_ in load_workloads().build(workload, seed):
+                run_color(read_edgelist(text), t)
+        for req, start in made:
+            new, ref = refine_both(req, start)
+            assert new == ref
 
 
 class TestBuildSpanner:
@@ -648,16 +683,21 @@ class TestBuildSpanner:
 
     def test_move_cap_vouches_for_a_spanner_growth(self):
         # the path 0-1-2 with leaves 3..6 on 2, terminals {0, 2}; tuples that
-        # list 0-1 and 2-3..6 one way only leave the region 3 edges by its
-        # own count, so with the hook, which counts them at the first move,
-        # the fourth extend passes the cap
+        # list 0-1 and 2-3..6 one way only. Each extend adds as many edges
+        # inside H as crossing edges, so the bound on the moves holds, and all
+        # four leaves join side B. But 2 lists no edge, so H is not connected
+        # by the host's own walk, and the postcondition refuses the part,
+        # with or without the hook
         host = Graph(7, [(0, 1), (1, 2), (2, 3), (2, 4), (2, 5), (2, 6)])
         req = SpannerRequest(faulty_host(host, {1: (2,), 2: ()}), frozenset(range(7)), frozenset({0, 2}), 1)
         events = []
-        with pytest.raises(InvariantViolation) as exc:
-            build_spanner(req, on_move=events.append)
-        assert str(exc.value) == "move count exceeded the region's edge count"
-        assert [(e.kind, e.move_index, e.edge_cap) for e in events] == [("extend", i, 3) for i in (1, 2, 3)]
+        for on_move in (events.append, None):
+            with pytest.raises(InvariantViolation) as exc:
+                build_spanner(req, on_move=on_move)
+            assert str(exc.value) == "spanner postcondition failed: H is not connected"
+        assert [(e.kind, e.move_index, e.cross_after, e.edge_cap) for e in events] == [
+            ("extend", i, i + 1, i + 1) for i in (1, 2, 3, 4)
+        ]
 
     def test_k5_leftover_component(self, k5):
         req = SpannerRequest(k5, frozenset({2, 3, 4}), frozenset({2}), 1)
