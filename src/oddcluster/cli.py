@@ -11,6 +11,7 @@ and {"status": "error", ...} on stdout.
 from __future__ import annotations
 
 import contextlib
+import gc
 import json
 import os
 import sys
@@ -80,10 +81,13 @@ def run_color(g: Graph, t: int, on_move: OnMove | None = None) -> PipelineResult
     Hues are assigned per component, which is safe: no edges cross
     components, so color reuse cannot merge monochromatic pieces. The
     components are disjoint and each decomposition covers its own, so the
-    per-component colorings fill one map with no overlap, which
-    verify_coloring then checks as a whole. The decompositions are returned
-    in the result, not in the payload.
+    first component's coloring becomes the run's map and the later ones
+    fill it with no overlap; verify_coloring then checks it as a whole.
+    The artifact's rows are the map's own (hue, side) tuples, not copies.
+    The decompositions are returned in the result, not in the payload.
     """
+    if type(t) is not int:
+        raise GraphError(f"t must be an integer, got {t!r}")
     if t < 3:  # decompose checks it too, but a graph with no vertices never calls it
         raise GraphError("t must be >= 3")
     completed: list[Decomposition] = []
@@ -100,9 +104,10 @@ def run_color(g: Graph, t: int, on_move: OnMove | None = None) -> PipelineResult
             return PipelineResult(EXIT_CERT, payload, artifact, tuple(completed), certificate=cert)
         completed.append(outcome)
 
-    colors: dict[int, tuple[int, int]] = {}
-    for d in completed:
-        colors.update(product_coloring(d, color_parts(build_auxiliary(d), t)).colors)
+    maps = (product_coloring(d, color_parts(build_auxiliary(d), t)).colors for d in completed)
+    colors: dict[int, tuple[int, int]] = next(maps, {})  # the first component's map is the run's
+    for later in maps:
+        colors.update(later)
     coloring = ClusteredColoring(t, colors)
     checked = verify_coloring(g, coloring, t)
     if isinstance(checked, ColoringRejection):
@@ -151,13 +156,21 @@ def _write_artifact(result: PipelineResult, output: str | None) -> None:
 def cmd_color(args: argparse.Namespace) -> int:
     if args.t < 3:
         raise _UsageError("--t must be at least 3")
-    g = load_graph(args.input, args.format)
-    result = run_color(g, args.t)
-    if args.verbose and result.exit_code == EXIT_OK:
-        result.payload["decompositions"] = [decomposition_to_json(d) for d in result.decompositions]
-    # the artifact first, so that a stdout whose reader is gone cannot lose it
-    _write_artifact(result, args.output)
-    _emit(result.payload)
+    # a run leaves no cyclic garbage, so the collector would only rescan the
+    # heap; it is restored for in-process callers, and library calls keep theirs
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        g = load_graph(args.input, args.format)
+        result = run_color(g, args.t)
+        if args.verbose and result.exit_code == EXIT_OK:
+            result.payload["decompositions"] = [decomposition_to_json(d) for d in result.decompositions]
+        # the artifact first, so that a stdout whose reader is gone cannot lose it
+        _write_artifact(result, args.output)
+        _emit(result.payload)
+    finally:
+        if collecting:
+            gc.enable()
     if result.exit_code == EXIT_INTERNAL:
         print(f"internal error: {result.payload['error']}", file=sys.stderr)
     return result.exit_code

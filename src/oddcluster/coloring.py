@@ -101,6 +101,8 @@ def verify_coloring(g: Graph, coloring: ClusteredColoring, t: int) -> ColoringRe
         if not (isinstance(hue, int) and 1 <= hue <= t - 1 and isinstance(side, int) and side in (1, 2)):
             return ColoringRejection(f"vertex {v} color {pair} out of range")
         classes.setdefault(pair, []).append(v)
+    if len(colors) > g.n:  # 0..n-1 are all colored, so some key is not a vertex
+        return ColoringRejection(f"coloring has {len(colors)} entries for {g.n} vertices")
 
     linked: set[int] = set()  # vertices with a neighbor of their own color
     for members in classes.values():
@@ -143,8 +145,10 @@ def verify_coloring(g: Graph, coloring: ClusteredColoring, t: int) -> ColoringRe
 
 
 def coloring_to_json(coloring: ClusteredColoring, n: int) -> dict:
+    """The coloring format: row v is vertex v's (hue, side) tuple itself,
+    shared with the coloring, which json.dumps writes as a [hue, side] array."""
     try:
-        rows = list(map(list, map(coloring.colors.__getitem__, range(n))))
+        rows = list(map(coloring.colors.__getitem__, range(n)))
     except KeyError as exc:  # the first vertex without a color
         raise GraphError(f"vertex {exc.args[0]} is uncolored") from None
     return {"t": coloring.t, "colors": rows}

@@ -1196,7 +1196,8 @@ def verify_coloring_reference(
 ) -> ColoringReport | ColoringRejection:
     """Recompute monochromatic components from scratch, each one sorted and
     scanned for its defect, and check at most 2t-2 colors and no component
-    above ceil((t-2)/2)."""
+    above ceil((t-2)/2). Every vertex must have a color, and no key may lie
+    outside the graph."""
     colors = coloring.colors
     for v in range(g.n):
         pair = colors.get(v)
@@ -1207,6 +1208,8 @@ def verify_coloring_reference(
         hue, side = pair
         if not (isinstance(hue, int) and 1 <= hue <= t - 1 and isinstance(side, int) and side in (1, 2)):
             return ColoringRejection(f"vertex {v} color {pair} out of range")
+    if len(colors) > g.n:
+        return ColoringRejection(f"coloring has {len(colors)} entries for {g.n} vertices")
 
     comps: list[list[int]] = []
     unseen = set(range(g.n))

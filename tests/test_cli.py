@@ -1,3 +1,4 @@
+import gc
 import importlib
 import io
 import json
@@ -60,7 +61,7 @@ class TestColor:
         assert main(["color", "-i", write_graph(tmp_path, g), "--t", "3", "-o", str(art)]) == 1
         assert capsys.readouterr().err == "error: cannot write stdout: [Errno 32] Broken pipe\n"
         assert run_color(g, 3).exit_code == code
-        assert json.loads(art.read_text()) == run_color(g, 3).artifact
+        assert art.read_text() == json.dumps(run_color(g, 3).artifact, indent=2) + "\n"
 
     def test_unwritable_artifact_is_one_error_line(self, tmp_path, capsys, c6):
         # the -o target is a directory: nothing reaches stdout
@@ -184,6 +185,12 @@ class TestColor:
         with pytest.raises(GraphError, match=r"^t must be >= 3$"):
             run_color(Graph(n), t)
 
+    @pytest.mark.parametrize("t", [4.0, "4", True], ids=["float", "string", "bool"])
+    def test_run_color_refuses_a_t_that_is_not_an_integer(self, c6, t):
+        with pytest.raises(GraphError) as exc:
+            run_color(c6, t)
+        assert str(exc.value) == f"t must be an integer, got {t!r}"
+
     def test_verbose_includes_decomposition(self, tmp_path, capsys, k4):
         path = write_graph(tmp_path, k4)
         code, out, _ = run_cli(capsys, "color", "-i", path, "--t", "3", "--verbose")
@@ -197,6 +204,90 @@ class TestColor:
         verbose = run_cli(capsys, "color", "-i", path, "--t", "3", "--verbose")
         assert plain[0] == 3 and json.loads(plain[1])["status"] == "certificate"
         assert verbose == plain
+
+
+class TestSharedRows:
+    """A colored run keeps one color map, and the artifact's rows are its
+    verified (hue, side) tuples, not copies."""
+
+    @pytest.mark.parametrize(
+        "g", [gen.grid(100, 100), gen.cycle(6), gen.gnp(300, 0.004, 0)], ids=["grid", "c6", "disconnected-gnp"]
+    )
+    def test_rows_are_the_verified_tuples(self, g):
+        result = run_color(g, 4)
+        assert result.exit_code == 0
+        rows, colors = result.artifact["colors"], result.coloring.colors
+        assert len(rows) == len(colors) == g.n
+        assert all(rows[v] is colors[v] for v in range(g.n))
+
+    @pytest.mark.parametrize("g, components", [(gen.grid(30, 30), 1), (gen.gnp(300, 0.004, 0), 132)],
+                             ids=["one-component", "disconnected-gnp"])
+    def test_the_first_map_product_coloring_returned_is_the_runs(self, monkeypatch, g, components):
+        returned = []  # each component's map, and a copy taken before the run merges into it
+
+        def recorded(d, part_hues):
+            coloring = cli_product_coloring(d, part_hues)
+            returned.append((coloring.colors, dict(coloring.colors)))
+            return coloring
+
+        cli_product_coloring = cli.product_coloring
+        monkeypatch.setattr(cli, "product_coloring", recorded)
+        result = run_color(g, 4)
+        assert result.exit_code == 0 and len(returned) == components
+        assert result.coloring.colors is returned[0][0]
+        merged = {}
+        for _, colors in returned:
+            assert merged.keys().isdisjoint(colors)
+            merged.update(colors)
+        assert result.coloring.colors == merged and len(merged) == g.n
+
+
+class TestColorCollector:
+    """`oddcluster color` loads and runs with the cyclic GC off and gives
+    the caller its setting back; run_color itself leaves the setting alone."""
+
+    @pytest.mark.parametrize("collecting", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize(
+        "text, closed, code, calls",
+        [("c6", False, 0, 2), ("c6", True, 1, 2), ("3 1\n0 9\n", False, 1, 1), ("k5", False, 3, 2)],
+        ids=["colored", "closed-stdout", "bad-input", "certificate"],
+    )
+    def test_off_inside_the_run_and_restored_after(self, tmp_path, capsys, monkeypatch, request,
+                                                   collecting, text, closed, code, calls):
+        seen = []  # the collector's state in load_graph, then in run_color
+
+        def recorded(real):
+            def call(*args):
+                seen.append(gc.isenabled())
+                return real(*args)
+            return call
+
+        monkeypatch.setattr(cli, "load_graph", recorded(cli.load_graph))
+        monkeypatch.setattr(cli, "run_color", recorded(cli.run_color))
+        if text in ("c6", "k5"):
+            path = write_graph(tmp_path, request.getfixturevalue(text))
+        else:
+            path = tmp_path / "bad.txt"
+            path.write_text(text)
+        if closed:
+            monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        (gc.enable if collecting else gc.disable)()
+        try:
+            assert main(["color", "-i", str(path), "--t", "3"]) == code
+            assert gc.isenabled() is collecting
+        finally:
+            gc.enable()
+        assert seen == [False] * calls
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("collecting", [True, False], ids=["enabled", "disabled"])
+    def test_run_color_keeps_the_callers_setting(self, c6, collecting):
+        (gc.enable if collecting else gc.disable)()
+        try:
+            assert run_color(c6, 3).exit_code == 0
+            assert gc.isenabled() is collecting
+        finally:
+            gc.enable()
 
 
 BOM = "\ufeff"
@@ -246,8 +337,9 @@ def set_entry(path, entry):
         parent = artifact
         for key in path[:-1]:
             parent = parent[key]
-        # coercing the entry with int() would give back the valid original
-        assert parent[path[-1]] == [int(x) for x in entry[:2]]
+        # coercing the entry with int() would give back the valid original;
+        # compared as JSON text, since a coloring row is a tuple in memory
+        assert json.dumps(parent[path[-1]]) == json.dumps([int(x) for x in entry[:2]])
         parent[path[-1]] = entry
 
     return edit

@@ -1,4 +1,5 @@
 import collections
+import json
 import random
 
 import pytest
@@ -183,8 +184,9 @@ class TestJson:
         d = decompose(k4, 3, region_walk(k4))
         coloring = product_coloring(d, color_parts(build_auxiliary(d), 3))
         obj = coloring_to_json(coloring, 4)
-        assert obj == {"t": 3, "colors": [[1, 1], [1, 2], [2, 1], [2, 2]]}
-        assert coloring_from_json(obj) == coloring
+        assert obj == {"t": 3, "colors": [(1, 1), (1, 2), (2, 1), (2, 2)]}
+        assert json.dumps(obj) == '{"t": 3, "colors": [[1, 1], [1, 2], [2, 1], [2, 2]]}'
+        assert coloring_from_json(json.loads(json.dumps(obj))) == coloring
 
     @pytest.mark.parametrize(
         "obj, message",
@@ -246,7 +248,7 @@ class TestAuxiliaryAgainstReference:
 def tampered_coloring(rng):
     """A graph, t, and a coloring: the pipeline's own, or random pairs from a
     small palette, then a few vertices recolored, some out of range, uncolored
-    or malformed."""
+    or malformed, or a color added for a vertex the graph lacks."""
     n = rng.randint(1, 24)
     g = gen.connected_gnp(n, rng.uniform(0.05, 0.5), rng.randrange(10**6))
     t = rng.randint(2, 6)
@@ -265,6 +267,8 @@ def tampered_coloring(rng):
             colors[v] = (rng.randint(0, t), rng.randint(0, 3))
         elif roll < 0.85:
             colors.pop(v, None)
+        elif roll < 0.9:
+            colors[n + v] = (1, 1)  # a key the graph lacks
         else:
             colors[v] = rng.choice(([1, 1], (1, 1, 1), (1,), "11"))
     return g, ClusteredColoring(t, colors), t
@@ -294,6 +298,7 @@ class TestVerifierAgainstReference:
             "vertex is uncolored",
             "vertex color is malformed",
             "vertex color out of range",
+            "coloring has entries for vertices",
             "monochromatic component of size exceeds",
         }
 
@@ -356,6 +361,13 @@ NAMED_VERIFIER_CASES = [
         Graph(5, []), {v: (DistinctHue(1), 1) for v in range(5)}, 3,
         ColoringRejection("5 colors used, above the 2t-2 = 4 limit"),
         id="above-2t-2-colors",
+    ),
+    pytest.param(
+        # every vertex is colored and the coloring is valid on them, but
+        # it also names vertex 7, which a graph on three vertices lacks
+        Graph(3, [(0, 1), (1, 2)]), {0: (1, 1), 1: (1, 2), 2: (1, 1), 7: (9, 9)}, 3,
+        ColoringRejection("coloring has 4 entries for 3 vertices"),
+        id="key-outside-the-graph",
     ),
 ]
 
